@@ -23,7 +23,7 @@ from . import oracle, special, spectral, steady
 from .comparator import me_state, me_steady_state
 from .errors import MeanForceError, NumericsError, ValidationError
 from .spinboson import SpinBosonParams, build_system, observables
-from .steady import CorrectionMethod, RegimeThresholds, RenormalizationConvention
+from .steady import CorrectionMethod, RenormalizationConvention
 from .svg import render_line_plot
 
 __all__ = ["SweepSpec", "run_sweep", "run_verify", "main", "PRESETS"]
@@ -190,13 +190,11 @@ def _evaluate_point(
             cells[m] = {c: None for c in _CELLS}
             notes.append(f"{m}: {exc}")
 
-    # Same definitions as the steady-state diagnostics.
-    th = RegimeThresholds()
-    h_scale = params.omega_s / 2.0
+    regime = steady.regime_diagnostics(sys_spec, lambda2q, beta, sd)
     flags = {
-        "flag_strong_coupling": int(lambda2q / h_scale >= th.strong_coupling),
-        "flag_series": int(lambda2q * beta >= th.series),
-        "flag_high_t": int(spectral.cutoff_scale(sd) * beta <= th.high_t),
+        "flag_strong_coupling": int(regime["strong_coupling"]),
+        "flag_series": int(regime["series_regime"]),
+        "flag_high_t": int(regime["high_t_regime"]),
     }
     return cells, flags, notes
 

@@ -131,17 +131,25 @@ def _find_tau_max(
 def _build_g_splines(
     sd: SpectralDensity, beta: float, tau_max: float, settings: QuadratureSettings
 ) -> tuple[_CubicSpline, _CubicSpline, int, float]:
-    """Cached G on a near-0-clustered grid, doubled until the spline checks out."""
+    """Cached G on a near-0-clustered grid, doubled until the spline checks out.
+
+    The grid is tau = tau_max s^2 on uniform s. The probes sit at the
+    s-midpoints, which are the new nodes of the next doubling, so each G
+    value is evaluated once and a failed check becomes the next grid.
+    """
     n = _GRID_START_NODES
+    grid = tau_max * np.linspace(0.0, 1.0, n) ** 2
+    g = _g_batch(sd, beta, grid, settings)
+    g[0] = 0.0  # G(0) = 0 exactly
     while True:
-        grid = tau_max * np.linspace(0.0, 1.0, n) ** 2
-        g = _g_batch(sd, beta, grid, settings)
-        g[0] = 0.0  # G(0) = 0 exactly
         re, im = np.real(g), np.imag(g)
         if np.any(np.diff(re) < -1e-10 * max(1.0, float(re[-1]))):
             raise NumericsError("Re G(tau) is not nondecreasing for this bath")
         sp_re, sp_im = _CubicSpline(grid, re), _CubicSpline(grid, im)
-        mid = 0.5 * (grid[:-1] + grid[1:])
+        # n - 1 is a power of two, so the even nodes of the doubled grid
+        # reproduce this grid bit for bit and the odd ones are the probes.
+        doubled = tau_max * np.linspace(0.0, 1.0, 2 * n - 1) ** 2
+        mid = doubled[1::2]
         probe = _g_batch(sd, beta, mid, settings)
         scale = max(1.0, float(np.max(np.abs(g))))
         err = float(
@@ -149,7 +157,9 @@ def _build_g_splines(
         ) / scale
         if err <= _SPLINE_TOL or n >= _GRID_MAX_NODES:
             return sp_re, sp_im, n, err
-        n = 2 * n - 1
+        g_doubled = np.empty(2 * n - 1, dtype=complex)
+        g_doubled[::2], g_doubled[1::2] = g, probe
+        grid, g, n = doubled, g_doubled, 2 * n - 1
 
 
 def me_steady_state(

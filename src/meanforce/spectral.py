@@ -268,6 +268,14 @@ def overlap_kernel(
 # ----------------------------------------------------------------------------
 
 _MATSUBARA_N = 3000
+# Beyond nu*tau = 40, e^{-nu tau} < 4.3e-18 lies below half an ulp of the
+# nu*tau - 1 it is added to (expm1(-x) already rounds to -1 from x ~ 37.5),
+# so mu(nu, tau) = tau/nu - 1/nu^2 in double precision.
+_AFFINE_X = 40.0
+# tau nodes per _mu_exp block. A block's smallest tau sets how many poles it
+# keeps, so small blocks keep few full-width rows near tau = 0 and bound the
+# temporaries at 3000 poles x 16 nodes (0.4 MB each).
+_TAU_BLOCK = 16
 
 
 def _one_minus_cos(x: np.ndarray) -> np.ndarray:
@@ -346,6 +354,33 @@ def _mu_exp(kappa: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return np.where(kt > 1e-4, direct, series)
 
 
+def _matsubara_sum(c: np.ndarray, nu: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """sum_k c_k mu(nu_k, tau) for ascending nu_k and tau >= 0 in any order.
+
+    The terms with nu_k tau > _AFFINE_X are affine in tau, so their sum is
+    tau*S1(K) - S2(K) with suffix sums S1 of c/nu and S2 of c/nu^2 from the
+    first affine row K on. _mu_exp sees only the rows below K, per block of
+    sorted tau, with K taken at the block's smallest tau (all rows at tau = 0).
+    """
+    s1 = np.append(np.cumsum((c / nu)[::-1])[::-1], 0.0)
+    s2 = np.append(np.cumsum((c / nu**2)[::-1])[::-1], 0.0)
+    order = np.argsort(tau)
+    ts = tau[order]
+    with np.errstate(divide="ignore"):
+        rows = np.searchsorted(nu, _AFFINE_X / ts, side="right")
+    k = np.repeat(rows[::_TAU_BLOCK], _TAU_BLOCK)[: len(ts)]
+    out = ts * s1[k] - s2[k]
+    # rows falls as tau grows, so the blocks that need _mu_exp come first.
+    for i in range(0, len(ts), _TAU_BLOCK):
+        if k[i] == 0:
+            break
+        t = ts[i : i + _TAU_BLOCK]
+        out[i : i + _TAU_BLOCK] += c[: k[i]] @ _mu_exp(nu[: k[i]], t)
+    result = np.empty_like(out)
+    result[order] = out
+    return result
+
+
 def _g_batch(sd: SpectralDensity, beta: float, tau: np.ndarray, settings: QuadratureSettings) -> np.ndarray:
     """G(tau) for a batch of tau >= 0."""
     tau = np.asarray(tau, dtype=float)
@@ -358,7 +393,7 @@ def _g_batch(sd: SpectralDensity, beta: float, tau: np.ndarray, settings: Quadra
     if isinstance(sd, LorentzDrude):
         c_pole, c_mats, nu, nu_star = _matsubara_coefficients(sd, beta)
         g = c_pole * _mu_exp(np.array([sd.omega_c]), tau)[0]
-        g = g + c_mats @ _mu_exp(nu, tau)
+        g = g + _matsubara_sum(c_mats, nu, tau)
         # Euler-Maclaurin midpoint correction for the truncated Matsubara
         # tail: sum_{k>N} c_k mu(nu_k, tau) ~ (2Q w_c/pi) tau^2 R(nu* tau).
         # R's large-x form tau/nu* - 1/(2 nu*^2) is off by ~1/(2 nu*^2) for

@@ -44,6 +44,7 @@ __all__ = [
     "f_high_t",
     "f_series",
     "steady_state",
+    "regime_diagnostics",
 ]
 
 _MIN_GAP_REL = 1e-9
@@ -341,6 +342,28 @@ _F_DISPATCH = {
 }
 
 
+def regime_diagnostics(
+    sys: SystemSpec,
+    lam2q: float,
+    beta: float,
+    sd: SpectralDensity,
+    th: RegimeThresholds | None = None,
+) -> dict:
+    """The regime markers, with the ratios they compare to the thresholds."""
+    th = th or RegimeThresholds()
+    h_scale = float(np.max(np.abs(sys.pseudo_energies)))
+    coupling_ratio = lam2q / h_scale if h_scale > 0 else np.inf
+    omega_c_beta = cutoff_scale(sd) * beta
+    return {
+        "lambda2_q_beta": lam2q * beta,
+        "omega_c_beta": omega_c_beta,
+        "coupling_ratio": coupling_ratio,
+        "strong_coupling": bool(coupling_ratio >= th.strong_coupling),
+        "series_regime": bool(lam2q * beta >= th.series),
+        "high_t_regime": bool(omega_c_beta <= th.high_t),
+    }
+
+
 @dataclass(frozen=True, eq=False)
 class CorrectionResult:
     """First-order mean force state with its ingredients and diagnostics.
@@ -412,20 +435,11 @@ def steady_state(
     rho = v @ rho_a @ v.conj().T
     state = DensityMatrix(rho, check_positive=False)
 
-    q_reorg = reorganization_energy(sd)
-    lam2q = lam**2 * q_reorg
-    h_scale = float(np.max(np.abs(sys.pseudo_energies)))
-    coupling_ratio = lam2q / h_scale if h_scale > 0 else np.inf
-    omega_c_beta = cutoff_scale(sd) * beta
+    lam2q = lam**2 * reorganization_energy(sd)
     diagnostics = {
         "f_error_estimates": f_err,
         "f_evaluations": f_evals,
-        "lambda2_q_beta": lam2q * beta,
-        "omega_c_beta": omega_c_beta,
-        "coupling_ratio": coupling_ratio,
-        "strong_coupling": bool(coupling_ratio >= th.strong_coupling),
-        "series_regime": bool(lam2q * beta >= th.series),
-        "high_t_regime": bool(omega_c_beta <= th.high_t),
+        **regime_diagnostics(sys, lam2q, beta, sd, th),
         "min_eigenvalue": state.min_eigenvalue,
         "psd_ok": bool(state.min_eigenvalue >= -1e-9),
         "psd_warning": bool(state.min_eigenvalue < -1e-3),

@@ -1,10 +1,14 @@
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from meanforce import cli
 from meanforce.errors import NumericsError, ValidationError
+from meanforce.spectral import BathParams, LorentzDrude
+from meanforce.spinboson import SpinBosonParams, build_system
+from meanforce.steady import CorrectionMethod, steady_state
 
 
 def run_main(argv):
@@ -37,6 +41,27 @@ def test_sweep_csv_structure(tmp_path):
     assert first[-4:] == ["1", "0", "1", ""]
     last = lines[3].split(",")
     assert last[-4:] == ["1", "1", "1", ""]
+
+
+def test_sweep_strong_coupling_flag_matches_steady_state(tmp_path):
+    # lambda^2 Q = 0.55 lies between max|h_l| = 0.5 and omega_s/2 = 0.61.
+    out = tmp_path / "s.csv"
+    rc = run_main([
+        "sweep", "--sweep", "lambda2Q", "--from", "0.55", "--to", "5.0",
+        "--points", "2", "--delta", "0.7", "--beta", "1.0", "--omega-c", "0.25",
+        "--methods", "high-t", "--out", str(out),
+    ])
+    assert rc == 0
+    lines = out.read_text().strip().split("\n")
+    flag = lines[1].split(",")[lines[0].split(",").index("flag_strong_coupling")]
+    res = steady_state(
+        build_system(SpinBosonParams(1.0, 0.7)),
+        BathParams(1.0, math.sqrt(0.55)),
+        LorentzDrude(1.0, 0.25),
+        CorrectionMethod.HIGH_TEMPERATURE_DAWSON,
+    )
+    assert flag == str(int(res.diagnostics["strong_coupling"]))
+    assert flag == "1"
 
 
 def test_sweep_stdout_and_determinism(tmp_path, capsys):

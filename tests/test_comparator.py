@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from meanforce import comparator
 from meanforce.comparator import me_state, me_steady_state
 from meanforce.errors import NumericsError, ValidationError
 from meanforce.spectral import BathParams, DiscreteModes, LorentzDrude
@@ -97,6 +98,32 @@ def test_me_diagnostics_and_truncation():
     assert pair["error_estimate"] < 1e-8
     assert pair["evaluations"] > 0
     assert pair["tail_bound"] < 1e-20
+
+
+def test_g_spline_build_evaluates_each_tau_once(monkeypatch):
+    # Each doubling reuses the previous grid and the probes become its new
+    # nodes, so one build evaluates the final grid plus one probe per cell.
+    inside, taus = [], []
+    g_batch, build = comparator._g_batch, comparator._build_g_splines
+
+    def counting_g_batch(sd, beta, tau, settings):
+        if inside:
+            taus.extend(np.asarray(tau).tolist())
+        return g_batch(sd, beta, tau, settings)
+
+    def marked_build(*args):
+        inside.append(True)
+        try:
+            return build(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(comparator, "_g_batch", counting_g_batch)
+    monkeypatch.setattr(comparator, "_build_g_splines", marked_build)
+    me = me_steady_state(SPIN, BathParams(beta=1.0, lam=math.sqrt(5.0)), LD)
+    nodes = me.diagnostics["tau_grid_nodes"]
+    assert nodes > comparator._GRID_START_NODES
+    assert len(set(taus)) == len(taus) == 2 * nodes - 1
 
 
 def test_me_state_assembly():

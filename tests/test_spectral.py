@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,10 @@ from meanforce.spectral import (
     LorentzDrude,
     OhmicHardCutoff,
     Tabulated,
+    _g_batch,
+    _matsubara_coefficients,
+    _matsubara_sum,
+    _mu_exp,
     _tail_r,
     bath_correlation,
     cutoff_scale,
@@ -229,6 +234,39 @@ def test_g_matches_direct_integral_for_compact_support():
     g = g_double_integral(sd, beta, tau)
     assert g.real == pytest.approx(ref.real, rel=2e-6)
     assert g.imag == pytest.approx(ref.imag, rel=2e-6)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.9, 2.0 * math.pi / 0.25])
+def test_matsubara_affine_split_matches_full_sum(beta):
+    # The terms with nu_k tau > 40 are summed in closed form; the last beta
+    # sits on a Matsubara frequency and takes the nudge path.
+    _, c_mats, nu, _ = _matsubara_coefficients(LorentzDrude(1.0, 0.25), beta)
+    edge = 40.0 / nu[[0, 9, 99, 999, 2999]]
+    tau = np.concatenate([
+        [0.0, 1e-7, 3000.0],
+        edge * (1.0 - 1e-9),
+        edge * (1.0 + 1e-9),
+        np.geomspace(1e-4, 60.0, 41),
+    ])
+    tau = np.random.default_rng(7).permutation(tau)
+    got = _matsubara_sum(c_mats, nu, tau)
+    ref = c_mats @ _mu_exp(nu, tau)
+    assert got[tau == 0.0] == 0.0
+    nz = ref != 0.0
+    assert np.max(np.abs(got[nz] / ref[nz] - 1.0)) <= 1e-13
+
+
+def test_g_table_memory_stays_small():
+    # A 2049-node table never holds a poles x nodes array.
+    sd = LorentzDrude(1.0, 0.25)
+    grid = 16.0 * np.linspace(0.0, 1.0, 2049) ** 2
+    tracemalloc.start()
+    try:
+        _g_batch(sd, 1.0, grid, QuadratureSettings())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_bath_correlation_discrete_modes_exact_sum():
