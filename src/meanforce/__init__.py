@@ -15,7 +15,7 @@ from .errors import (
     UnsupportedOperationError,
     ValidationError,
 )
-from .linalg import DensityMatrix, EigenDecomposition, HermitianMatrix, eigh, kron, matrix_exp_hermitian, partial_trace
+from .linalg import DensityMatrix, EigenDecomposition, HermitianMatrix, eigh, matrix_exp_hermitian, partial_trace
 from .oracle import (
     BathDiscretization,
     OracleResult,
@@ -32,11 +32,9 @@ from .spectral import (
     SpectralDensity,
     Tabulated,
     bath_correlation,
-    cutoff_scale,
     g_double_integral,
     j_of_omega,
     overlap_kernel,
-    reorganization_energy,
 )
 from .spinboson import SpinBosonParams, SpinObservables, build_system, observables
 from .steady import (
@@ -83,7 +81,6 @@ __all__ = [
     "ValidationError",
     "bath_correlation",
     "build_system",
-    "cutoff_scale",
     "dawson",
     "exp1",
     "discretize",
@@ -96,14 +93,12 @@ __all__ = [
     "integrate_finite",
     "integrate_semi_infinite",
     "j_of_omega",
-    "kron",
     "matrix_exp_hermitian",
     "me_state",
     "me_steady_state",
     "observables",
     "overlap_kernel",
     "partial_trace",
-    "reorganization_energy",
     "steady_state",
     "verify_trace_identity",
     "zeroth_order_state",

@@ -14,7 +14,6 @@ import configparser
 import json
 import math
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +65,7 @@ _DEFAULTS = {
     "swept": None, "lo": None, "hi": None, "points": None, "log": False,
     "delta": 0.7, "beta": 1.0, "omega_c": 0.25, "lambda2q": 1.0,
     "spectral": "lorentz-drude", "methods": "high-t", "convention": "renormalized",
-    "rel_tol": 1e-10, "oracle_modes": 3, "fock_cutoff": None, "jobs": 1,
-    "plot": "c_ss_real",
+    "rel_tol": 1e-10, "oracle_modes": 3, "fock_cutoff": None, "plot": "c_ss_real",
 }
 
 
@@ -90,7 +88,6 @@ class SweepSpec:
     rel_tol: float = 1e-10
     oracle_modes: int = 3
     fock_cutoff: int | None = None
-    jobs: int = 1
     plot: str = "c_ss_real"
 
     def __post_init__(self):
@@ -113,8 +110,6 @@ class SweepSpec:
             raise ValidationError("a tabulated density has no omega_c to sweep")
         if self.plot not in _CELLS:
             raise ValidationError(f"plot column {self.plot!r} not one of {_CELLS}")
-        if self.jobs < 1:
-            raise ValidationError("jobs must be at least 1")
         if self.oracle_modes < 1:
             raise ValidationError("oracle_modes must be at least 1")
 
@@ -155,7 +150,7 @@ def _evaluate_point(
     lambda2q = value if spec.swept == "lambda2Q" else spec.lambda2q
     if sd is None:
         sd = _spectral_density(spec.spectral, value)
-    q_reorg = spectral.reorganization_energy(sd)
+    q_reorg = sd.reorganization_energy()
     lam = math.sqrt(lambda2q / q_reorg)
     bath = spectral.BathParams(beta, lam)
     params = SpinBosonParams(1.0, spec.delta)
@@ -172,7 +167,7 @@ def _evaluate_point(
                 state = me_state(sys_spec, me_steady_state(sys_spec, bath, sd, settings))
             elif m == "oracle":
                 bd = oracle.discretize(
-                    sd, spec.oracle_modes, 12.0 * spectral.cutoff_scale(sd)
+                    sd, spec.oracle_modes, 12.0 * sd.cutoff
                 )
                 if spec.fock_cutoff is not None:
                     bd = oracle.BathDiscretization(
@@ -211,13 +206,7 @@ def run_sweep(spec: SweepSpec) -> str:
     shared_sd = None if spec.swept == "omega_c" else _spectral_density(
         spec.spectral, spec.omega_c
     )
-    if spec.jobs > 1:
-        with ThreadPoolExecutor(max_workers=spec.jobs) as ex:
-            results = list(
-                ex.map(lambda v: _evaluate_point(spec, float(v), shared_sd), values)
-            )
-    else:
-        results = [_evaluate_point(spec, float(v), shared_sd) for v in values]
+    results = [_evaluate_point(spec, float(v), shared_sd) for v in values]
 
     header = [spec.swept]
     for m in spec.methods:
@@ -318,20 +307,21 @@ def _check_dawson() -> tuple[float, float, str]:
 
 
 def _check_reorganization() -> tuple[float, float, str]:
+    ld = spectral.LorentzDrude(1.0, 0.25)
+    ohmic = spectral.OhmicHardCutoff(4.0, 0.25)
+    # Each density next to a direct quadrature of J/w over its own support.
+    pairs = (
+        (ld, special.integrate_semi_infinite(
+            lambda w: ld(w) / w,
+            0.0,
+            lambda w: 2.0 * ld.Q * ld.omega_c / w**2,
+            omega_ref=ld.omega_c,
+        ).value),
+        (ohmic, special.integrate_finite(lambda w: ohmic(w) / w, 0.0, ohmic.omega_c).value),
+    )
     worst = 0.0
-    for sd in (spectral.LorentzDrude(1.0, 0.25), spectral.OhmicHardCutoff(4.0, 0.25)):
-        closed = spectral.reorganization_energy(sd)
-        if isinstance(sd, spectral.LorentzDrude):
-            direct = special.integrate_semi_infinite(
-                lambda w: spectral.j_of_omega(sd, w) / w,
-                0.0,
-                lambda w: 2.0 * sd.Q * sd.omega_c / w**2,
-                omega_ref=sd.omega_c,
-            ).value
-        else:
-            direct = special.integrate_finite(
-                lambda w: spectral.j_of_omega(sd, w) / w, 0.0, sd.omega_c
-            ).value
+    for sd, direct in pairs:
+        closed = sd.reorganization_energy()
         worst = max(worst, abs(closed - direct) / closed)
     return worst, 1e-8, "closed-form Q vs direct quadrature of J/w"
 
@@ -389,16 +379,27 @@ _CONFIG_KEY_MAP = {
 }
 
 
-def _read_config(path: str, section: str) -> dict:
+# The sweep settings a config file or a flag may set, by SweepSpec field name.
+_SWEEP_KEYS = (
+    "swept", "lo", "hi", "points", "log", "delta", "beta", "omega_c",
+    "lambda2q", "spectral", "methods", "convention", "rel_tol",
+    "oracle_modes", "fock_cutoff", "plot",
+)
+
+
+def _read_config(path: str, section: str, allowed) -> dict:
+    """The section's values by setting name; a key naming no allowed setting is an error."""
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise ValidationError(f"config file {path!r} not found or unreadable")
     if section not in parser:
         return {}
-    return {
-        _CONFIG_KEY_MAP.get(k, k.replace("-", "_")): v
-        for k, v in parser[section].items()
-    }
+    conf = parser[section]
+    names = {k: _CONFIG_KEY_MAP.get(k, k.replace("-", "_")) for k in conf}
+    unknown = [k for k, name in names.items() if name not in allowed]
+    if unknown:
+        raise ValidationError(f"unknown keys {unknown} in [{section}] of {path}")
+    return {name: conf[k] for k, name in names.items()}
 
 
 def _coerce(merged: dict) -> dict:
@@ -407,7 +408,7 @@ def _coerce(merged: dict) -> dict:
     for k in ("lo", "hi", "delta", "beta", "omega_c", "lambda2q", "rel_tol"):
         if isinstance(out.get(k), str):
             out[k] = float(out[k])
-    for k in ("points", "oracle_modes", "fock_cutoff", "jobs"):
+    for k in ("points", "oracle_modes", "fock_cutoff"):
         if isinstance(out.get(k), str):
             out[k] = int(out[k])
     if isinstance(out.get("log"), str):
@@ -417,18 +418,16 @@ def _coerce(merged: dict) -> dict:
 
 def _build_sweep_spec(args: argparse.Namespace) -> SweepSpec:
     merged = dict(_DEFAULTS)
-    config = _read_config(args.config, "sweep") if args.config else {}
+    config = {}
+    if args.config:
+        config = _read_config(args.config, "sweep", ("preset",) + _SWEEP_KEYS)
     preset = args.preset if args.preset is not None else config.pop("preset", None)
     if preset is not None:
         if preset not in PRESETS:
             raise ValidationError(f"unknown preset {preset!r}; have {list(PRESETS)}")
         merged.update(PRESETS[preset])
     merged.update(config)
-    for key in (
-        "swept", "lo", "hi", "points", "log", "delta", "beta", "omega_c",
-        "lambda2q", "spectral", "methods", "convention", "rel_tol",
-        "oracle_modes", "fock_cutoff", "jobs", "plot",
-    ):
+    for key in _SWEEP_KEYS:
         v = getattr(args, key, None)
         if v is not None:
             merged[key] = v
@@ -454,7 +453,7 @@ def _build_sweep_spec(args: argparse.Namespace) -> SweepSpec:
         spectral=merged["spectral"], methods=methods, convention=convention,
         log=bool(merged["log"]), rel_tol=merged["rel_tol"],
         oracle_modes=merged["oracle_modes"], fock_cutoff=merged["fock_cutoff"],
-        jobs=merged["jobs"], plot=merged["plot"],
+        plot=merged["plot"],
     )
 
 
@@ -488,7 +487,6 @@ def _parser() -> argparse.ArgumentParser:
     sw.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
     sw.add_argument("--oracle-modes", dest="oracle_modes", type=int, default=None)
     sw.add_argument("--fock-cutoff", dest="fock_cutoff", type=int, default=None)
-    sw.add_argument("--jobs", type=int, default=None)
 
     vf = sub.add_parser("verify", help="run consistency checks, emit a JSON report")
     vf.add_argument("checks", nargs="*", help=f"names from {list(_CHECKS)}")
@@ -514,7 +512,7 @@ def main(argv=None) -> int:
             return 0
         checks = list(args.checks) or None
         if checks is None and args.config:
-            conf = _read_config(args.config, "verify")
+            conf = _read_config(args.config, "verify", ("checks",))
             if "checks" in conf:
                 # An empty value is an explicit empty list, not "all".
                 checks = [c.strip() for c in conf["checks"].split(",") if c.strip()]

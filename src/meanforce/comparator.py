@@ -21,13 +21,7 @@ import numpy as np
 from .errors import NumericsError, ValidationError
 from .linalg import DensityMatrix
 from .special import QuadratureSettings, integrate_finite
-from .spectral import (
-    BathParams,
-    SpectralDensity,
-    _g_batch,
-    cutoff_scale,
-    reorganization_energy,
-)
+from .spectral import BathParams, SpectralDensity, _g_batch
 from .steady import RenormalizationConvention, SystemSpec, _effective_energies, _populations
 
 __all__ = ["MEResult", "me_steady_state", "me_state"]
@@ -105,7 +99,7 @@ def _find_tau_max(
     settings: QuadratureSettings,
 ) -> float:
     """Smallest grid end with s_min * Re G beyond the tail cutoff."""
-    tau = max(beta, 4.0 / cutoff_scale(sd))
+    tau = max(beta, 4.0 / sd.cutoff)
     prev = float(np.real(_g_batch(sd, beta, np.array([tau]), settings)[0]))
     strikes = 0
     for _ in range(_GROWTH_LIMIT):
@@ -181,7 +175,7 @@ def me_steady_state(
     dim = sys.dim
     energies = _effective_energies(sys, bath, RenormalizationConvention.NATURAL, sd)
     p = _populations(energies, beta)
-    q_reorg = reorganization_energy(sd)
+    q_reorg = sd.reorganization_energy()
 
     pairs = [(l, l2) for l in range(dim) for l2 in range(dim) if l < l2]
     s_values = {

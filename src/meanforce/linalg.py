@@ -1,5 +1,5 @@
 """Dense Hermitian linear algebra: eigendecomposition, spectral matrix
-exponential, Kronecker products, partial trace.
+exponential, partial trace.
 
 Matrices stay small (system dimension times a truncated Fock space); dense
 numpy is the whole story here. Real-symmetric inputs keep real dtype
@@ -16,17 +16,13 @@ import numpy as np
 from .errors import NumericsError, ValidationError
 
 __all__ = [
-    "DIMENSION_CAP",
     "HermitianMatrix",
     "DensityMatrix",
     "EigenDecomposition",
     "eigh",
     "matrix_exp_hermitian",
-    "kron",
     "partial_trace",
 ]
-
-DIMENSION_CAP = 2**20  # max Hilbert-space dimension for composite operators
 
 _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-10
@@ -158,17 +154,6 @@ def matrix_exp_hermitian(m, scale: float) -> HermitianMatrix:
     out = (v * np.exp(exponents)) @ v.conj().T
     out = 0.5 * (out + out.conj().T)
     return HermitianMatrix(out)
-
-
-def kron(a, b, dimension_cap: int = DIMENSION_CAP) -> HermitianMatrix:
-    """Kronecker product (a-index major) of two Hermitian matrices."""
-    ma, mb = _matrix_of(a), _matrix_of(b)
-    out_dim = ma.shape[0] * mb.shape[0]
-    if out_dim > dimension_cap:
-        raise ValidationError(
-            f"kron result dimension {out_dim} exceeds the cap {dimension_cap}"
-        )
-    return HermitianMatrix(np.kron(ma, mb))
 
 
 def partial_trace(m, dims, keep: int) -> np.ndarray:

@@ -205,17 +205,16 @@ _GAUSS_IDX = np.arange(1, 14, 2)
 def _eval_nodes(f, x: np.ndarray) -> np.ndarray:
     """Evaluate integrand on a node array.
 
-    Prefers the vectorized contract (f maps an (n,) array to an array whose
-    first axis has length n; trailing axes are integrated componentwise) and
-    falls back to per-node scalar calls for plain scalar integrands.
+    f must be vectorized: it maps an (n,) array to an array whose first axis
+    has length n; trailing axes are integrated componentwise.
     """
-    try:
-        y = np.asarray(f(x))
-        if y.ndim >= 1 and y.shape[0] == x.shape[0]:
-            return y
-    except (TypeError, ValueError):
-        pass
-    return np.asarray([f(float(xi)) for xi in x])
+    y = np.asarray(f(x))
+    if y.ndim == 0 or y.shape[0] != x.shape[0]:
+        raise ValidationError(
+            f"integrand returned shape {y.shape} for {x.shape[0]} nodes; "
+            "it must map an array of nodes to one value per node"
+        )
+    return y
 
 
 class _Segment:
@@ -268,8 +267,8 @@ def integrate_finite(f, a: float, b: float, settings: QuadratureSettings | None 
 
     The integrand is called with a 1-D array of nodes; it may return either a
     matching 1-D array or an array with extra trailing axes (integrated
-    componentwise, error controlled in the max norm). Scalar-only integrands
-    are detected and looped over. Integrands must be side-effect-free.
+    componentwise, error controlled in the max norm). Any other shape raises
+    ValidationError. Integrands must be side-effect-free.
 
     The initial subdivision places breakpoints at fractions 1e-4..1e-1 of the
     span from each endpoint, so thin boundary layers are seen before the

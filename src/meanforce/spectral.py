@@ -1,9 +1,11 @@
 """Bath spectral densities and the integrals built on them.
 
-Provides J(omega) for four families, the reorganization energy
-Q = int J/omega, the overlap kernel K(u) that exponentiates in the coherence
-corrections, and the correlation objects c_B(s) and G(tau) used by the
-master-equation comparator.
+A bath is a SpectralDensity: J(omega), the reorganization energy
+Q = int J/omega and a cutoff frequency. From those the base class builds the
+overlap kernel K(u) that exponentiates in the coherence corrections, and the
+correlation objects c_B(s) and G(tau) used by the master-equation comparator,
+as omega-quadratures over [0, cutoff]. Families with a closed form or an
+unbounded support override them.
 """
 
 from __future__ import annotations
@@ -30,16 +32,55 @@ __all__ = [
     "Tabulated",
     "BathParams",
     "j_of_omega",
-    "reorganization_energy",
     "overlap_kernel",
     "bath_correlation",
     "g_double_integral",
-    "cutoff_scale",
 ]
 
 
 class SpectralDensity:
-    """Marker base class; concrete densities are the frozen variants below."""
+    """A bath, defined by J(omega), its reorganization energy and a cutoff.
+
+    A density defines __call__(w), J on an array of frequencies w >= 0;
+    reorganization_energy(), Q = int_0^inf J(w)/w dw; and cutoff, the
+    characteristic bath frequency (for a compactly supported J, the end of
+    its support). kernel, g and correlation integrate J over [0, cutoff];
+    a density whose J extends past its cutoff must override all three.
+    """
+
+    cutoff: float
+
+    def __call__(self, w):
+        raise NotImplementedError
+
+    def reorganization_energy(self) -> float:
+        raise NotImplementedError
+
+    def kernel(self, beta: float, u: np.ndarray, settings: QuadratureSettings) -> np.ndarray:
+        """K(u) for a batch of u values in [0, beta]; one quadrature per batch."""
+
+        def integrand(w):
+            return (self(w) / w**2)[:, None] * _kernel_factor(w, u, beta)
+
+        res = integrate_finite(integrand, 0.0, self.cutoff, settings)
+        return np.atleast_1d(np.asarray(res.value, dtype=float))
+
+    def g(self, beta: float, tau: np.ndarray, settings: QuadratureSettings) -> np.ndarray:
+        """G(tau) for a batch of tau >= 0."""
+
+        def integrand(w):
+            return (self(w) / w**2)[:, None] * _g_factor(w, tau, beta)
+
+        res = integrate_finite(integrand, 0.0, self.cutoff, settings)
+        return np.atleast_1d(np.asarray(res.value))
+
+    def correlation(self, beta: float, s: float, settings: QuadratureSettings) -> complex:
+        """c_B(s) for one s >= 0."""
+
+        def integrand(w):
+            return self(w) * _c_factor(w, s, beta)
+
+        return complex(integrate_finite(integrand, 0.0, self.cutoff, settings).value)
 
 
 @dataclass(frozen=True)
@@ -53,6 +94,52 @@ class LorentzDrude(SpectralDensity):
         if not (self.Q > 0 and self.omega_c > 0):
             raise ValidationError("LorentzDrude requires Q > 0 and omega_c > 0")
 
+    def __call__(self, w):
+        w = np.asarray(w, dtype=float)
+        return (2.0 * self.Q / np.pi) * self.omega_c * w / (self.omega_c**2 + w**2)
+
+    def reorganization_energy(self) -> float:
+        return self.Q
+
+    @property
+    def cutoff(self) -> float:
+        return self.omega_c
+
+    def kernel(self, beta, u, settings):
+        def integrand(w):
+            return (self(w) / w**2)[:, None] * _kernel_factor(w, u, beta)
+
+        # r <= tanh(w*beta/4) <= min(1, w*beta/4) gives an integrable envelope.
+        def envelope(w):
+            return self(w) / w**2 * min(1.0, 0.25 * w * beta)
+
+        res = integrate_semi_infinite(
+            integrand, 0.0, envelope, settings, omega_ref=self.omega_c
+        )
+        return np.atleast_1d(np.asarray(res.value, dtype=float))
+
+    def g(self, beta, tau, settings):
+        c_pole, c_mats, nu, nu_star = _matsubara_coefficients(self, beta)
+        g = c_pole * _mu_exp(np.array([self.omega_c]), tau)[0]
+        g = g + _matsubara_sum(c_mats, nu, tau)
+        # Euler-Maclaurin midpoint correction for the truncated Matsubara
+        # tail: sum_{k>N} c_k mu(nu_k, tau) ~ (2Q w_c/pi) tau^2 R(nu* tau).
+        # R's large-x form tau/nu* - 1/(2 nu*^2) is off by ~1/(2 nu*^2) for
+        # nu* tau < 1, which breaks G(0) = 0 and small-tau monotonicity.
+        x = nu_star * tau
+        tail = np.zeros_like(tau)
+        pos = x > 0.0
+        tail[pos] = tau[pos] ** 2 * _tail_r(x[pos])
+        return g + (2.0 * self.Q * self.omega_c / math.pi) * tail
+
+    def correlation(self, beta, s, settings):
+        # Re c_B(0) diverges logarithmically (J*coth falls off only as 1/w).
+        if s == 0.0:
+            return complex(math.inf, 0.0)
+        c_pole, c_mats, nu, _ = _matsubara_coefficients(self, beta)
+        val = c_pole * math.exp(-self.omega_c * s) + np.sum(c_mats * np.exp(-nu * s))
+        return complex(val)
+
 
 @dataclass(frozen=True)
 class OhmicHardCutoff(SpectralDensity):
@@ -65,10 +152,24 @@ class OhmicHardCutoff(SpectralDensity):
         if not (self.eta > 0 and self.omega_c > 0):
             raise ValidationError("OhmicHardCutoff requires eta > 0 and omega_c > 0")
 
+    def __call__(self, w):
+        w = np.asarray(w, dtype=float)
+        return np.where(w < self.omega_c, self.eta * w, 0.0)
+
+    def reorganization_energy(self) -> float:
+        return self.eta * self.omega_c
+
+    @property
+    def cutoff(self) -> float:
+        return self.omega_c
+
 
 @dataclass(frozen=True)
 class DiscreteModes(SpectralDensity):
-    """J(w) = sum_k g_k^2 delta(w - w_k); modes is a sequence of (g_k, w_k)."""
+    """J(w) = sum_k g_k^2 delta(w - w_k); modes is a sequence of (g_k, w_k).
+
+    The integrals are exact finite sums over the modes.
+    """
 
     modes: tuple
 
@@ -87,6 +188,30 @@ class DiscreteModes(SpectralDensity):
     @property
     def frequencies(self) -> np.ndarray:
         return np.array([w for _, w in self.modes])
+
+    def __call__(self, w):
+        raise UnsupportedOperationError(
+            "DiscreteModes has no pointwise J(omega); use the mode-sum operations"
+        )
+
+    def reorganization_energy(self) -> float:
+        return float(np.sum(self.couplings**2 / self.frequencies))
+
+    @property
+    def cutoff(self) -> float:
+        return float(np.max(self.frequencies))
+
+    def kernel(self, beta, u, settings):
+        g, w = self.couplings, self.frequencies
+        return (g**2 / w**2) @ _kernel_factor(w, u, beta)
+
+    def g(self, beta, tau, settings):
+        g, w = self.couplings, self.frequencies
+        return (g**2 / w**2) @ _g_factor(w, tau, beta)
+
+    def correlation(self, beta, s, settings):
+        g, w = self.couplings, self.frequencies
+        return complex(np.sum(g**2 * _c_factor(w, s, beta)))
 
 
 @dataclass(frozen=True)
@@ -124,6 +249,25 @@ class Tabulated(SpectralDensity):
             raise ValidationError(f"{path}: expected two columns (omega, J)")
         return cls(data[:, 0], data[:, 1])
 
+    def __call__(self, w):
+        return np.interp(w, self.omega, self.j, left=0.0, right=0.0)
+
+    def reorganization_energy(self) -> float:
+        # Exact integral of the linear interpolant: on each cell J = c + d*w,
+        # int J/w dw = c*ln(w1/w0) + d*(w1 - w0).
+        w0, w1 = self.omega[:-1], self.omega[1:]
+        j0, j1 = self.j[:-1], self.j[1:]
+        d = (j1 - j0) / (w1 - w0)
+        c = j0 - d * w0
+        out = np.sum(d * (w1 - w0))
+        nz = w0 > 0
+        out += np.sum(c[nz] * np.log(w1[nz] / w0[nz]))
+        return float(out)
+
+    @property
+    def cutoff(self) -> float:
+        return float(self.omega[-1])
+
 
 @dataclass(frozen=True)
 class BathParams:
@@ -144,53 +288,8 @@ def j_of_omega(sd: SpectralDensity, omega):
     w = np.asarray(omega, dtype=float)
     if np.any(w < 0):
         raise ValidationError("j_of_omega requires omega >= 0")
-    if isinstance(sd, LorentzDrude):
-        out = (2.0 * sd.Q / np.pi) * sd.omega_c * w / (sd.omega_c**2 + w**2)
-    elif isinstance(sd, OhmicHardCutoff):
-        out = np.where(w < sd.omega_c, sd.eta * w, 0.0)
-    elif isinstance(sd, Tabulated):
-        out = np.interp(w, sd.omega, sd.j, left=0.0, right=0.0)
-    elif isinstance(sd, DiscreteModes):
-        raise UnsupportedOperationError(
-            "DiscreteModes has no pointwise J(omega); use the mode-sum operations"
-        )
-    else:
-        raise ValidationError(f"unknown spectral density {type(sd).__name__}")
+    out = sd(w)
     return out if np.ndim(omega) else float(out)
-
-
-def reorganization_energy(sd: SpectralDensity) -> float:
-    """Q = int_0^inf J(omega)/omega domega, in closed form where available."""
-    if isinstance(sd, LorentzDrude):
-        return sd.Q
-    if isinstance(sd, OhmicHardCutoff):
-        return sd.eta * sd.omega_c
-    if isinstance(sd, DiscreteModes):
-        g, w = sd.couplings, sd.frequencies
-        return float(np.sum(g**2 / w))
-    if isinstance(sd, Tabulated):
-        # Exact integral of the linear interpolant: on each cell J = c + d*w,
-        # int J/w dw = c*ln(w1/w0) + d*(w1 - w0).
-        w0, w1 = sd.omega[:-1], sd.omega[1:]
-        j0, j1 = sd.j[:-1], sd.j[1:]
-        d = (j1 - j0) / (w1 - w0)
-        c = j0 - d * w0
-        out = np.sum(d * (w1 - w0))
-        nz = w0 > 0
-        out += np.sum(c[nz] * np.log(w1[nz] / w0[nz]))
-        return float(out)
-    raise ValidationError(f"unknown spectral density {type(sd).__name__}")
-
-
-def cutoff_scale(sd: SpectralDensity) -> float:
-    """Characteristic bath frequency used by the regime diagnostics."""
-    if isinstance(sd, (LorentzDrude, OhmicHardCutoff)):
-        return sd.omega_c
-    if isinstance(sd, DiscreteModes):
-        return float(np.max(sd.frequencies))
-    if isinstance(sd, Tabulated):
-        return float(sd.omega[-1])
-    raise ValidationError(f"unknown spectral density {type(sd).__name__}")
 
 
 # ----------------------------------------------------------------------------
@@ -219,28 +318,7 @@ def _overlap_kernel_batch(
     sd: SpectralDensity, beta: float, u: np.ndarray, settings: QuadratureSettings
 ) -> np.ndarray:
     """K(u) for a batch of u values in [0, beta]; one quadrature per batch."""
-    u = np.asarray(u, dtype=float)
-    if isinstance(sd, DiscreteModes):
-        g, w = sd.couplings, sd.frequencies
-        r = _kernel_factor(w, u, beta)
-        return (g**2 / w**2) @ r
-
-    def integrand(w):
-        w = np.asarray(w, dtype=float)
-        jw = j_of_omega(sd, w)
-        return (jw / w**2)[:, None] * _kernel_factor(w, u, beta)
-
-    if isinstance(sd, LorentzDrude):
-        # r <= tanh(w*beta/4) <= min(1, w*beta/4) gives an integrable envelope.
-        def envelope(w):
-            return j_of_omega(sd, w) / w**2 * min(1.0, 0.25 * w * beta)
-
-        res = integrate_semi_infinite(
-            integrand, 0.0, envelope, settings, omega_ref=sd.omega_c
-        )
-    else:
-        res = integrate_finite(integrand, 0.0, cutoff_scale(sd), settings)
-    return np.atleast_1d(np.asarray(res.value, dtype=float))
+    return sd.kernel(beta, np.asarray(u, dtype=float), settings)
 
 
 def overlap_kernel(
@@ -294,6 +372,19 @@ def _x_minus_sin(x: np.ndarray) -> np.ndarray:
 
 def _coth(x: np.ndarray) -> np.ndarray:
     return 1.0 / np.tanh(x)
+
+
+def _g_factor(w: np.ndarray, tau: np.ndarray, beta: float) -> np.ndarray:
+    """The factor with G(tau) = int J/w^2 * (coth(wb/2)(1 - cos wt) - i(wt - sin wt))."""
+    wt = w[:, None] * tau[None, :]
+    re = _coth(0.5 * beta * w)[:, None] * _one_minus_cos(wt)
+    im = -_x_minus_sin(wt)
+    return re + 1j * im
+
+
+def _c_factor(w: np.ndarray, s: float, beta: float) -> np.ndarray:
+    """The factor with c_B(s) = int J * (coth(wb/2) cos(ws) - i sin(ws))."""
+    return _coth(0.5 * beta * w) * np.cos(w * s) - 1j * np.sin(w * s)
 
 
 def _matsubara_coefficients(sd: LorentzDrude, beta: float):
@@ -383,38 +474,7 @@ def _matsubara_sum(c: np.ndarray, nu: np.ndarray, tau: np.ndarray) -> np.ndarray
 
 def _g_batch(sd: SpectralDensity, beta: float, tau: np.ndarray, settings: QuadratureSettings) -> np.ndarray:
     """G(tau) for a batch of tau >= 0."""
-    tau = np.asarray(tau, dtype=float)
-    if isinstance(sd, DiscreteModes):
-        g, w = sd.couplings, sd.frequencies
-        wt = w[:, None] * tau[None, :]
-        re = _coth(0.5 * beta * w)[:, None] * _one_minus_cos(wt)
-        im = -_x_minus_sin(wt)
-        return (g**2 / w**2) @ (re + 1j * im)
-    if isinstance(sd, LorentzDrude):
-        c_pole, c_mats, nu, nu_star = _matsubara_coefficients(sd, beta)
-        g = c_pole * _mu_exp(np.array([sd.omega_c]), tau)[0]
-        g = g + _matsubara_sum(c_mats, nu, tau)
-        # Euler-Maclaurin midpoint correction for the truncated Matsubara
-        # tail: sum_{k>N} c_k mu(nu_k, tau) ~ (2Q w_c/pi) tau^2 R(nu* tau).
-        # R's large-x form tau/nu* - 1/(2 nu*^2) is off by ~1/(2 nu*^2) for
-        # nu* tau < 1, which breaks G(0) = 0 and small-tau monotonicity.
-        x = nu_star * tau
-        tail = np.zeros_like(tau)
-        pos = x > 0.0
-        tail[pos] = tau[pos] ** 2 * _tail_r(x[pos])
-        g = g + (2.0 * sd.Q * sd.omega_c / math.pi) * tail
-        return g
-
-    def integrand(w):
-        w = np.asarray(w, dtype=float)
-        jw = j_of_omega(sd, w)
-        wt = w[:, None] * tau[None, :]
-        re = _coth(0.5 * beta * w)[:, None] * _one_minus_cos(wt)
-        im = -_x_minus_sin(wt)
-        return (jw / w**2)[:, None] * (re + 1j * im)
-
-    res = integrate_finite(integrand, 0.0, cutoff_scale(sd), settings)
-    return np.atleast_1d(np.asarray(res.value))
+    return sd.g(beta, np.asarray(tau, dtype=float), settings)
 
 
 def g_double_integral(
@@ -453,22 +513,4 @@ def bath_correlation(
         raise ValidationError("beta must be positive")
     if s < 0:
         raise ValidationError("s must be nonnegative")
-    q = settings or QuadratureSettings()
-    if isinstance(sd, DiscreteModes):
-        g, w = sd.couplings, sd.frequencies
-        val = np.sum(g**2 * (_coth(0.5 * beta * w) * np.cos(w * s) - 1j * np.sin(w * s)))
-        return complex(val)
-    if isinstance(sd, LorentzDrude):
-        if s == 0.0:
-            return complex(math.inf, 0.0)
-        c_pole, c_mats, nu, _ = _matsubara_coefficients(sd, beta)
-        val = c_pole * math.exp(-sd.omega_c * s) + np.sum(c_mats * np.exp(-nu * s))
-        return complex(val)
-
-    def integrand(w):
-        w = np.asarray(w, dtype=float)
-        jw = j_of_omega(sd, w)
-        return jw * (_coth(0.5 * beta * w) * np.cos(w * s) - 1j * np.sin(w * s))
-
-    res = integrate_finite(integrand, 0.0, cutoff_scale(sd), q)
-    return complex(res.value)
+    return sd.correlation(beta, s, settings or QuadratureSettings())

@@ -25,13 +25,7 @@ import numpy as np
 from .errors import NumericsError, UnsupportedOperationError, ValidationError
 from .linalg import DensityMatrix, HermitianMatrix, eigh
 from .special import QuadratureResult, QuadratureSettings, dawson, integrate_finite
-from .spectral import (
-    BathParams,
-    SpectralDensity,
-    _overlap_kernel_batch,
-    cutoff_scale,
-    reorganization_energy,
-)
+from .spectral import BathParams, SpectralDensity, _overlap_kernel_batch
 
 __all__ = [
     "SystemSpec",
@@ -155,7 +149,7 @@ def _effective_energies(
         return h
     if sd is None:
         raise ValidationError("Natural convention needs a spectral density for Q")
-    q = reorganization_energy(sd)
+    q = sd.reorganization_energy()
     return h - bath.lam**2 * sys.a_eigenvalues**2 * q
 
 
@@ -277,7 +271,7 @@ def f_high_t(
         raise UnsupportedOperationError(
             "the Dawson form is singular at lambda=0; use f_exact"
         )
-    q = reorganization_energy(sd)
+    q = sd.reorganization_energy()
     beta = bath.beta
     omega = _gap(sys, bath, conv, sd, l, l2)
     _check_gap_range(omega, beta)
@@ -311,7 +305,7 @@ def f_series(
         raise UnsupportedOperationError(
             "the inverse-coupling series is singular at lambda=0; use f_exact"
         )
-    q = reorganization_energy(sd)
+    q = sd.reorganization_energy()
     beta = bath.beta
     omega = float(sys.gaps[l, l2])
     _check_gap_range(_gap(sys, bath, conv, sd, l, l2), beta)
@@ -335,13 +329,6 @@ def f_series(
     return float(first + second)
 
 
-_F_DISPATCH = {
-    CorrectionMethod.EXACT_QUADRATURE: "exact",
-    CorrectionMethod.HIGH_TEMPERATURE_DAWSON: "high-t",
-    CorrectionMethod.ULTRASTRONG_SERIES: "series",
-}
-
-
 def regime_diagnostics(
     sys: SystemSpec,
     lam2q: float,
@@ -353,7 +340,7 @@ def regime_diagnostics(
     th = th or RegimeThresholds()
     h_scale = float(np.max(np.abs(sys.pseudo_energies)))
     coupling_ratio = lam2q / h_scale if h_scale > 0 else np.inf
-    omega_c_beta = cutoff_scale(sd) * beta
+    omega_c_beta = sd.cutoff * beta
     return {
         "lambda2_q_beta": lam2q * beta,
         "omega_c_beta": omega_c_beta,
@@ -422,20 +409,17 @@ def steady_state(
             else:
                 f[l, l2] = f_series(sys, bath, sd, l, l2, conv)
 
-    h = sys.h_elements
-    rho_a = np.diag(p).astype(complex)
-    for l in range(dim):
-        for l2 in range(dim):
-            if l == l2:
-                continue
-            rho_a[l, l2] = -0.5 * (
-                p[l] * h[l, l2] * f[l, l2] + np.conj(h[l2, l]) * p[l2] * f[l2, l]
-            )
+    # m[l, l'] = p_l h_{l,l'} f_{l,l'}; its conjugate transpose is the second
+    # term. rho_a stays complex for a real h too: a real rho_a sends the basis
+    # change below down another BLAS path, which moves the state's last bits.
+    m = p[:, None] * sys.h_elements * f
+    rho_a = (-0.5 * (m + m.conj().T)).astype(complex)
+    np.fill_diagonal(rho_a, p)
     v = sys.a_eigenvectors
     rho = v @ rho_a @ v.conj().T
     state = DensityMatrix(rho, check_positive=False)
 
-    lam2q = lam**2 * reorganization_energy(sd)
+    lam2q = lam**2 * sd.reorganization_energy()
     diagnostics = {
         "f_error_estimates": f_err,
         "f_evaluations": f_evals,

@@ -75,15 +75,6 @@ def test_sweep_stdout_and_determinism(tmp_path, capsys):
     assert first.startswith("beta,high_t_c_ss_real")
 
 
-def test_sweep_jobs_do_not_change_bytes(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    base = ["sweep", "--sweep", "lambda2Q", "--from", "0.5", "--to", "8.0",
-            "--points", "6", "--methods", "high-t,series,zeroth"]
-    assert run_main(base + ["--jobs", "1", "--out", str(a)]) == 0
-    assert run_main(base + ["--jobs", "4", "--out", str(b)]) == 0
-    assert read(a) == read(b)
-
-
 def test_oracle_over_cap_yields_na_cells(tmp_path):
     out = tmp_path / "na.csv"
     rc = run_main([
@@ -129,6 +120,23 @@ def test_config_layering(tmp_path):
     assert spec.points == 7  # config beats preset
     assert spec.omega_c == 0.9  # CLI beats config
     assert spec.lambda2q == 5.0  # preset value survives
+
+
+def test_unknown_sweep_config_key_exit_1(tmp_path, capsys):
+    conf = tmp_path / "sweep.ini"
+    conf.write_text("[sweep]\npreset = fig1a\npoints = 3\npionts = 7\n")
+    rc = run_main(["sweep", "--config", str(conf)])
+    assert rc == 1
+    assert "pionts" in capsys.readouterr().err
+
+
+def test_unknown_verify_config_key_exit_1(tmp_path, capsys):
+    conf = tmp_path / "verify.ini"
+    conf.write_text("[verify]\nchecks = dawson\ncheck = hermiticity\n")
+    rc = run_main(["verify", "--config", str(conf)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "'check'" in err and "'checks'" not in err
 
 
 def test_svg_output(tmp_path):

@@ -6,11 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from meanforce.errors import NumericsError, ValidationError
 from meanforce.linalg import (
-    DIMENSION_CAP,
     DensityMatrix,
     HermitianMatrix,
     eigh,
-    kron,
     matrix_exp_hermitian,
     partial_trace,
 )
@@ -85,16 +83,6 @@ def test_matrix_exp_inverse_pair():
 def test_matrix_exp_overflow_guard():
     with pytest.raises(NumericsError):
         matrix_exp_hermitian(np.diag([1000.0, 0.0]), 1.0)
-
-
-def test_kron_matches_numpy_and_caps_dimension():
-    a = np.diag([1.0, 2.0])
-    b = np.array([[0.0, 1.0], [1.0, 0.0]])
-    out = kron(a, b)
-    assert np.allclose(out.entries, np.kron(a, b))
-    with pytest.raises(ValidationError):
-        kron(np.eye(3), np.eye(4), dimension_cap=11)
-    assert DIMENSION_CAP >= 2**16
 
 
 def test_partial_trace_recovers_factors():

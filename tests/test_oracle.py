@@ -14,7 +14,7 @@ from meanforce.oracle import (
     truncated_bath_partition,
     verify_trace_identity,
 )
-from meanforce.spectral import BathParams, LorentzDrude, reorganization_energy
+from meanforce.spectral import BathParams, LorentzDrude
 from meanforce.spinboson import SpinBosonParams, build_system
 from meanforce.steady import RenormalizationConvention
 
@@ -48,7 +48,7 @@ def test_discretize_validations():
 
 def test_reorganization_sum_converges_to_q():
     sd = LorentzDrude(1.0, 0.25)
-    q = reorganization_energy(sd)
+    q = sd.reorganization_energy()
     # omega_max = 40 omega_c captures nearly the full 1/w^2 tail
     errs = [abs(reorganization_sum(discretize(sd, n, 10.0)) / q - 1.0)
             for n in (20, 80, 320)]

@@ -144,6 +144,23 @@ def test_integrate_finite_complex_integrand():
     assert r.value == pytest.approx(1.0 + 1j, rel=1e-12)
 
 
+def test_integrate_finite_propagates_integrand_error_without_retry():
+    calls = []
+
+    def f(x):
+        calls.append(np.shape(x))
+        raise ValidationError("integrand refuses these nodes")
+
+    with pytest.raises(ValidationError, match="refuses"):
+        integrate_finite(f, 0.0, 1.0)
+    assert calls == [(15,)]
+
+
+def test_integrate_finite_rejects_scalar_integrand():
+    with pytest.raises(ValidationError, match="one value per node"):
+        integrate_finite(lambda x: 1.0, 0.0, 1.0)
+
+
 def test_integrate_finite_rejects_bad_interval():
     with pytest.raises(ValidationError):
         integrate_finite(lambda x: x, 1.0, 0.0)

@@ -12,6 +12,7 @@ from meanforce.spectral import (
     DiscreteModes,
     LorentzDrude,
     OhmicHardCutoff,
+    SpectralDensity,
     Tabulated,
     _g_batch,
     _matsubara_coefficients,
@@ -19,12 +20,12 @@ from meanforce.spectral import (
     _mu_exp,
     _tail_r,
     bath_correlation,
-    cutoff_scale,
     g_double_integral,
     j_of_omega,
     overlap_kernel,
-    reorganization_energy,
 )
+from meanforce.spinboson import SpinBosonParams, build_system
+from meanforce.steady import CorrectionMethod, steady_state
 
 # Frozen 25-digit quadrature of J(w)/w^2 * r(w; u, beta) for Lorentz-Drude,
 # r in the symmetric cosh form. Keys are (Q, omega_c, beta, u).
@@ -94,28 +95,57 @@ def test_j_of_omega_shapes():
 
 
 def test_reorganization_energy_closed_forms():
-    assert reorganization_energy(LorentzDrude(1.7, 0.25)) == 1.7
-    assert reorganization_energy(OhmicHardCutoff(2.0, 1.5)) == pytest.approx(3.0)
+    assert LorentzDrude(1.7, 0.25).reorganization_energy() == 1.7
+    assert OhmicHardCutoff(2.0, 1.5).reorganization_energy() == pytest.approx(3.0)
     dm = DiscreteModes([(0.5, 2.0), (0.3, 1.5)])
-    assert reorganization_energy(dm) == pytest.approx(0.25 / 2.0 + 0.09 / 1.5)
+    assert dm.reorganization_energy() == pytest.approx(0.25 / 2.0 + 0.09 / 1.5)
 
 
 def test_reorganization_energy_tabulated_linear_interpolant():
     # J = w on [0, 2]: the interpolant is exact, Q = int_0^2 dw = 2.
     sd = Tabulated([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
-    assert reorganization_energy(sd) == pytest.approx(2.0, rel=1e-14)
+    assert sd.reorganization_energy() == pytest.approx(2.0, rel=1e-14)
     # Piecewise check against dense trapezoid evaluation of J/w.
     sd2 = Tabulated([0.5, 1.0, 1.75], [0.2, 0.9, 0.3])
     w = np.linspace(0.5, 1.75, 400001)
     ref = np.trapezoid(np.interp(w, sd2.omega, sd2.j) / w, w)
-    assert reorganization_energy(sd2) == pytest.approx(float(ref), rel=1e-8)
+    assert sd2.reorganization_energy() == pytest.approx(float(ref), rel=1e-8)
 
 
 def test_cutoff_scale_per_family():
-    assert cutoff_scale(LorentzDrude(1.0, 0.3)) == 0.3
-    assert cutoff_scale(OhmicHardCutoff(1.0, 2.5)) == 2.5
-    assert cutoff_scale(DiscreteModes([(0.1, 0.5), (0.1, 2.0)])) == 2.0
-    assert cutoff_scale(Tabulated([0.5, 3.0], [1.0, 1.0])) == 3.0
+    assert LorentzDrude(1.0, 0.3).cutoff == 0.3
+    assert OhmicHardCutoff(1.0, 2.5).cutoff == 2.5
+    assert DiscreteModes([(0.1, 0.5), (0.1, 2.0)]).cutoff == 2.0
+    assert Tabulated([0.5, 3.0], [1.0, 1.0]).cutoff == 3.0
+
+
+class _Ramp(SpectralDensity):
+    """J = 2w below 1.5: OhmicHardCutoff(2.0, 1.5), given only by the protocol."""
+
+    cutoff = 1.5
+
+    def __call__(self, w):
+        return np.where(w < 1.5, 2.0 * w, 0.0)
+
+    def reorganization_energy(self):
+        return 3.0
+
+
+def test_new_density_needs_only_the_protocol():
+    ramp, ohmic = _Ramp(), OhmicHardCutoff(2.0, 1.5)
+    beta = 0.9
+    for u in (0.2, 0.45):
+        assert overlap_kernel(ramp, beta, u) == overlap_kernel(ohmic, beta, u)
+    for tau in (0.3, 2.0):
+        assert g_double_integral(ramp, beta, tau) == g_double_integral(ohmic, beta, tau)
+    for s in (0.0, 1.3):
+        assert bath_correlation(ramp, beta, s) == bath_correlation(ohmic, beta, s)
+    system = build_system(SpinBosonParams(1.0, 0.7))
+    bath = BathParams(beta, 0.8)
+    exact = CorrectionMethod.EXACT_QUADRATURE
+    a = steady_state(system, bath, ramp, exact).state.entries
+    b = steady_state(system, bath, ohmic, exact).state.entries
+    assert np.array_equal(a, b)
 
 
 def test_overlap_kernel_frozen_reference():
@@ -305,8 +335,8 @@ def test_tabulated_from_file(tmp_path):
     p = tmp_path / "j.txt"
     p.write_text("# freq  J\n0.0 0.0\n1.0 0.3\n2.0 0.4\n3.0 0.2\n4.0 0.0\n")
     sd = Tabulated.from_file(p)
-    assert cutoff_scale(sd) == 4.0
+    assert sd.cutoff == 4.0
     assert j_of_omega(sd, 1.5) == pytest.approx(0.35)
     assert j_of_omega(sd, 5.0) == 0.0
-    q = reorganization_energy(sd)
+    q = sd.reorganization_energy()
     assert 0.0 < q < 1.0

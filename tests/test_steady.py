@@ -261,6 +261,22 @@ def test_steady_state_structure_and_diagnostics():
     assert res.method is HIGH_T and res.convention is RENORM
 
 
+def test_steady_state_coherences_match_pairwise_formula():
+    # The array assembly against the defining per-pair expression.
+    sys = random_system(np.random.default_rng(7), 4)
+    res = steady_state(sys, BathParams(beta=0.8, lam=2.0), LorentzDrude(1.0, 0.25), method=SERIES)
+    p, f, h = res.populations, res.f_values, sys.h_elements
+    rho_a = np.diag(p).astype(complex)
+    for l in range(4):
+        for l2 in range(4):
+            if l != l2:
+                rho_a[l, l2] = -0.5 * (
+                    p[l] * h[l, l2] * f[l, l2] + np.conj(h[l2, l]) * p[l2] * f[l2, l]
+                )
+    v = sys.a_eigenvectors
+    assert np.array_equal(res.state.entries, v @ rho_a @ v.conj().T)
+
+
 def test_steady_state_thresholds_respected():
     sys = spin_system()
     bath = BathParams(beta=1.0, lam=math.sqrt(5.0))
