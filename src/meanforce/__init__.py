@@ -15,7 +15,7 @@ from .errors import (
     UnsupportedOperationError,
     ValidationError,
 )
-from .linalg import DensityMatrix, EigenDecomposition, HermitianMatrix, eigh, matrix_exp_hermitian, partial_trace
+from .linalg import DensityMatrix, EigenDecomposition, HermitianMatrix, eigh, matrix_exp_hermitian
 from .oracle import (
     BathDiscretization,
     OracleResult,
@@ -98,7 +98,6 @@ __all__ = [
     "me_steady_state",
     "observables",
     "overlap_kernel",
-    "partial_trace",
     "steady_state",
     "verify_trace_identity",
     "zeroth_order_state",

@@ -389,8 +389,14 @@ _SWEEP_KEYS = (
 
 def _read_config(path: str, section: str, allowed) -> dict:
     """The section's values by setting name; a key naming no allowed setting is an error."""
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
+    parser = configparser.ConfigParser(interpolation=None)  # values are literal, as flags are
+    try:
+        found = parser.read(path)
+    except configparser.Error as exc:
+        raise ValidationError(
+            f"config file {path!r} is not INI: {str(exc).splitlines()[0]}"
+        ) from None
+    if not found:
         raise ValidationError(f"config file {path!r} not found or unreadable")
     if section not in parser:
         return {}
@@ -405,12 +411,19 @@ def _read_config(path: str, section: str, allowed) -> dict:
 def _coerce(merged: dict) -> dict:
     """Config file values arrive as strings; give them their real types."""
     out = dict(merged)
-    for k in ("lo", "hi", "delta", "beta", "omega_c", "lambda2q", "rel_tol"):
-        if isinstance(out.get(k), str):
-            out[k] = float(out[k])
-    for k in ("points", "oracle_modes", "fock_cutoff"):
-        if isinstance(out.get(k), str):
-            out[k] = int(out[k])
+    keys = {v: k for k, v in _CONFIG_KEY_MAP.items()}
+    for kind, names in (
+        (float, ("lo", "hi", "delta", "beta", "omega_c", "lambda2q", "rel_tol")),
+        (int, ("points", "oracle_modes", "fock_cutoff")),
+    ):
+        for k in names:
+            if isinstance(out.get(k), str):
+                try:
+                    out[k] = kind(out[k])
+                except ValueError:
+                    raise ValidationError(
+                        f"config key {keys.get(k, k)} = {out[k]!r} is not a valid {kind.__name__}"
+                    ) from None
     if isinstance(out.get("log"), str):
         out["log"] = out["log"].strip().lower() in ("1", "true", "yes", "on")
     return out

@@ -1,5 +1,5 @@
-"""Dense Hermitian linear algebra: eigendecomposition, spectral matrix
-exponential, partial trace.
+"""Dense Hermitian linear algebra: eigendecomposition and the spectral matrix
+exponential.
 
 Matrices stay small (system dimension times a truncated Fock space); dense
 numpy is the whole story here. Real-symmetric inputs keep real dtype
@@ -21,7 +21,6 @@ __all__ = [
     "EigenDecomposition",
     "eigh",
     "matrix_exp_hermitian",
-    "partial_trace",
 ]
 
 _HERM_TOL = 1e-12
@@ -113,23 +112,21 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def _matrix_of(m) -> np.ndarray:
-    if isinstance(m, (HermitianMatrix, DensityMatrix)):
-        return m.entries
-    return _as_square_array(m)
-
-
 def eigh(m) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix (ascending eigenvalues).
 
-    Accepts a HermitianMatrix or a plain array; plain arrays are validated.
-    The matrix is symmetrized (m + m†)/2 after validation so the solver sees
-    an exactly Hermitian input.
+    Accepts a HermitianMatrix or DensityMatrix, already validated when it was
+    built, or a plain array, which is validated here. The matrix is
+    symmetrized (m + m†)/2 so the solver sees an exactly Hermitian input.
     """
-    a = _matrix_of(m)
-    if np.max(np.abs(a - a.conj().T)) > _HERM_TOL:
-        raise ValidationError("eigh requires a Hermitian matrix (tolerance 1e-12)")
-    a = 0.5 * (a + a.conj().T)
+    if isinstance(m, (HermitianMatrix, DensityMatrix)):
+        a = m.entries
+    else:
+        a = _as_square_array(m)
+        if np.max(np.abs(a - a.conj().T)) > _HERM_TOL:
+            raise ValidationError("eigh requires a Hermitian matrix (tolerance 1e-12)")
+    a = a + a.conj().T
+    a *= 0.5
     w, v = np.linalg.eigh(a)
     return EigenDecomposition(w, v)
 
@@ -154,32 +151,3 @@ def matrix_exp_hermitian(m, scale: float) -> HermitianMatrix:
     out = (v * np.exp(exponents)) @ v.conj().T
     out = 0.5 * (out + out.conj().T)
     return HermitianMatrix(out)
-
-
-def partial_trace(m, dims, keep: int) -> np.ndarray:
-    """Trace out all tensor factors except dims[keep].
-
-    m is a square matrix over the tensor product of the given subsystem
-    dimensions (row-major / first-factor-major ordering). Returns a plain
-    array; Tr(result) = Tr(m).
-    """
-    a = np.asarray(m)
-    dims = [int(d) for d in dims]
-    if any(d < 1 for d in dims) or not dims:
-        raise ValidationError(f"invalid subsystem dims {dims}")
-    total = int(np.prod(dims))
-    if a.ndim != 2 or a.shape != (total, total):
-        raise ValidationError(
-            f"matrix shape {a.shape} inconsistent with subsystem dims {dims}"
-        )
-    if not 0 <= keep < len(dims):
-        raise ValidationError(f"keep index {keep} out of range for {len(dims)} factors")
-    n = len(dims)
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    if 2 * n + 2 > len(letters):
-        raise ValidationError("too many tensor factors")
-    row = list(letters[:n])
-    col = list(letters[:n])
-    col[keep] = letters[n]
-    spec = "".join(row) + "".join(col) + "->" + row[keep] + col[keep]
-    return np.einsum(spec, a.reshape(dims + dims))

@@ -1,8 +1,8 @@
 """Ground truth by exact diagonalization of system plus truncated bath.
 
-A handful of discretized modes with a per-mode Fock cutoff gives a total
-Hamiltonian small enough for dense eigensolves; the reduced thermal state
-Tr_B[e^{-beta H}]/Z then needs no perturbative input at all. Few-mode baths
+A handful of discretized modes with a Fock cutoff shared by every mode gives
+a total Hamiltonian small enough for one dense eigensolve; the reduced thermal
+state Tr_B[e^{-beta H}]/Z then needs no perturbative input at all. Few-mode baths
 cannot converge to the continuum, so oracle comparisons test trends and the
 single-mode displaced-trace identity, not continuum values.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import DensityMatrix, HermitianMatrix, matrix_exp_hermitian, partial_trace
+from .linalg import DensityMatrix, HermitianMatrix, eigh, matrix_exp_hermitian
 from .spectral import BathParams, DiscreteModes, SpectralDensity, j_of_omega, overlap_kernel
 from .steady import RenormalizationConvention, SystemSpec
 
@@ -97,21 +97,17 @@ def _ladder(cutoff: int) -> np.ndarray:
 
 
 def _bath_operators(bd: BathDiscretization, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """(H_B, B) on the tensor product of truncated Fock spaces."""
+    """(diagonal of H_B, B) on the tensor product of truncated Fock spaces."""
     d1 = cutoff + 1
-    number = np.diag(np.arange(d1, dtype=float))
     x = _ladder(cutoff)
     x = x + x.T
     n_modes = bd.n_modes
-    dim = d1**n_modes
-    h_b = np.zeros((dim, dim))
-    b = np.zeros((dim, dim))
+    levels = np.indices((d1,) * n_modes).reshape(n_modes, -1)
+    h_b = np.zeros(d1**n_modes)
+    b = np.zeros((d1**n_modes, d1**n_modes))
     for k, (g, w) in enumerate(bd.modes):
-        left = d1**k
-        right = d1 ** (n_modes - k - 1)
-        lift = lambda op: np.kron(np.kron(np.eye(left), op), np.eye(right))
-        h_b += w * lift(number)
-        b += g * lift(x)
+        h_b += w * levels[k]
+        b += g * np.kron(np.kron(np.eye(d1**k), x), np.eye(d1 ** (n_modes - k - 1)))
     return h_b, b
 
 
@@ -146,8 +142,19 @@ def build_total_hamiltonian(
     h_s = sys.h_s.entries
     if conv is RenormalizationConvention.RENORMALIZED:
         h_s = h_s + lam**2 * reorganization_sum(bd) * (a @ a)
-    eye_b = np.eye(bath_dim)
-    h = np.kron(h_s, eye_b) + lam * np.kron(a, b) + np.kron(np.eye(sys.dim), h_b)
+    # Block (i, j) is h_s[i, j] I + lam a[i, j] B, plus H_B on the diagonal
+    # blocks: the Kronecker sum, entry by entry in the same floating order.
+    h = np.empty((total, total), dtype=np.result_type(h_s, a, b))
+    blocks = h.reshape(sys.dim, bath_dim, sys.dim, bath_dim)
+    diag = np.arange(bath_dim)
+    for i in range(sys.dim):
+        for j in range(sys.dim):
+            block = blocks[i, :, j, :]
+            np.multiply(b, a[i, j], out=block)
+            block *= lam
+            block[diag, diag] += h_s[i, j]
+            if i == j:
+                block[diag, diag] += h_b
     return HermitianMatrix(h)
 
 
@@ -187,16 +194,21 @@ def _reduced_thermal_state(
     sys: SystemSpec, bd: BathDiscretization, bath: BathParams,
     conv: RenormalizationConvention, cutoff: int, dimension_cap: int,
 ) -> tuple[np.ndarray, float]:
-    """(rho_S, Z_SB) at one Fock cutoff."""
+    """(rho_S, Z_SB) at one Fock cutoff, from one eigendecomposition of H."""
     h = build_total_hamiltonian(sys, bd, bath.lam, conv, cutoff, dimension_cap)
-    # Shift the spectrum so the exponential stays in range; the shift cancels
-    # in the normalized state and is restored in Z_SB.
-    e0 = float(np.linalg.eigvalsh(h.entries)[0])
-    shifted = HermitianMatrix(h.entries - e0 * np.eye(h.dim))
-    m = matrix_exp_hermitian(shifted, -bath.beta).entries
-    z_shift = float(np.real(np.trace(m)))
-    bath_dim = (cutoff + 1) ** bd.n_modes
-    rho = partial_trace(m, (sys.dim, bath_dim), 0) / z_shift
+    dec = eigh(h)
+    # Boltzmann weights relative to the ground state stay in range; the shift
+    # cancels in the normalized state and is restored in Z_SB.
+    e0 = float(dec.eigenvalues[0])
+    weights = np.exp(-bath.beta * (dec.eigenvalues - e0))
+    z_shift = float(np.sum(weights))
+    # rho_S[i, j] = sum over bath states b and eigenstates n of
+    # w_n V[(i, b), n] conj(V[(j, b), n]): scale V by sqrt(w_n) in place,
+    # reshape it to (dim_S, bath_dim * D) and multiply by its adjoint.
+    v = dec.eigenvectors
+    v *= np.sqrt(weights)
+    v = v.reshape(sys.dim, -1)
+    rho = (v @ v.conj().T) / z_shift
     return rho, z_shift * math.exp(-bath.beta * e0)
 
 

@@ -139,6 +139,32 @@ def test_unknown_verify_config_key_exit_1(tmp_path, capsys):
     assert "'check'" in err and "'checks'" not in err
 
 
+def test_malformed_config_value_exit_1(tmp_path, capsys):
+    conf = tmp_path / "sweep.ini"
+    conf.write_text("[sweep]\npreset = fig1a\npoints = abc\n")
+    rc = run_main(["sweep", "--config", str(conf)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "points" in err and "Traceback" not in err
+
+
+def test_config_without_section_header_exit_1(tmp_path, capsys):
+    conf = tmp_path / "sweep.ini"
+    conf.write_text("points = 3\n")
+    rc = run_main(["sweep", "--config", str(conf)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(conf) in err
+
+
+def test_percent_in_config_value_is_literal(tmp_path, capsys):
+    conf = tmp_path / "sweep.ini"
+    conf.write_text("[sweep]\npreset = fig1a\nmethods = high-t%\n")
+    rc = run_main(["sweep", "--config", str(conf)])
+    assert rc == 1
+    assert "'high-t%'" in capsys.readouterr().err
+
+
 def test_svg_output(tmp_path):
     out, svg = tmp_path / "s.csv", tmp_path / "s.svg"
     rc = run_main([

@@ -10,7 +10,6 @@ from meanforce.linalg import (
     HermitianMatrix,
     eigh,
     matrix_exp_hermitian,
-    partial_trace,
 )
 
 
@@ -83,43 +82,6 @@ def test_matrix_exp_inverse_pair():
 def test_matrix_exp_overflow_guard():
     with pytest.raises(NumericsError):
         matrix_exp_hermitian(np.diag([1000.0, 0.0]), 1.0)
-
-
-def test_partial_trace_recovers_factors():
-    rng = np.random.default_rng(11)
-    a = random_hermitian(rng, 2)
-    a = a @ a.conj().T
-    a /= np.trace(a).real
-    b = random_hermitian(rng, 3)
-    b = b @ b.conj().T
-    b /= np.trace(b).real
-    m = np.kron(a, b)
-    assert np.allclose(partial_trace(m, (2, 3), 0), a, atol=1e-13)
-    assert np.allclose(partial_trace(m, (2, 3), 1), b, atol=1e-13)
-
-
-def test_partial_trace_three_factors():
-    rng = np.random.default_rng(4)
-    mats = []
-    for n in (2, 2, 3):
-        m = random_hermitian(rng, n)
-        m = m @ m.conj().T
-        m /= np.trace(m).real
-        mats.append(m)
-    full = np.kron(np.kron(mats[0], mats[1]), mats[2])
-    for k in range(3):
-        assert np.allclose(partial_trace(full, (2, 2, 3), k), mats[k], atol=1e-13)
-
-
-def test_partial_trace_preserves_trace_and_validates():
-    rng = np.random.default_rng(9)
-    m = random_hermitian(rng, 6)
-    out = partial_trace(m, (2, 3), 0)
-    assert np.trace(out) == pytest.approx(np.trace(m), abs=1e-12)
-    with pytest.raises(ValidationError):
-        partial_trace(m, (2, 2), 0)  # 4 != 6
-    with pytest.raises(ValidationError):
-        partial_trace(m, (2, 3), 2)
 
 
 @settings(max_examples=25, deadline=None)

@@ -7,6 +7,7 @@ from meanforce.errors import ValidationError
 from meanforce.linalg import matrix_exp_hermitian
 from meanforce.oracle import (
     BathDiscretization,
+    _reduced_thermal_state,
     build_total_hamiltonian,
     discretize,
     exact_mean_force_state,
@@ -16,7 +17,7 @@ from meanforce.oracle import (
 )
 from meanforce.spectral import BathParams, LorentzDrude
 from meanforce.spinboson import SpinBosonParams, build_system
-from meanforce.steady import RenormalizationConvention
+from meanforce.steady import RenormalizationConvention, SystemSpec
 
 
 def test_discretize_midpoint_rule():
@@ -175,3 +176,89 @@ def test_trace_identity_warns_on_small_cutoff():
     bd = BathDiscretization(modes=((1.0, 0.5),), fock_cutoff=2)
     with pytest.warns(UserWarning, match="cutoff"):
         verify_trace_identity(bd, 2.0, -2.0, lam=1.5, beta=2.0, u=1.0)
+
+
+def _complex_dim3_system():
+    rng = np.random.default_rng(17)
+    h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    return SystemSpec(0.5 * (h + h.conj().T), 0.5 * (a + a.conj().T))
+
+
+_SOLVE_CASES = [
+    (sys_name, conv)
+    for sys_name in ("spin-boson", "complex-dim3")
+    for conv in RenormalizationConvention
+]
+_TWO_MODES = BathDiscretization(modes=((0.6, 0.8), (0.4, 1.7)), fock_cutoff=6)
+
+
+def _case_system(sys_name):
+    if sys_name == "spin-boson":
+        return build_system(SpinBosonParams(epsilon=1.0, delta=0.7))
+    return _complex_dim3_system()
+
+
+def _kron_hamiltonian(sys, bd, lam, conv, cutoff):
+    """H_S x I + lam A x B + I x H_B, every term a Kronecker product."""
+    d1 = cutoff + 1
+    ladder = np.diag(np.sqrt(np.arange(1.0, d1)), 1)
+    n = len(bd.modes)
+    h_b = np.zeros((d1**n, d1**n))
+    b = np.zeros((d1**n, d1**n))
+    for k, (g, w) in enumerate(bd.modes):
+        def lift(op):
+            return np.kron(np.kron(np.eye(d1**k), op), np.eye(d1 ** (n - k - 1)))
+        h_b += w * lift(np.diag(np.arange(d1, dtype=float)))
+        b += g * lift(ladder + ladder.T)
+    a, h_s = sys.a.entries, sys.h_s.entries
+    if conv is RenormalizationConvention.RENORMALIZED:
+        h_s = h_s + lam**2 * reorganization_sum(bd) * (a @ a)
+    return (np.kron(h_s, np.eye(d1**n)) + lam * np.kron(a, b)
+            + np.kron(np.eye(sys.dim), h_b))
+
+
+@pytest.mark.parametrize("sys_name,conv", _SOLVE_CASES)
+def test_total_hamiltonian_equals_kronecker_construction(sys_name, conv):
+    sys = _case_system(sys_name)
+    h = build_total_hamiltonian(sys, _TWO_MODES, 0.9, conv)
+    assert h.dim == sys.dim * 49
+    assert np.array_equal(h.entries, _kron_hamiltonian(sys, _TWO_MODES, 0.9, conv, 6))
+
+
+@pytest.mark.parametrize("sys_name,conv", _SOLVE_CASES)
+def test_reduced_thermal_state_matches_matrix_exponential_route(sys_name, conv):
+    # The former route: shift by the lowest eigenvalue, exponentiate the whole
+    # Hamiltonian, then trace the bath out of the (S, B, S, B) reshape.
+    sys = _case_system(sys_name)
+    bath = BathParams(beta=1.3, lam=0.9)
+    rho, z_sb = _reduced_thermal_state(sys, _TWO_MODES, bath, conv, 6, 6000)
+    h = build_total_hamiltonian(sys, _TWO_MODES, bath.lam, conv)
+    e0 = float(np.linalg.eigvalsh(h.entries)[0])
+    m = matrix_exp_hermitian(h.entries - e0 * np.eye(h.dim), -bath.beta).entries
+    z_shift = float(np.real(np.trace(m)))
+    ref = np.einsum("ibjb->ij", m.reshape(sys.dim, 49, sys.dim, 49)) / z_shift
+    assert np.max(np.abs(rho - ref)) <= 1e-13
+    assert abs(z_sb / (z_shift * math.exp(-bath.beta * e0)) - 1.0) <= 1e-13
+
+
+def test_reduced_thermal_state_runs_one_eigensolve(monkeypatch):
+    sys = build_system(SpinBosonParams(epsilon=1.0, delta=0.7))  # eigh(A) here
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counted(name):
+        orig = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    _reduced_thermal_state(
+        sys, _TWO_MODES, BathParams(beta=1.0, lam=0.7),
+        RenormalizationConvention.RENORMALIZED, 6, 6000,
+    )
+    assert calls == {"eigh": 1, "eigvalsh": 0}
