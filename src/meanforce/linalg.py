@@ -28,7 +28,8 @@ _TRACE_TOL = 1e-10
 _PSD_TOL = -1e-9
 
 
-def _as_square_array(entries) -> np.ndarray:
+def _hermitian_array(entries, what: str) -> np.ndarray:
+    """A finite square copy of entries, Hermitian within _HERM_TOL absolute."""
     m = np.asarray(entries)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
@@ -37,6 +38,14 @@ def _as_square_array(entries) -> np.ndarray:
     m = m.astype(complex) if np.iscomplexobj(m) else m.astype(float)
     if not np.isfinite(m).all():
         raise ValidationError("matrix entries must be finite")
+    # conj(m) - m^T has the moduli of m - m^H. np.conjugate makes a new array
+    # even for real m (whose m.conj() is m itself), so the subtraction and the
+    # abs run in place on it: one D x D temporary in all.
+    d = np.conjugate(m)
+    d -= m.T
+    np.abs(d, out=d)
+    if d.real.max() > _HERM_TOL:
+        raise ValidationError(f"{what} is not Hermitian within {_HERM_TOL} absolute")
     return m
 
 
@@ -47,11 +56,7 @@ class HermitianMatrix:
     entries: np.ndarray
 
     def __init__(self, entries):
-        m = _as_square_array(entries)
-        if np.max(np.abs(m - m.conj().T)) > _HERM_TOL:
-            raise ValidationError(
-                f"matrix is not Hermitian within {_HERM_TOL} absolute"
-            )
+        m = _hermitian_array(entries, "matrix")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
@@ -77,9 +82,7 @@ class DensityMatrix:
     min_eigenvalue: float
 
     def __init__(self, entries, check_positive: bool = True):
-        m = _as_square_array(entries)
-        if np.max(np.abs(m - m.conj().T)) > _HERM_TOL:
-            raise ValidationError("density matrix is not Hermitian within 1e-12")
+        m = _hermitian_array(entries, "density matrix")
         tr = m.trace()
         if abs(tr - 1.0) > _TRACE_TOL:
             raise ValidationError(f"density matrix trace {tr} is not 1 within 1e-10")
@@ -119,12 +122,8 @@ def eigh(m) -> EigenDecomposition:
     built, or a plain array, which is validated here. The matrix is
     symmetrized (m + m†)/2 so the solver sees an exactly Hermitian input.
     """
-    if isinstance(m, (HermitianMatrix, DensityMatrix)):
-        a = m.entries
-    else:
-        a = _as_square_array(m)
-        if np.max(np.abs(a - a.conj().T)) > _HERM_TOL:
-            raise ValidationError("eigh requires a Hermitian matrix (tolerance 1e-12)")
+    validated = isinstance(m, (HermitianMatrix, DensityMatrix))
+    a = m.entries if validated else _hermitian_array(m, "eigh input")
     a = a + a.conj().T
     a *= 0.5
     w, v = np.linalg.eigh(a)

@@ -174,40 +174,46 @@ def zeroth_order_state(
     return DensityMatrix((v * p) @ v.conj().T)
 
 
-def _gap(sys, bath, conv, sd, l, l2) -> float:
-    """Convention-matched gap: plain h_l - h_{l'} or its renormalized version."""
-    if conv is RenormalizationConvention.RENORMALIZED:
-        return float(sys.gaps[l, l2])
-    e = _effective_energies(sys, bath, conv, sd)
-    return float(e[l] - e[l2])
-
-
-def _check_pair(sys: SystemSpec, l: int, l2: int) -> None:
-    if not (0 <= l < sys.dim and 0 <= l2 < sys.dim):
-        raise ValidationError(f"indices ({l}, {l2}) out of range for dim {sys.dim}")
-    if l == l2:
-        raise ValidationError("f_{l,l'} requires l != l'")
-
-
 _EXP_CAP = 700.0  # just under log(realmax); e^{beta*gap} appears in every method
 
 
-def _check_gap_range(omega: float, beta: float) -> None:
+def _pair_terms(sys, bath, conv, sd, l, l2) -> tuple[np.ndarray, np.ndarray]:
+    """Convention-matched gaps e_l - e_{l'} and a_{l',l}^2 for index pairs.
+
+    l and l2 are ints or matching integer arrays; both results take their
+    shape. The gap is the plain h_l - h_{l'} or its renormalized version.
+    """
+    l, l2 = np.asarray(l), np.asarray(l2)
+    if l.shape != l2.shape or l.size == 0 or {l.dtype.kind, l2.dtype.kind} - set("iu"):
+        raise ValidationError(f"pair indices must be ints or matching integer arrays: {l}, {l2}")
+    if np.any((l < 0) | (l >= sys.dim) | (l2 < 0) | (l2 >= sys.dim)):
+        raise ValidationError(f"indices ({l}, {l2}) out of range for dim {sys.dim}")
+    if np.any(l == l2):
+        raise ValidationError("f_{l,l'} requires l != l'")
+    e = _effective_energies(sys, bath, conv, sd)
+    omega = e[l] - e[l2]
     # f carries a factor e^{beta*gap} (the u=beta endpoint of the integrand,
     # where the kernel vanishes), so past this the value is not a double.
-    if beta * omega > _EXP_CAP:
+    top = bath.beta * np.max(omega)
+    if top > _EXP_CAP:
         raise NumericsError(
             "coherence integral overflows double precision: "
-            f"beta*gap = {beta * omega:.6g} exceeds {_EXP_CAP}"
+            f"beta*gap = {top:.6g} exceeds {_EXP_CAP}"
         )
+    return omega, sys.a_diffs[l2, l] ** 2
+
+
+def _scalar_or_array(x):
+    """A float for a single pair, the array for index arrays."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def f_exact(
     sys: SystemSpec,
     bath: BathParams,
     sd: SpectralDensity,
-    l: int,
-    l2: int,
+    l: int | np.ndarray,
+    l2: int | np.ndarray,
     q: QuadratureSettings | None = None,
     conv: RenormalizationConvention = RenormalizationConvention.RENORMALIZED,
 ) -> QuadratureResult:
@@ -216,82 +222,81 @@ def f_exact(
     Nested quadrature: the kernel K is itself an omega-integral, evaluated
     batched over the u nodes at 10x tighter tolerance. Under the Natural
     convention the gap in the exponent is the renormalized one.
+
+    l and l2 may be matching integer arrays: every pair is then one component
+    of a single vector-valued integrand, so K is evaluated once per panel for
+    all of them, and the value is an array of their shape. The pairs share
+    the evaluation count and one error estimate, a bound for every pair.
     """
-    _check_pair(sys, l, l2)
+    omega, a2 = _pair_terms(sys, bath, conv, sd, l, l2)
     s = q or QuadratureSettings()
-    omega = _gap(sys, bath, conv, sd, l, l2)
-    _check_gap_range(omega, bath.beta)
-    a2 = float(sys.a_diffs[l2, l] ** 2)
-    lam2 = bath.lam**2
     beta = bath.beta
-    scale = lam2 * a2
-
-    if scale == 0.0:
-
-        def integrand(u):
-            return np.exp(np.asarray(u, dtype=float) * omega)
-
-    else:
+    scale = bath.lam**2 * a2
+    top = float(np.max(scale))
+    inner = None  # lambda = 0: the kernel drops out
+    if top > 0.0:
         # An absolute kernel error dK perturbs the integrand by the relative
-        # amount scale*dK, so budget a tenth of the outer relative tolerance.
+        # amount scale*dK, so budget a tenth of the outer relative tolerance
+        # over the largest scale, the tightest budget.
         inner = dataclasses.replace(
-            s,
-            rel_tol=0.1 * s.rel_tol,
-            abs_tol=max(0.1 * s.abs_tol, 0.1 * s.rel_tol / scale),
+            s, rel_tol=0.1 * s.rel_tol, abs_tol=max(0.1 * s.abs_tol, 0.1 * s.rel_tol / top)
         )
+    # Each pair's integrand is divided by its bound e^{max(0, beta w)}, so the
+    # shared max-norm stopping rule weighs all pairs alike however far their
+    # f values spread; f_{l,l'} and f_{l',l} are then mirror-image integrals.
+    shift = np.maximum(beta * omega, 0.0)
 
-        def integrand(u):
-            u = np.asarray(u, dtype=float)
-            k = _overlap_kernel_batch(sd, beta, u, inner)
-            return np.exp(u * omega - scale * k)
+    def integrand(u):
+        k = 0.0 if inner is None else _overlap_kernel_batch(sd, beta, u, inner)
+        return np.exp(np.multiply.outer(u, omega) - np.multiply.outer(k, scale) - shift)
 
     res = integrate_finite(integrand, 0.0, beta, s)
-    value = float(res.value)
-    if not value > 0:
+    value = res.value * np.exp(shift)
+    if not np.all(value > 0):
         raise ValidationError(f"f_exact produced a nonpositive value {value}")
-    return QuadratureResult(value, res.error_estimate, res.evaluations)
+    error = res.error_estimate * float(np.exp(np.max(shift)))
+    return QuadratureResult(_scalar_or_array(value), error, res.evaluations)
 
 
 def f_high_t(
     sys: SystemSpec,
     bath: BathParams,
     sd: SpectralDensity,
-    l: int,
-    l2: int,
+    l: int | np.ndarray,
+    l2: int | np.ndarray,
     conv: RenormalizationConvention = RenormalizationConvention.RENORMALIZED,
-) -> float:
+) -> float | np.ndarray:
     """High-temperature closed form of f_{l,l'} via the Dawson function.
 
     Exact for the parabolic kernel K(u) = u(1-u/beta)Q, which the true kernel
-    approaches when omega_c*beta is small.
+    approaches when omega_c*beta is small. Elementwise over index arrays.
     """
-    _check_pair(sys, l, l2)
     lam = bath.lam
     if lam == 0:
         raise UnsupportedOperationError(
             "the Dawson form is singular at lambda=0; use f_exact"
         )
+    omega, a2 = _pair_terms(sys, bath, conv, sd, l, l2)
     q = sd.reorganization_energy()
     beta = bath.beta
-    omega = _gap(sys, bath, conv, sd, l, l2)
-    _check_gap_range(omega, beta)
-    aa = abs(float(sys.a_diffs[l2, l]))
+    aa = np.sqrt(a2)  # |a_{l'} - a_l|, exactly: sqrt(x*x) = |x| in binary floating point
     root = np.sqrt(beta / q)
     pref = root / (lam * aa)
-    x1 = (root / (2.0 * lam * aa)) * (lam**2 * aa**2 * q - omega)
-    x2 = (root / (2.0 * lam * aa)) * (lam**2 * aa**2 * q + omega)
-    return pref * (dawson(x1) + np.exp(beta * omega) * dawson(x2))
+    x1 = (root / (2.0 * lam * aa)) * (lam**2 * a2 * q - omega)
+    x2 = (root / (2.0 * lam * aa)) * (lam**2 * a2 * q + omega)
+    df = np.vectorize(dawson, otypes=[float])
+    return _scalar_or_array(pref * (df(x1) + np.exp(beta * omega) * df(x2)))
 
 
 def f_series(
     sys: SystemSpec,
     bath: BathParams,
     sd: SpectralDensity,
-    l: int,
-    l2: int,
+    l: int | np.ndarray,
+    l2: int | np.ndarray,
     conv: RenormalizationConvention = RenormalizationConvention.RENORMALIZED,
-) -> float:
-    """Leading inverse-coupling series for f_{l,l'}.
+) -> float | np.ndarray:
+    """Leading inverse-coupling series for f_{l,l'}, elementwise over index arrays.
 
     Renormalized: (1+e^{w b})/(lambda^2 a^2 Q) + w(1-e^{w b})/(lambda^2 a^2 Q)^2
     with w the plain gap. The Natural variant splits by 1/a_l and 1/a_{l'}
@@ -299,34 +304,30 @@ def f_series(
     renormalized gap while the second-order prefactor keeps the plain gap,
     matching the way the expansion is organized.
     """
-    _check_pair(sys, l, l2)
     lam = bath.lam
     if lam == 0:
         raise UnsupportedOperationError(
             "the inverse-coupling series is singular at lambda=0; use f_exact"
         )
+    omega_r, a2 = _pair_terms(sys, bath, conv, sd, l, l2)
     q = sd.reorganization_energy()
     beta = bath.beta
-    omega = float(sys.gaps[l, l2])
-    _check_gap_range(_gap(sys, bath, conv, sd, l, l2), beta)
+    omega = sys.gaps[l, l2]
+    e = np.exp(omega_r * beta)
     if conv is RenormalizationConvention.RENORMALIZED:
-        a2 = float(sys.a_diffs[l2, l] ** 2)
-        e = np.exp(omega * beta)
         c = lam**2 * a2 * q
-        return float((1.0 + e) / c + omega * (1.0 - e) / c**2)
-    a_l = float(sys.a_eigenvalues[l])
-    a_l2 = float(sys.a_eigenvalues[l2])
-    if a_l == 0.0 or a_l2 == 0.0:
+        return _scalar_or_array((1.0 + e) / c + omega * (1.0 - e) / c**2)
+    a_l = sys.a_eigenvalues[l]
+    a_l2 = sys.a_eigenvalues[l2]
+    if np.any(a_l == 0.0) or np.any(a_l2 == 0.0):
         raise ValidationError(
             "the Natural-convention series divides by the coupling eigenvalues; "
-            f"a_{l}={a_l}, a_{l2}={a_l2} must both be nonzero"
+            f"a_l={a_l}, a_l'={a_l2} must all be nonzero"
         )
-    omega_r = _gap(sys, bath, conv, sd, l, l2)
-    e = np.exp(omega_r * beta)
     d = a_l - a_l2
     first = (1.0 / a_l - e / a_l2) / (2.0 * lam**2 * q * d)
     second = (omega / (4.0 * lam**4 * q**2 * d**2)) * (1.0 / a_l**2 - e / a_l2**2)
-    return float(first + second)
+    return _scalar_or_array(first + second)
 
 
 def regime_diagnostics(
@@ -355,8 +356,9 @@ def regime_diagnostics(
 class CorrectionResult:
     """First-order mean force state with its ingredients and diagnostics.
 
-    f_values has zeros on the diagonal. diagnostics carries per-entry
-    quadrature error estimates, the regime markers, and the PSD report
+    f_values has zeros on the diagonal. diagnostics carries the quadrature
+    error estimate and evaluation count per entry (for exact, the one bound
+    and count that all pairs share), the regime markers, and the PSD report
     (negative eigenvalues are flagged, never repaired).
     """
 
@@ -392,22 +394,19 @@ def steady_state(
     p = _populations(energies, beta)
     dim = sys.dim
 
+    l, l2 = np.nonzero(~np.eye(dim, dtype=bool))
     f = np.zeros((dim, dim))
     f_err = np.zeros((dim, dim))
     f_evals = np.zeros((dim, dim), dtype=int)
-    for l in range(dim):
-        for l2 in range(dim):
-            if l == l2:
-                continue
-            if method is CorrectionMethod.EXACT_QUADRATURE:
-                r = f_exact(sys, bath, sd, l, l2, s, conv)
-                f[l, l2] = r.value
-                f_err[l, l2] = r.error_estimate
-                f_evals[l, l2] = r.evaluations
-            elif method is CorrectionMethod.HIGH_TEMPERATURE_DAWSON:
-                f[l, l2] = f_high_t(sys, bath, sd, l, l2, conv)
-            else:
-                f[l, l2] = f_series(sys, bath, sd, l, l2, conv)
+    if method is CorrectionMethod.EXACT_QUADRATURE:
+        r = f_exact(sys, bath, sd, l, l2, s, conv)
+        f[l, l2] = r.value
+        f_err[l, l2] = r.error_estimate
+        f_evals[l, l2] = r.evaluations
+    elif method is CorrectionMethod.HIGH_TEMPERATURE_DAWSON:
+        f[l, l2] = f_high_t(sys, bath, sd, l, l2, conv)
+    else:
+        f[l, l2] = f_series(sys, bath, sd, l, l2, conv)
 
     # m[l, l'] = p_l h_{l,l'} f_{l,l'}; its conjugate transpose is the second
     # term. rho_a stays complex for a real h too: a real rho_a sends the basis

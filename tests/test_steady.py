@@ -147,6 +147,81 @@ def test_f_pair_index_validation():
         f_exact(sys, bath, sd, 0, 0)
     with pytest.raises(ValidationError):
         f_high_t(sys, bath, sd, 0, 5)
+    # index arrays: a diagonal pair, an index out of range or unequal shapes
+    with pytest.raises(ValidationError):
+        f_series(sys, bath, sd, np.array([1, 0]), np.array([0, 0]))
+    with pytest.raises(ValidationError):
+        f_exact(sys, bath, sd, np.array([1, 0]), np.array([0, 2]))
+    with pytest.raises(ValidationError):
+        f_high_t(sys, bath, sd, np.array([1, 0]), np.array([0]))
+
+
+def test_f_index_arrays_match_scalar_calls():
+    # Under Natural the f values here span about 1e13, yet the shared exact
+    # quadrature must hold every pair to the accuracy of its own quadrature.
+    sys = random_system(np.random.default_rng(3), 3)
+    bath = BathParams(beta=0.9, lam=1.4)
+    sd = LorentzDrude(1.0, 0.25)
+    l, l2 = np.nonzero(~np.eye(3, dtype=bool))
+    for conv in (RENORM, NATURAL):
+        for fn in (f_high_t, f_series):
+            many = fn(sys, bath, sd, l, l2, conv=conv)
+            one = [fn(sys, bath, sd, int(i), int(j), conv=conv) for i, j in zip(l, l2)]
+            assert all(isinstance(v, float) for v in one)
+            assert np.array_equal(many, one)
+        many = f_exact(sys, bath, sd, l, l2, conv=conv).value
+        one = [f_exact(sys, bath, sd, int(i), int(j), conv=conv).value for i, j in zip(l, l2)]
+        assert all(isinstance(v, float) for v in one)
+        assert np.max(np.abs(many / one - 1.0)) < 1e-13
+
+
+def test_exact_steady_state_one_kernel_call_per_panel(monkeypatch):
+    # All pairs are one vector-valued integrand: K(u) is evaluated once per
+    # GK15 panel for every pair together, and the pairs share the count.
+    from meanforce import steady
+
+    calls = []
+    kernel = steady._overlap_kernel_batch
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(steady, "_overlap_kernel_batch", counted)
+    sys = random_system(np.random.default_rng(11), 4)
+    res = steady_state(sys, BathParams(beta=1.2, lam=1.3), LorentzDrude(1.0, 0.25), EXACT, NATURAL)
+    evals = res.diagnostics["f_evaluations"]
+    off = ~np.eye(4, dtype=bool)
+    assert len(calls) == evals[0, 1] // 15
+    assert np.all(evals[off] == evals[0, 1])
+    assert np.all(res.diagnostics["f_error_estimates"][off] == res.diagnostics["f_error_estimates"][0, 1])
+
+
+def test_exact_shared_tolerance_keeps_small_entries():
+    # The dim-4 benchmark system at seed 101 (Natural, beta ~ 2), where f spans
+    # about 1e4: the max-norm stopping rule of the shared quadrature must not
+    # starve the small entries.
+    h = np.diag([0.39349043331629097, -0.2940865017681056, 0.19073628879730203, -0.1182418806840054])
+    h = h.astype(complex)
+    iu = np.triu_indices(4, 1)
+    h[iu] = [
+        0.17189813617877067 - 0.1815241878600888j, 0.24439695083657792 - 0.05263202847870598j,
+        0.06773478806767405 + 0.24064911902067557j, -0.0013988140407961056 + 0.24999608660792927j,
+        0.10522115994636423 - 0.22677854285523055j, 0.06068954354196208 + 0.24252170893482564j,
+    ]
+    h = h + np.triu(h, 1).conj().T
+    a = np.diag([-1.5459470017568948, -0.5154158383335188, 0.48947948359772914, 1.453810129846433])
+    sys = SystemSpec(h, a)
+    bath = BathParams(beta=2.007290670144433, lam=math.sqrt(2.0))
+    sd = LorentzDrude(1.0, 0.25)
+    res = steady_state(sys, bath, sd, EXACT, NATURAL)
+    f, p = res.f_values, res.populations
+    off = ~np.eye(4, dtype=bool)
+    assert f[off].max() / f[off].min() > 1e3
+    for l, l2 in zip(*np.nonzero(off)):
+        one = f_exact(sys, bath, sd, int(l), int(l2), conv=NATURAL).value
+        assert abs(f[l, l2] / one - 1.0) < 1e-12
+        assert abs(p[l] * f[l, l2] / (p[l2] * f[l2, l]) - 1.0) < 1e-12
 
 
 def test_f_series_natural_zero_eigenvalue_guard():
