@@ -229,17 +229,29 @@ class _Segment:
         self.err = err
 
 
+def _node_sum(w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_k w[k] y[k] over the node axis of y, as one matrix product.
+
+    np.tensordot(w, y, axes=(0, 0)) makes this same product after axis
+    bookkeeping that costs more than the product on a 15-node panel.
+    """
+    return np.dot(w[None, :], y.reshape(y.shape[0], -1)).reshape(y.shape[1:])
+
+
 def _gk15(f, a: float, b: float) -> _Segment:
-    """One Gauss-Kronrod 7/15 panel with QUADPACK-style error estimate."""
+    """One Gauss-Kronrod 7/15 panel with QUADPACK-style error estimate.
+
+    The four weighted node sums go through _node_sum, the same matrix
+    product np.tensordot would make, so the panel's bits are tensordot's.
+    """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     y = _eval_nodes(f, c + h * _XGK)
-    resk = h * np.tensordot(_WGK, y, axes=(0, 0))
-    resg = h * np.tensordot(_WG, y, axes=(0, 0))
-    yabs = np.abs(y)
-    resabs = h * np.tensordot(_WGK, yabs, axes=(0, 0))
+    resk = h * _node_sum(_WGK, y)
+    resg = h * _node_sum(_WG, y)
+    resabs = h * _node_sum(_WGK, np.abs(y))
     mean = resk / (b - a)
-    asc = h * np.tensordot(_WGK, np.abs(y - mean), axes=(0, 0))
+    asc = h * _node_sum(_WGK, np.abs(y - mean))
     raw = np.abs(resk - resg)
     asc = np.asarray(asc, dtype=float)
     raw = np.asarray(raw, dtype=float)

@@ -412,37 +412,59 @@ def _tail_r(x: np.ndarray) -> np.ndarray:
     Closed form R = e^{-x}/(2x^2) - e^{-x}/(2x) + E1(x)/2 + 1/x - 1/(2x^2);
     below x = 0.35 the 1/x^2 pieces cancel catastrophically, so a power
     series around 0 (with the log from the 1/(2t) part of the integrand)
-    takes over.
+    takes over. Each form runs only on its own entries, and exp1 only at
+    x <= _AFFINE_X: beyond it the three e^{-x} terms sum to less than half an
+    ulp of 1/x, so the closed form rounds to 1/x - 1/(2x^2) bit for bit.
     """
     x = np.asarray(x, dtype=float)
     small = x < 0.35
-    xs = np.where(small, np.where(x > 0.0, x, 1.0), 1.0)
+    large = x > _AFFINE_X
+    out = np.empty_like(x)
+    xs = x[small]
+    xs = np.where(xs > 0.0, xs, 1.0)
     r_series = 0.75 - 0.5 * _EULER_GAMMA - 0.5 * np.log(xs)
     fact = 2.0
     for m in range(3, 14):
         fact *= m
         term = xs ** (m - 2) / ((m - 2) * fact)
         r_series = r_series + (term if m % 2 else -term)
-    xl = np.where(small, 1.0, x)
-    ex = np.exp(-xl)
-    r_closed = (
-        ex / (2.0 * xl**2) - ex / (2.0 * xl) + 0.5 * exp1(xl)
-        + 1.0 / xl - 1.0 / (2.0 * xl**2)
-    )
-    return np.where(small, r_series, r_closed)
+    out[small] = r_series
+    mid = ~(small | large)
+    if mid.any():
+        xm = x[mid]
+        ex = np.exp(-xm)
+        out[mid] = (
+            ex / (2.0 * xm**2) - ex / (2.0 * xm) + 0.5 * exp1(xm)
+            + 1.0 / xm - 1.0 / (2.0 * xm**2)
+        )
+    xl = x[large]
+    out[large] = 1.0 / xl - 1.0 / (2.0 * xl**2)
+    return out
 
 
 def _mu_exp(kappa: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """mu(kappa, tau) = (e^{-kt} - 1 + kt)/kappa^2, stable for small kt."""
+    """mu(kappa, tau) = (e^{-kt} - 1 + kt)/kappa^2, stable for small kt.
+
+    The direct form is built in place on the whole block and the Taylor
+    series overwrites only the entries with kt <= 1e-4, so each entry sees
+    the same operations in the same order as if both forms were evaluated
+    everywhere and selected after.
+    """
     kappa = np.asarray(kappa, dtype=float)
     tau = np.asarray(tau, dtype=float)
     kt = kappa[:, None] * tau[None, :]
-    t2 = np.broadcast_to(tau[None, :] ** 2, kt.shape)
-    series = t2 * (0.5 - kt / 6.0 + kt**2 / 24.0 - kt**3 / 120.0)
-    k2 = np.broadcast_to(kappa[:, None] ** 2, kt.shape)
+    k2 = kappa**2
+    out = np.negative(kt)
     with np.errstate(invalid="ignore"):
-        direct = np.where(kt > 1e-4, (np.expm1(-kt) + kt) / np.where(k2 > 0, k2, 1.0), 0.0)
-    return np.where(kt > 1e-4, direct, series)
+        np.expm1(out, out=out)
+        out += kt
+        out /= np.where(k2 > 0, k2, 1.0)[:, None]
+    small = kt <= 1e-4
+    if small.any():
+        ks = kt[small]
+        t2 = np.broadcast_to(tau**2, kt.shape)[small]
+        out[small] = t2 * (0.5 - ks / 6.0 + ks**2 / 24.0 - ks**3 / 120.0)
+    return out
 
 
 def _matsubara_sum(c: np.ndarray, nu: np.ndarray, tau: np.ndarray) -> np.ndarray:

@@ -284,7 +284,10 @@ def f_high_t(
     pref = root / (lam * aa)
     x1 = (root / (2.0 * lam * aa)) * (lam**2 * a2 * q - omega)
     x2 = (root / (2.0 * lam * aa)) * (lam**2 * a2 * q + omega)
-    df = np.vectorize(dawson, otypes=[float])
+
+    def df(x):
+        return np.array([dawson(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
     return _scalar_or_array(pref * (df(x1) + np.exp(beta * omega) * df(x2)))
 
 

@@ -6,7 +6,8 @@ import pytest
 from meanforce import comparator
 from meanforce.comparator import me_state, me_steady_state
 from meanforce.errors import NumericsError, ValidationError
-from meanforce.spectral import BathParams, DiscreteModes, LorentzDrude
+from meanforce.special import QuadratureSettings
+from meanforce.spectral import BathParams, DiscreteModes, LorentzDrude, _g_batch
 from meanforce.spinboson import SpinBosonParams, build_system
 from meanforce.steady import (
     CorrectionMethod,
@@ -98,6 +99,65 @@ def test_me_diagnostics_and_truncation():
     assert pair["error_estimate"] < 1e-8
     assert pair["evaluations"] > 0
     assert pair["tail_bound"] < 1e-20
+
+
+def _spline_moments_scalar_loop(x, y):
+    # Natural-spline moments by the Thomas loop on numpy float64 scalars, one
+    # right-hand side at a time: the reference for _CubicSpline's float loop.
+    n = len(x)
+    h = np.diff(x)
+    m = np.zeros(n)
+    if n > 2:
+        diag = 2.0 * (h[:-1] + h[1:])
+        rhs = 6.0 * np.diff(np.diff(y) / h)
+        upper = h[1:-1].copy()
+        lower = h[1:-1].copy()
+        for i in range(1, n - 2):
+            w = lower[i - 1] / diag[i - 1]
+            diag[i] -= w * upper[i - 1]
+            rhs[i] -= w * rhs[i - 1]
+        sol = np.zeros(n - 2)
+        sol[-1] = rhs[-1] / diag[-1]
+        for i in range(n - 4, -1, -1):
+            sol[i] = (rhs[i] - upper[i] * sol[i + 1]) / diag[i]
+        m[1:-1] = sol
+    return m
+
+
+def _spline_eval_one_row(x, y, m, t):
+    # The one-row spline evaluation the two-row _CubicSpline.__call__ replaces.
+    h = np.diff(x)
+    j = np.clip(np.searchsorted(x, t) - 1, 0, len(x) - 2)
+    hj, d, e = h[j], t - x[j], x[j + 1] - t
+    return (
+        m[j] * e**3 / (6.0 * hj)
+        + m[j + 1] * d**3 / (6.0 * hj)
+        + (y[j] / hj - m[j] * hj / 6.0) * e
+        + (y[j + 1] / hj - m[j + 1] * hj / 6.0) * d
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 65])
+def test_spline_moments_match_scalar_loop_and_dense_solve(n):
+    tau_max = 16.0
+    grid = tau_max * np.linspace(0.0, 1.0, n) ** 2
+    g = _g_batch(LD, 1.0, grid, QuadratureSettings())
+    g[0] = 0.0
+    y = np.stack([g.real, g.imag])
+    sp = comparator._CubicSpline(grid, y)
+    t = tau_max * np.linspace(0.0, 1.0, 2 * n + 1) ** 2
+    vals = sp(t)
+    for row, ys in enumerate(y):
+        ref = _spline_moments_scalar_loop(grid, ys)
+        assert np.array_equal(sp.m[row], ref)
+        assert np.array_equal(vals[row], _spline_eval_one_row(grid, ys, ref, t))
+        if n > 2:
+            # The moment system itself, solved densely.
+            h = np.diff(grid)
+            a = np.diag(2.0 * (h[:-1] + h[1:])) + np.diag(h[1:-1], 1) + np.diag(h[1:-1], -1)
+            dense = np.linalg.solve(a, 6.0 * np.diff(np.diff(ys) / h))
+            assert np.max(np.abs(ref[1:-1] - dense)) <= 1e-12 * np.max(np.abs(dense))
+        assert ref[0] == ref[-1] == 0.0
 
 
 def test_g_spline_build_evaluates_each_tau_once(monkeypatch):

@@ -6,8 +6,12 @@ from hypothesis import given, strategies as st
 
 from meanforce.errors import QuadratureError, ValidationError
 from meanforce.special import (
+    _WG,
+    _WGK,
+    _XGK,
     QuadratureResult,
     QuadratureSettings,
+    _gk15,
     dawson,
     exp1,
     integrate_finite,
@@ -142,6 +146,44 @@ def test_integrate_finite_vector_valued():
 def test_integrate_finite_complex_integrand():
     r = integrate_finite(lambda x: np.exp(1j * np.asarray(x)), 0.0, math.pi / 2)
     assert r.value == pytest.approx(1.0 + 1j, rel=1e-12)
+
+
+def _gk15_tensordot_form(f, a, b):
+    # One GK15 panel with the node sums taken by np.tensordot: the reference
+    # for _gk15's direct matrix products. Returns (value, resabs, err_vec).
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    y = np.asarray(f(c + h * _XGK))
+    resk = h * np.tensordot(_WGK, y, axes=(0, 0))
+    resg = h * np.tensordot(_WG, y, axes=(0, 0))
+    resabs = h * np.tensordot(_WGK, np.abs(y), axes=(0, 0))
+    mean = resk / (b - a)
+    asc = np.asarray(h * np.tensordot(_WGK, np.abs(y - mean), axes=(0, 0)), dtype=float)
+    raw = np.asarray(np.abs(resk - resg), dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratio = np.minimum(1.0, 200.0 * raw / np.maximum(asc, 1e-300))
+    scaled = np.where(asc > 0.0, asc * ratio**1.5, raw)
+    err_vec = np.maximum(scaled, 50.0 * np.finfo(float).eps * np.asarray(resabs, dtype=float))
+    return resk, resabs, err_vec
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda x: np.exp(-x) * np.cos(7.0 * x),
+        lambda x: np.sin(np.multiply.outer(x, np.arange(1.0, 13.0)).reshape(15, 3, 4)),
+        lambda x: np.exp((0.3 + 2j) * x)[:, None] * np.array([1.0, -2.5j]),
+    ],
+    ids=["real-scalar", "real-3x4", "complex-2"],
+)
+def test_gk15_bit_identical_to_tensordot_form(f):
+    seg = _gk15(f, 0.25, 1.75)
+    value, resabs, err_vec = _gk15_tensordot_form(f, 0.25, 1.75)
+    assert np.shape(seg.value) == np.shape(value)
+    assert np.array_equal(seg.value, value)
+    assert np.array_equal(seg.resabs, resabs)
+    assert np.array_equal(seg.err_vec, err_vec)
+    assert seg.err == float(np.max(err_vec))
 
 
 def test_integrate_finite_propagates_integrand_error_without_retry():

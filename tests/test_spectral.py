@@ -1,12 +1,14 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from meanforce import spectral
 from meanforce.errors import ValidationError
-from meanforce.special import QuadratureSettings
+from meanforce.special import _EULER_GAMMA, QuadratureSettings, exp1
 from meanforce.spectral import (
     BathParams,
     DiscreteModes,
@@ -218,6 +220,86 @@ def test_tail_r_frozen_reference():
         assert float(_tail_r(np.array([x]))[0]) == pytest.approx(ref, rel=5e-13)
 
 
+def _tail_r_select_form(x):
+    # R(x) as both forms on every entry, then selected: the reference for the
+    # per-branch evaluation in _tail_r.
+    x = np.asarray(x, dtype=float)
+    small = x < 0.35
+    xs = np.where(small, np.where(x > 0.0, x, 1.0), 1.0)
+    r_series = 0.75 - 0.5 * _EULER_GAMMA - 0.5 * np.log(xs)
+    fact = 2.0
+    for m in range(3, 14):
+        fact *= m
+        term = xs ** (m - 2) / ((m - 2) * fact)
+        r_series = r_series + (term if m % 2 else -term)
+    xl = np.where(small, 1.0, x)
+    ex = np.exp(-xl)
+    r_closed = (
+        ex / (2.0 * xl**2) - ex / (2.0 * xl) + 0.5 * exp1(xl)
+        + 1.0 / xl - 1.0 / (2.0 * xl**2)
+    )
+    return np.where(small, r_series, r_closed)
+
+
+def _mu_exp_select_form(kappa, tau):
+    # mu as both forms on the whole block, then selected: the reference for
+    # the in-place _mu_exp.
+    kappa = np.asarray(kappa, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    kt = kappa[:, None] * tau[None, :]
+    t2 = np.broadcast_to(tau[None, :] ** 2, kt.shape)
+    series = t2 * (0.5 - kt / 6.0 + kt**2 / 24.0 - kt**3 / 120.0)
+    k2 = np.broadcast_to(kappa[:, None] ** 2, kt.shape)
+    with np.errstate(invalid="ignore"):
+        direct = np.where(kt > 1e-4, (np.expm1(-kt) + kt) / np.where(k2 > 0, k2, 1.0), 0.0)
+    return np.where(kt > 1e-4, direct, series)
+
+
+def test_tail_r_bit_identical_to_select_form():
+    # Both sides of the series switch at 0.35 and of the exp1 cut at 40.
+    x = np.concatenate([
+        [np.nextafter(0.35, 0.0), 0.35, np.nextafter(0.35, 1.0)],
+        [39.999, np.nextafter(40.0, 0.0), 40.0, np.nextafter(40.0, 99.0), 40.001],
+        [1e3, 1e6, 1e-9, 2976.3],
+        np.geomspace(1e-3, 1e4, 200),
+    ])
+    assert np.array_equal(_tail_r(x), _tail_r_select_form(x))
+
+
+def test_mu_exp_bit_identical_to_select_form():
+    # kappa = 0, tau = 0, and kt at 1e-4 exactly and one part in 1e12 away.
+    kappa = np.concatenate([[0.0, 1.0, 0.25], 2.0 * math.pi * np.arange(1.0, 3001.0, 37.0)])
+    tau = np.concatenate([
+        [0.0],
+        1e-4 * np.array([1.0 - 1e-12, 1.0, 1.0 + 1e-12]),
+        np.geomspace(1e-9, 60.0, 60),
+    ])
+    kt = kappa[:, None] * tau[None, :]
+    assert np.any(kt == 1e-4) and np.any(kt == 1e-4 * (1.0 - 1e-12))
+    got = _mu_exp(kappa, tau)
+    assert np.array_equal(got, _mu_exp_select_form(kappa, tau))
+    assert np.all(got[0] == tau**2 / 2.0) and np.all(got[:, 0] == 0.0)
+
+
+def test_g_table_calls_exp1_only_below_affine_edge(monkeypatch):
+    # Beyond nu* tau = 40 the tail's closed form rounds to 1/x - 1/(2x^2), so
+    # on a 2049-node fig1a table only the few nodes nearest 0 reach exp1.
+    seen = []
+
+    def spy(x):
+        seen.append(np.array(x, dtype=float))
+        return exp1(x)
+
+    monkeypatch.setattr(spectral, "exp1", spy)
+    sd = LorentzDrude(1.0, 0.25)
+    grid = 16.0 * np.linspace(0.0, 1.0, 2049) ** 2
+    _g_batch(sd, 1.0, grid, QuadratureSettings())
+    args = np.concatenate(seen)
+    x = _matsubara_coefficients(sd, 1.0)[3] * grid
+    assert args.max() <= 40.0
+    assert len(args) == np.count_nonzero((x >= 0.35) & (x <= 40.0)) < 30
+
+
 def test_g_zero_and_validation():
     sd = LorentzDrude(1.0, 0.5)
     assert g_double_integral(sd, 1.9, 0.0) == 0j
@@ -231,6 +313,83 @@ def test_g_real_part_frozen_reference():
     for (q, wc, beta, tau), ref in RE_G_REF:
         g = g_double_integral(LorentzDrude(q, wc), beta, tau)
         assert g.real == pytest.approx(ref, rel=1e-11)
+
+
+def _g_closed_form(q, wc, beta, tau):
+    """Re G and Im G of Lorentz-Drude from the closed-form Matsubara sums.
+
+    With a = beta w_c/2pi, c = 2pi/beta and z = e^{-c tau}, the Matsubara
+    sum splits into tau*S1 - S2 + T: S1 and S2 are the affine suffix sums in
+    closed form, and T = sum_k z^k/(k(k^2 - a^2))/c^3 is a log plus two
+    Lerch transcendents by partial fractions. No truncation and no E1 tail,
+    so it shares nothing with spectral's G. Evaluate inside mpmath.workdps.
+    """
+    q, wc, beta, tau = (mpmath.mpf(v) for v in (q, wc, beta, tau))
+    a = beta * wc / (2 * mpmath.pi)
+    c = 2 * mpmath.pi / beta
+    z = mpmath.exp(-c * tau)
+    mu = (mpmath.expm1(-wc * tau) + wc * tau) / wc**2
+    s1 = (1 / (2 * a**2) - mpmath.pi * mpmath.cot(mpmath.pi * a) / (2 * a)) / c**2
+    s2 = -(2 * mpmath.euler + mpmath.digamma(1 - a) + mpmath.digamma(1 + a)) / (2 * a**2 * c**3)
+    t = (
+        mpmath.log(1 - z)
+        + z * mpmath.lerchphi(z, 1, 1 - a) / 2
+        + z * mpmath.lerchphi(z, 1, 1 + a) / 2
+    ) / (a**2 * c**3)
+    re = q * wc * mpmath.cot(beta * wc / 2) * mu + (4 * q * wc / beta) * (tau * s1 - s2 + t)
+    return re, -q * wc * mu
+
+
+G_REF_TAUS = (1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.3, 2.0, 16.0)
+# Relative error of Re G against _g_closed_form at 50 digits, as measured for
+# Q = 1, w_c = 0.25 and beta in {1, 1.9}: (largest tau of the band, bound).
+RE_G_BANDS = ((1e-3, 2.7e-10), (0.01, 1.6e-11), (16.0, 7.7e-13))
+# Im G is -Q w_c mu(w_c, tau); the largest error, 6.1e-13 at tau = 1e-3, is
+# the direct form of mu just above its kt = 1e-4 series switch.
+IM_G_BAND = 6.2e-13
+
+
+def _g_relative_errors(beta, taus):
+    g = _g_batch(LorentzDrude(1.0, 0.25), beta, np.array(taus), QuadratureSettings())
+    with mpmath.workdps(50):
+        refs = [_g_closed_form(1.0, 0.25, beta, tau) for tau in taus]
+        return [
+            (float(abs(v.real / re - 1)), float(abs(v.imag / im - 1)))
+            for v, (re, im) in zip(g, refs)
+        ]
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.9])
+def test_g_against_mpmath_closed_form(beta):
+    for tau, (re_err, im_err) in zip(G_REF_TAUS, _g_relative_errors(beta, G_REF_TAUS)):
+        band = next(bound for edge, bound in RE_G_BANDS if tau <= edge)
+        assert re_err <= band, (tau, re_err)
+        assert im_err <= IM_G_BAND, (tau, im_err)
+
+
+def test_g_imag_part_on_nudge_path_against_mpmath():
+    # beta w_c = 2 pi puts the cot pole on nu_1, so beta is nudged by 1e-9;
+    # Im G does not depend on beta and is unaffected.
+    beta = 2.0 * math.pi / 0.25
+    g = _g_batch(LorentzDrude(1.0, 0.25), beta, np.array(G_REF_TAUS), QuadratureSettings())
+    with mpmath.workdps(50):
+        for tau, v in zip(G_REF_TAUS, g):
+            x = mpmath.mpf(0.25) * tau
+            im = -(mpmath.expm1(-x) + x) / 0.25
+            assert float(abs(v.imag / im - 1)) <= IM_G_BAND
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known fault: on the nudge path the cot pole and the nu_1 Matsubara term "
+    "cancel to O(1e8) magnitudes with inconsistent roundings; Re G is off by 2.7 to 54 "
+    "relative at beta w_c = 2 pi, 1.4e-5 at 1e-6 away from it",
+)
+def test_g_real_part_on_nudge_path_against_mpmath():
+    beta = 2.0 * math.pi / 0.25
+    for tau, (re_err, _) in zip(G_REF_TAUS, _g_relative_errors(beta, G_REF_TAUS)):
+        band = next(bound for edge, bound in RE_G_BANDS if tau <= edge)
+        assert re_err <= band, (tau, re_err)
 
 
 def test_g_imag_part_closed_form():
