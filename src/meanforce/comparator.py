@@ -171,6 +171,35 @@ def _build_g_splines(
         grid, g, n = doubled, g_doubled, 2 * n - 1
 
 
+# The last G spline built, as (density, (beta, tau_max, settings), result).
+# One entry suffices: the points of a lambda^2 Q sweep ask for the same key in
+# an unbroken run, and a beta or omega_c sweep never repeats one. The density
+# is matched by identity (a Tabulated density holds arrays, which neither hash
+# nor compare with ==) and held here, so its id cannot be recycled.
+_last_spline: tuple | None = None
+
+
+def _g_splines(
+    sd: SpectralDensity, beta: float, tau_max: float, settings: QuadratureSettings
+) -> tuple[tuple[np.ndarray, _CubicSpline, int, float], bool]:
+    """_build_g_splines' result, reused when the last call had the same key.
+
+    Returns the result and whether it was reused. Densities are immutable,
+    so an equal key gives the same bits as a fresh build.
+    """
+    global _last_spline
+    entry = _last_spline  # read once: a concurrent swap is then just a miss
+    key = (beta, tau_max, settings)
+    if entry is not None and entry[0] is sd and entry[1] == key:
+        return entry[2], True
+    built = _build_g_splines(sd, beta, tau_max, settings)
+    grid, sp = built[0], built[1]
+    for arr in (grid, sp.y, sp.h, sp.m):
+        arr.flags.writeable = False
+    _last_spline = (sd, key, built)
+    return built, False
+
+
 def me_steady_state(
     sys: SystemSpec,
     bath: BathParams,
@@ -182,6 +211,11 @@ def me_steady_state(
     G is evaluated once on an adaptive grid and splined; each pair then
     integrates the splined phase out to where lam^2 a^2 Re G passes the tail
     cutoff, in windows short enough to track the e^{-i wbar tau} oscillation.
+
+    The spline is reused across consecutive calls with the same density
+    object, beta, grid end tau_max and quadrature settings, as along a
+    lambda^2 Q sweep; diagnostics["g_spline_reused"] reports it. The reused
+    spline is the one a fresh build would give, bit for bit.
     """
     s = q or QuadratureSettings()
     if not bath.lam > 0:
@@ -204,10 +238,15 @@ def me_steady_state(
     if active:
         s_min = min(s_values[pr] for pr in active)
         tau_max = _find_tau_max(sd, beta, s_min, s.tail_cutoff_exponent, s)
-        grid, sp, nodes, sp_err = _build_g_splines(sd, beta, tau_max, s)
+        (grid, sp, nodes, sp_err), reused = _g_splines(sd, beta, tau_max, s)
         re_g = sp.y[0]
         diagnostics.update(
-            {"tau_grid_nodes": nodes, "spline_error": sp_err, "tau_max": tau_max}
+            {
+                "tau_grid_nodes": nodes,
+                "spline_error": sp_err,
+                "tau_max": tau_max,
+                "g_spline_reused": reused,
+            }
         )
 
         for l, l2 in active:

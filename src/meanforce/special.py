@@ -52,17 +52,23 @@ class QuadratureResult:
     """Integral value with an a-posteriori error estimate.
 
     value may be real, complex, or an array (componentwise integration of a
-    vector-valued integrand); error_estimate is the max-norm bound over
-    components.
+    vector-valued integrand); component_errors holds each component's own
+    error estimate, shaped like value (a float for a scalar integrand;
+    error_estimate when not given), and error_estimate is their max-norm.
     """
 
     value: object
     error_estimate: float
     evaluations: int
+    component_errors: object = None
 
     def __post_init__(self):
         if not self.error_estimate >= 0:
             raise ValidationError("error_estimate must be nonnegative")
+        if self.component_errors is None:
+            object.__setattr__(self, "component_errors", self.error_estimate)
+        elif not np.all(np.asarray(self.component_errors) >= 0):
+            raise ValidationError("component_errors must be nonnegative")
 
 
 # ----------------------------------------------------------------------------
@@ -125,35 +131,37 @@ def dawson(x: float) -> float:
 def exp1(x):
     """Exponential integral E1(x) = integral_x^inf e^{-t}/t dt, x > 0.
 
-    Accepts a scalar or array. Alternating series below x=1.5, modified-Lentz
-    continued fraction above; both branches are evaluated on masked copies so
-    no invalid values leak through the np.where.
+    Accepts a scalar or array. Alternating series up to x=1.5, modified-Lentz
+    continued fraction above; each branch runs only on its own entries.
     """
     arr = np.asarray(x, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ValidationError("exp1 requires finite positive input")
     small = arr <= 1.5
-    xs = np.where(small, arr, 1.0)
-    term = np.ones_like(xs)
-    acc = np.zeros_like(xs)
-    for k in range(1, 32):
-        term = term * xs / k
-        acc = acc + (term / k if k % 2 else -term / k)
-    e_series = -_EULER_GAMMA - np.log(xs) + acc
-    # E1(x) = e^{-x} / (x + 1 - 1/(x + 3 - 4/(x + 5 - 9/(...)))), x > 1.5
-    xl = np.where(small, 2.0, arr)
-    b = xl + 1.0
-    c = np.full_like(xl, 1e308)
-    d = 1.0 / b
-    h = d.copy()
-    for k in range(1, 48):
-        a = -float(k * k)
-        b = b + 2.0
-        d = 1.0 / (b + a * d)
-        c = b + a / c
-        h = h * c * d
-    e_frac = np.exp(-xl) * h
-    out = np.where(small, e_series, e_frac)
+    large = ~small
+    out = np.empty_like(arr)
+    if small.any():
+        xs = arr[small]
+        term = np.ones_like(xs)
+        acc = np.zeros_like(xs)
+        for k in range(1, 32):
+            term = term * xs / k
+            acc = acc + (term / k if k % 2 else -term / k)
+        out[small] = -_EULER_GAMMA - np.log(xs) + acc
+    if large.any():
+        # E1(x) = e^{-x} / (x + 1 - 1/(x + 3 - 4/(x + 5 - 9/(...)))), x > 1.5
+        xl = arr[large]
+        b = xl + 1.0
+        c = np.full_like(xl, 1e308)
+        d = 1.0 / b
+        h = d.copy()
+        for k in range(1, 48):
+            a = -float(k * k)
+            b = b + 2.0
+            d = 1.0 / (b + a * d)
+            c = b + a / c
+            h = h * c * d
+        out[large] = np.exp(-xl) * h
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
@@ -353,7 +361,8 @@ def integrate_finite(f, a: float, b: float, settings: QuadratureSettings | None 
     value = total
     if isinstance(value, np.ndarray) and value.ndim == 0:
         value = value.item()
-    return QuadratureResult(value, float(total_err), evals)
+    errors = float(err_vec) if np.ndim(err_vec) == 0 else err_vec
+    return QuadratureResult(value, float(total_err), evals, errors)
 
 
 def integrate_semi_infinite(
@@ -434,4 +443,7 @@ def integrate_semi_infinite(
         return y * jac.reshape(jac.shape + (1,) * (y.ndim - 1))
 
     res = integrate_finite(mapped, 0.0, t_max, s)
-    return QuadratureResult(res.value, res.error_estimate + tail_bound, res.evaluations)
+    return QuadratureResult(
+        res.value, res.error_estimate + tail_bound, res.evaluations,
+        res.component_errors + tail_bound,
+    )

@@ -46,6 +46,9 @@ class SpectralDensity:
     characteristic bath frequency (for a compactly supported J, the end of
     its support). kernel, g and correlation integrate J over [0, cutoff];
     a density whose J extends past its cutoff must override all three.
+
+    Densities are immutable (every built-in one is a frozen dataclass): the
+    master-equation comparator reuses G built for the same density object.
     """
 
     cutoff: float

@@ -226,7 +226,8 @@ def f_exact(
     l and l2 may be matching integer arrays: every pair is then one component
     of a single vector-valued integrand, so K is evaluated once per panel for
     all of them, and the value is an array of their shape. The pairs share
-    the evaluation count and one error estimate, a bound for every pair.
+    the evaluation count; component_errors holds each pair's own error
+    estimate, in the value's shape, and error_estimate is the largest.
     """
     omega, a2 = _pair_terms(sys, bath, conv, sd, l, l2)
     s = q or QuadratureSettings()
@@ -251,11 +252,15 @@ def f_exact(
         return np.exp(np.multiply.outer(u, omega) - np.multiply.outer(k, scale) - shift)
 
     res = integrate_finite(integrand, 0.0, beta, s)
-    value = res.value * np.exp(shift)
+    bound = np.exp(shift)
+    value = res.value * bound
     if not np.all(value > 0):
         raise ValidationError(f"f_exact produced a nonpositive value {value}")
-    error = res.error_estimate * float(np.exp(np.max(shift)))
-    return QuadratureResult(_scalar_or_array(value), error, res.evaluations)
+    errors = res.component_errors * bound
+    return QuadratureResult(
+        _scalar_or_array(value), float(np.max(errors)), res.evaluations,
+        _scalar_or_array(errors),
+    )
 
 
 def f_high_t(
@@ -360,9 +365,9 @@ class CorrectionResult:
     """First-order mean force state with its ingredients and diagnostics.
 
     f_values has zeros on the diagonal. diagnostics carries the quadrature
-    error estimate and evaluation count per entry (for exact, the one bound
-    and count that all pairs share), the regime markers, and the PSD report
-    (negative eigenvalues are flagged, never repaired).
+    error estimate and evaluation count per entry (for exact, each pair's own
+    estimate and the one count that all pairs share), the regime markers, and
+    the PSD report (negative eigenvalues are flagged, never repaired).
     """
 
     populations: np.ndarray
@@ -404,7 +409,7 @@ def steady_state(
     if method is CorrectionMethod.EXACT_QUADRATURE:
         r = f_exact(sys, bath, sd, l, l2, s, conv)
         f[l, l2] = r.value
-        f_err[l, l2] = r.error_estimate
+        f_err[l, l2] = r.component_errors
         f_evals[l, l2] = r.evaluations
     elif method is CorrectionMethod.HIGH_TEMPERATURE_DAWSON:
         f[l, l2] = f_high_t(sys, bath, sd, l, l2, conv)

@@ -8,7 +8,7 @@ from meanforce import cli
 from meanforce.errors import NumericsError, ValidationError
 from meanforce.spectral import BathParams, LorentzDrude
 from meanforce.spinboson import SpinBosonParams, build_system
-from meanforce.steady import CorrectionMethod, steady_state
+from meanforce.steady import CorrectionMethod, RenormalizationConvention, steady_state
 
 
 def run_main(argv):
@@ -73,6 +73,44 @@ def test_sweep_stdout_and_determinism(tmp_path, capsys):
     second = capsys.readouterr().out
     assert first == second
     assert first.startswith("beta,high_t_c_ss_real")
+
+
+def test_lambda_sweep_bytes_do_not_depend_on_spline_reuse(monkeypatch):
+    # Along a lambda^2 Q sweep the ME route reuses one G spline. A sweep that
+    # builds it at every point, one that builds it at the first point only,
+    # and a second run that finds it already built give the same bytes.
+    from meanforce import comparator
+
+    spec = cli.SweepSpec(
+        swept="lambda2Q", lo=0.2, hi=10.0, points=5, delta=0.7, beta=1.0,
+        omega_c=0.25, lambda2q=1.0, spectral="lorentz-drude", methods=("me",),
+        convention=RenormalizationConvention.RENORMALIZED,
+    )
+    sd = LorentzDrude(1.0, 0.25)
+    monkeypatch.setattr(cli, "_spectral_density", lambda name, omega_c: sd)
+    builds = []
+    build, point = comparator._build_g_splines, cli._evaluate_point
+
+    def counted_build(*args):
+        builds.append(args)
+        return build(*args)
+
+    def cold_point(*args):
+        comparator._last_spline = None
+        return point(*args)
+
+    monkeypatch.setattr(comparator, "_build_g_splines", counted_build)
+    monkeypatch.setattr(cli, "_evaluate_point", cold_point)
+    cold = cli.run_sweep(spec)
+    assert len(builds) == 5
+    monkeypatch.setattr(cli, "_evaluate_point", point)
+    monkeypatch.setattr(comparator, "_last_spline", None)
+    first = cli.run_sweep(spec)
+    assert len(builds) == 6
+    second = cli.run_sweep(spec)
+    assert len(builds) == 6
+    assert first == second == cold
+    assert "NA" not in cold
 
 
 def test_oracle_over_cap_yields_na_cells(tmp_path):

@@ -160,7 +160,13 @@ def test_spline_moments_match_scalar_loop_and_dense_solve(n):
         assert ref[0] == ref[-1] == 0.0
 
 
-def test_g_spline_build_evaluates_each_tau_once(monkeypatch):
+@pytest.fixture
+def cold_memo(monkeypatch):
+    # An earlier test may have left a spline for LD at the same key.
+    monkeypatch.setattr(comparator, "_last_spline", None)
+
+
+def test_g_spline_build_evaluates_each_tau_once(monkeypatch, cold_memo):
     # Each doubling reuses the previous grid and the probes become its new
     # nodes, so one build evaluates the final grid plus one probe per cell.
     inside, taus = [], []
@@ -184,6 +190,71 @@ def test_g_spline_build_evaluates_each_tau_once(monkeypatch):
     nodes = me.diagnostics["tau_grid_nodes"]
     assert nodes > comparator._GRID_START_NODES
     assert len(set(taus)) == len(taus) == 2 * nodes - 1
+
+
+def _counting_builds(monkeypatch):
+    builds = []
+    build = comparator._build_g_splines
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(comparator, "_build_g_splines", counted)
+    return builds
+
+
+def test_g_spline_reused_across_couplings(monkeypatch, cold_memo):
+    # Two couplings of one lambda^2 Q sweep land on the same tau_max, so the
+    # second call reuses the first spline and still gives the cold result.
+    baths = [BathParams(beta=1.0, lam=math.sqrt(v)) for v in (2.0, 5.0)]
+    cold = []
+    for bath in baths:
+        comparator._last_spline = None
+        cold.append(me_steady_state(SPIN, bath, LD))
+    comparator._last_spline = None
+    builds = _counting_builds(monkeypatch)
+    warm = [me_steady_state(SPIN, bath, LD) for bath in baths]
+    assert len(builds) == 1
+    assert [r.diagnostics["g_spline_reused"] for r in warm] == [False, True]
+    assert warm[0].diagnostics["tau_max"] == warm[1].diagnostics["tau_max"]
+    for c, w in zip(cold, warm):
+        assert np.array_equal(w.coherences, c.coherences)
+        assert w.diagnostics["spline_error"] == c.diagnostics["spline_error"]
+    grid, sp = comparator._last_spline[2][:2]
+    assert not (grid.flags.writeable or sp.y.flags.writeable or sp.m.flags.writeable)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"bath": BathParams(beta=1.1, lam=math.sqrt(5.0))},
+        {"q": QuadratureSettings(rel_tol=1e-9)},
+        {"sd": LorentzDrude(1.0, 0.25)},  # equal to LD, but another object
+    ],
+    ids=["beta", "settings", "density"],
+)
+def test_g_spline_key_change_misses(monkeypatch, cold_memo, change):
+    base = {"bath": BathParams(beta=1.0, lam=math.sqrt(5.0)), "sd": LD, "q": None}
+    builds = _counting_builds(monkeypatch)
+    me_steady_state(SPIN, base["bath"], base["sd"], base["q"])
+    args = {**base, **change}
+    res = me_steady_state(SPIN, args["bath"], args["sd"], args["q"])
+    assert len(builds) == 2
+    assert res.diagnostics["g_spline_reused"] is False
+
+
+def test_g_fault_surfaces_after_memo_filled(monkeypatch, cold_memo):
+    bath = BathParams(beta=1.0, lam=math.sqrt(5.0))
+    me_steady_state(SPIN, bath, LD)
+
+    def broken(sd, beta, tau, settings):
+        raise NumericsError("injected G fault")
+
+    monkeypatch.setattr(comparator, "_g_batch", broken)
+    for b in (bath, BathParams(beta=1.3, lam=math.sqrt(5.0))):
+        with pytest.raises(NumericsError, match="injected G fault"):
+            me_steady_state(SPIN, b, LD)
 
 
 def test_me_state_assembly():

@@ -11,6 +11,7 @@ from meanforce.special import (
     _XGK,
     QuadratureResult,
     QuadratureSettings,
+    _EULER_GAMMA,
     _gk15,
     dawson,
     exp1,
@@ -99,6 +100,56 @@ def test_exp1_array_input_matches_scalar():
         assert out[i] == exp1(x)
 
 
+def _exp1_both_branches_everywhere(x):
+    # exp1 as it was before each branch ran only on its own entries: both
+    # loops over the whole array, then a select. The reference for its bits.
+    arr = np.asarray(x, dtype=float)
+    small = arr <= 1.5
+    xs = np.where(small, arr, 1.0)
+    term = np.ones_like(xs)
+    acc = np.zeros_like(xs)
+    for k in range(1, 32):
+        term = term * xs / k
+        acc = acc + (term / k if k % 2 else -term / k)
+    e_series = -_EULER_GAMMA - np.log(xs) + acc
+    xl = np.where(small, 2.0, arr)
+    b = xl + 1.0
+    c = np.full_like(xl, 1e308)
+    d = 1.0 / b
+    h = d.copy()
+    for k in range(1, 48):
+        a = -float(k * k)
+        b = b + 2.0
+        d = 1.0 / (b + a * d)
+        c = b + a / c
+        h = h * c * d
+    e_frac = np.exp(-xl) * h
+    out = np.where(small, e_series, e_frac)
+    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+
+
+def test_exp1_branches_bit_identical_to_select_form():
+    rng = np.random.default_rng(7)
+    straddle = np.concatenate(
+        [np.nextafter(1.5, [0.0, 3.0]), [1.5], np.exp(rng.uniform(-18.0, 6.5, 41))]
+    )
+    cases = [
+        straddle,
+        straddle.reshape(4, 11),
+        rng.uniform(1e-6, 1.5, 17),  # all small
+        rng.uniform(1.5000001, 40.0, 17),  # all large
+        np.array([0.3]),
+    ]
+    for x in cases:
+        got, ref = exp1(x), _exp1_both_branches_everywhere(x)
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+    for x in (1e-12, 0.5, 1.5, 1.5000000000000002, 2.0, 39.9, 700.0, np.array(2.1)):
+        got = exp1(x)
+        assert type(got) is float
+        assert got == _exp1_both_branches_everywhere(x)
+
+
 def test_exp1_rejects_nonpositive():
     for bad in (0.0, -1.0, math.nan):
         with pytest.raises(ValidationError):
@@ -141,6 +192,21 @@ def test_integrate_finite_vector_valued():
 
     r = integrate_finite(f, 0.0, 1.0)
     assert np.allclose(r.value, [0.5, 1.0 / 3.0, 1.0 - math.cos(1.0)], rtol=1e-12)
+
+
+def test_integrate_finite_component_errors():
+    # Each component keeps its own error estimate; error_estimate is their max.
+    def f(x):
+        x = np.asarray(x)
+        return np.stack([np.sqrt(x), 1e-6 * np.sqrt(x), x**2], axis=-1)
+
+    r = integrate_finite(f, 0.0, 1.0)
+    err = r.component_errors
+    assert err.shape == (3,)
+    assert r.error_estimate == np.max(err)
+    assert err[1] < 1e-5 * err[0]
+    scalar = integrate_finite(lambda x: np.sqrt(np.asarray(x)), 0.0, 1.0)
+    assert scalar.component_errors == scalar.error_estimate
 
 
 def test_integrate_finite_complex_integrand():

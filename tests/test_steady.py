@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meanforce.errors import NumericsError, UnsupportedOperationError, ValidationError
+from meanforce.special import integrate_finite
 from meanforce.spectral import BathParams, DiscreteModes, LorentzDrude
 from meanforce.steady import (
     CorrectionMethod,
@@ -194,13 +195,11 @@ def test_exact_steady_state_one_kernel_call_per_panel(monkeypatch):
     off = ~np.eye(4, dtype=bool)
     assert len(calls) == evals[0, 1] // 15
     assert np.all(evals[off] == evals[0, 1])
-    assert np.all(res.diagnostics["f_error_estimates"][off] == res.diagnostics["f_error_estimates"][0, 1])
 
 
-def test_exact_shared_tolerance_keeps_small_entries():
+def _seed101_multilevel():
     # The dim-4 benchmark system at seed 101 (Natural, beta ~ 2), where f spans
-    # about 1e4: the max-norm stopping rule of the shared quadrature must not
-    # starve the small entries.
+    # about 1e4.
     h = np.diag([0.39349043331629097, -0.2940865017681056, 0.19073628879730203, -0.1182418806840054])
     h = h.astype(complex)
     iu = np.triu_indices(4, 1)
@@ -211,8 +210,13 @@ def test_exact_shared_tolerance_keeps_small_entries():
     ]
     h = h + np.triu(h, 1).conj().T
     a = np.diag([-1.5459470017568948, -0.5154158383335188, 0.48947948359772914, 1.453810129846433])
-    sys = SystemSpec(h, a)
-    bath = BathParams(beta=2.007290670144433, lam=math.sqrt(2.0))
+    return SystemSpec(h, a), BathParams(beta=2.007290670144433, lam=math.sqrt(2.0))
+
+
+def test_exact_shared_tolerance_keeps_small_entries():
+    # The max-norm stopping rule of the shared quadrature must not starve the
+    # small entries.
+    sys, bath = _seed101_multilevel()
     sd = LorentzDrude(1.0, 0.25)
     res = steady_state(sys, bath, sd, EXACT, NATURAL)
     f, p = res.f_values, res.populations
@@ -222,6 +226,39 @@ def test_exact_shared_tolerance_keeps_small_entries():
         one = f_exact(sys, bath, sd, int(l), int(l2), conv=NATURAL).value
         assert abs(f[l, l2] / one - 1.0) < 1e-12
         assert abs(p[l] * f[l, l2] / (p[l2] * f[l2, l]) - 1.0) < 1e-12
+
+
+def test_exact_error_estimate_per_entry(monkeypatch):
+    # Each entry's estimate is its own normalized quadrature error times its
+    # own bound e^{max(0, beta w)}, never above the shared max-norm bound that
+    # every entry used to carry, and far below it for the smallest f.
+    from meanforce import steady
+
+    captured = []
+
+    def spy(*args):
+        captured.append(integrate_finite(*args))
+        return captured[-1]
+
+    monkeypatch.setattr(steady, "integrate_finite", spy)
+    sys, bath = _seed101_multilevel()
+    sd = LorentzDrude(1.0, 0.25)
+    res = steady_state(sys, bath, sd, EXACT, NATURAL)
+    l, l2 = np.nonzero(~np.eye(4, dtype=bool))
+    e = steady._effective_energies(sys, bath, NATURAL, sd)
+    shift = np.maximum(bath.beta * (e[l] - e[l2]), 0.0)
+    shared = captured[0].error_estimate * float(np.exp(np.max(shift)))
+    err = res.diagnostics["f_error_estimates"][l, l2]
+    assert np.all(err > 0.0)
+    assert np.all(err <= shared)
+    assert err[np.argmin(np.abs(res.f_values[l, l2]))] <= 0.1 * shared
+
+    # A single pair keeps the estimate it always had.
+    captured.clear()
+    one = f_exact(sys, bath, sd, 0, 1, conv=NATURAL)
+    old = captured[0].error_estimate * float(np.exp(max(bath.beta * (e[0] - e[1]), 0.0)))
+    assert type(one.error_estimate) is float
+    assert one.error_estimate == one.component_errors == old
 
 
 def test_f_series_natural_zero_eigenvalue_guard():
