@@ -95,10 +95,14 @@ class SweepSpec:
             raise ValidationError(
                 f"swept parameter {self.swept!r} not one of {SWEPT_NAMES}"
             )
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValidationError(f"sweep bounds must be finite, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise ValidationError(f"need from < to, got [{self.lo}, {self.hi}]")
         if self.points < 2:
             raise ValidationError(f"points = {self.points} must be at least 2")
+        if not (0 <= self.lambda2q < math.inf) or (self.swept == "lambda2Q" and self.lo < 0):
+            raise ValidationError("lambda^2 Q must be finite and nonnegative")
         if self.log and self.lo <= 0:
             raise ValidationError("log grid needs a positive lower bound")
         if not self.methods:

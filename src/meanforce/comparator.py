@@ -7,6 +7,8 @@ The strong-decoherence master equation predicts coherences
     I2 = int_0^inf e^{-lam^2 a_{l,l'}^2 (G(tau) + i tau Q)} e^{-i wbar tau} dtau
 
 with wbar the renormalized gap and p_l the renormalized-gap populations.
+I2 is the conjugate of the I1 form at -wbar, so all pairs and both signs are
+the components of one vector-valued integrand over one shared cut tau*.
 This route shares no code with the imaginary-time kernel integral, so
 agreement between the two is a real consistency check; their analytic
 relationship is deliberately left open and only quantified numerically.
@@ -40,10 +42,11 @@ _WINDOW_PERIODS = 8.0  # outer integral window length in units of 2 pi / |wbar|
 class MEResult:
     """Master-equation coherences (A eigenbasis, zero diagonal) and populations.
 
-    truncation_tau is the longest tau actually integrated to; per-pair cuts
-    and quadrature errors live in diagnostics. Hermiticity of the coherence
-    matrix is exact here because the lower triangle is the conjugate of the
-    upper by the same algebra that makes the two integrals swap roles.
+    truncation_tau is the shared cut tau* every transform is integrated to;
+    per-pair quadrature errors and tail bounds live in diagnostics.
+    Hermiticity of the coherence matrix is exact here because the lower
+    triangle is the conjugate of the upper by the same algebra that makes the
+    two integrals swap roles.
     """
 
     coherences: np.ndarray
@@ -208,9 +211,13 @@ def me_steady_state(
 ) -> MEResult:
     """Master-equation coherences for every coupling-eigenbasis pair.
 
-    G is evaluated once on an adaptive grid and splined; each pair then
-    integrates the splined phase out to where lam^2 a^2 Re G passes the tail
-    cutoff, in windows short enough to track the e^{-i wbar tau} oscillation.
+    G is evaluated once on an adaptive grid and splined. The transforms of
+    all pairs with h_{l,l'} != 0, at both signs of wbar, are one
+    vector-valued integrand, so the spline is evaluated once per tau node.
+    It runs out to one cut tau*, where the weakest pair's lam^2 a^2 Re G
+    passes the tail cutoff, in windows short enough to track the fastest
+    e^{-i wbar tau}. Per-pair diagnostics give the shared tau* and
+    evaluation count, and the pair's own error estimate and tail bound.
 
     The spline is reused across consecutive calls with the same density
     object, beta, grid end tau_max and quadrature settings, as along a
@@ -221,76 +228,63 @@ def me_steady_state(
     if not bath.lam > 0:
         raise ValidationError("the master-equation form needs lambda > 0")
     beta, lam = bath.beta, bath.lam
-    dim = sys.dim
     energies = _effective_energies(sys, bath, RenormalizationConvention.NATURAL, sd)
     p = _populations(energies, beta)
     q_reorg = sd.reorganization_energy()
 
-    pairs = [(l, l2) for l in range(dim) for l2 in range(dim) if l < l2]
-    s_values = {
-        (l, l2): lam**2 * float(sys.a_diffs[l2, l]) ** 2 for l, l2 in pairs
+    # SystemSpec rejects a vanishing [H_S, A], so at least one pair is active.
+    l, l2 = np.nonzero(np.triu(sys.h_elements != 0, 1))
+    s_pair = lam**2 * sys.a_diffs[l2, l] ** 2
+    wbar = energies[l] - energies[l2]
+    s_min = float(np.min(s_pair))
+    tau_max = _find_tau_max(sd, beta, s_min, s.tail_cutoff_exponent, s)
+    (grid, sp, nodes, sp_err), reused = _g_splines(sd, beta, tau_max, s)
+    re_g = sp.y[0]
+    # shared cut: first grid point past the weakest pair's tail threshold
+    idx = np.searchsorted(s_min * re_g, s.tail_cutoff_exponent)
+    tau_star = float(grid[min(idx, len(grid) - 1)])
+
+    # components: I1 of every pair, then conj(I2), the transform at -wbar
+    s_c = np.concatenate([s_pair, s_pair])
+    w_c = np.concatenate([wbar, -wbar])
+
+    def f(t):
+        re, im = sp(t)
+        phase = np.outer(im + q_reorg * t, s_c) - np.outer(t, w_c)
+        return np.exp(-np.outer(re, s_c) + 1j * phase)
+
+    window = tau_star
+    w_max = float(np.max(np.abs(wbar)))
+    if w_max != 0.0:
+        window = min(window, _WINDOW_PERIODS * 2.0 * np.pi / w_max)
+    edges = np.linspace(0.0, tau_star, max(2, int(np.ceil(tau_star / window)) + 1))
+    total, err, evals = 0.0, 0.0, 0
+    for a, b in zip(edges[:-1], edges[1:]):
+        r = integrate_finite(f, float(a), float(b), s)
+        total = total + r.value
+        err = err + r.component_errors
+        evals += r.evaluations
+
+    n = len(l)
+    val = sys.h_elements[l, l2] * (1j * p[l] * total[:n] - 1j * p[l2] * np.conj(total[n:]))
+    coh = np.zeros((sys.dim, sys.dim), dtype=complex)
+    coh[l, l2] = val
+    coh[l2, l] = np.conj(val)
+    tail = np.exp(-s_pair * re_g[-1]) * tau_star
+    per_pair = {
+        (int(a), int(b)): {"tau_star": tau_star, "error_estimate": float(e),
+                           "evaluations": evals, "tail_bound": float(t)}
+        for a, b, e, t in zip(l, l2, err[:n] + err[n:], tail)
     }
-    active = [pr for pr in pairs if sys.h_elements[pr] != 0]
-    coh = np.zeros((dim, dim), dtype=complex)
-    diagnostics: dict = {"per_pair": {}}
-    tau_used = 0.0
-
-    if active:
-        s_min = min(s_values[pr] for pr in active)
-        tau_max = _find_tau_max(sd, beta, s_min, s.tail_cutoff_exponent, s)
-        (grid, sp, nodes, sp_err), reused = _g_splines(sd, beta, tau_max, s)
-        re_g = sp.y[0]
-        diagnostics.update(
-            {
-                "tau_grid_nodes": nodes,
-                "spline_error": sp_err,
-                "tau_max": tau_max,
-                "g_spline_reused": reused,
-            }
-        )
-
-        for l, l2 in active:
-            s_pair = s_values[(l, l2)]
-            wbar = float(energies[l] - energies[l2])
-            # per-pair cut: first grid point past the tail threshold
-            idx = np.searchsorted(s_pair * re_g, s.tail_cutoff_exponent)
-            tau_star = float(grid[min(idx, len(grid) - 1)])
-            tau_used = max(tau_used, tau_star)
-
-            def transform(w: float) -> tuple[complex, float, int]:
-                def f(t):
-                    t = np.asarray(t, dtype=float)
-                    re, im = sp(t)
-                    phase = s_pair * (im + q_reorg * t) - w * t
-                    return np.exp(-s_pair * re + 1j * phase)
-
-                window = tau_star
-                if w != 0.0:
-                    window = min(window, _WINDOW_PERIODS * 2.0 * np.pi / abs(w))
-                edges = np.linspace(0.0, tau_star, max(2, int(np.ceil(tau_star / window)) + 1))
-                total, err, evals = 0.0 + 0.0j, 0.0, 0
-                for a, b in zip(edges[:-1], edges[1:]):
-                    r = integrate_finite(f, float(a), float(b), s)
-                    total += r.value
-                    err += r.error_estimate
-                    evals += r.evaluations
-                return total, err, evals
-
-            i1, e1, n1 = transform(wbar)
-            i2m, e2, n2 = transform(-wbar)
-            i2 = np.conj(i2m)
-            val = sys.h_elements[l, l2] * (1j * p[l] * i1 - 1j * p[l2] * i2)
-            coh[l, l2] = val
-            coh[l2, l] = np.conj(val)
-            diagnostics["per_pair"][(l, l2)] = {
-                "tau_star": tau_star,
-                "error_estimate": e1 + e2,
-                "evaluations": n1 + n2,
-                "tail_bound": float(np.exp(-s_pair * re_g[-1])) * tau_star,
-            }
-
+    diagnostics = {
+        "per_pair": per_pair,
+        "tau_grid_nodes": nodes,
+        "spline_error": sp_err,
+        "tau_max": tau_max,
+        "g_spline_reused": reused,
+    }
     return MEResult(
-        coherences=coh, populations=p, truncation_tau=tau_used, diagnostics=diagnostics
+        coherences=coh, populations=p, truncation_tau=tau_star, diagnostics=diagnostics
     )
 
 

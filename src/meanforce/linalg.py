@@ -99,10 +99,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def is_positive(self) -> bool:
-        return self.min_eigenvalue >= _PSD_TOL
-
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.entries, dtype=dtype)
 

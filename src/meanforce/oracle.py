@@ -126,15 +126,14 @@ def build_total_hamiltonian(
     lam: float,
     conv: RenormalizationConvention = RenormalizationConvention.RENORMALIZED,
     fock_cutoff: int | None = None,
-    dimension_cap: int = _ORACLE_DIMENSION_CAP,
 ) -> HermitianMatrix:
     """H_S x I + lam A x B + I x H_B, plus lam^2 Q A^2 x I when Renormalized."""
     cutoff = fock_cutoff if fock_cutoff is not None else _effective_cutoff(bd)
     bath_dim = (cutoff + 1) ** bd.n_modes
     total = sys.dim * bath_dim
-    if total > dimension_cap:
+    if total > _ORACLE_DIMENSION_CAP:
         raise ValidationError(
-            f"total Hilbert dimension {total} exceeds the cap {dimension_cap}; "
+            f"total Hilbert dimension {total} exceeds the cap {_ORACLE_DIMENSION_CAP}; "
             "reduce modes or the Fock cutoff"
         )
     h_b, b = _bath_operators(bd, cutoff)
@@ -192,10 +191,10 @@ def _occupancy_estimate(bd: BathDiscretization, lam: float, beta: float, a_max: 
 
 def _reduced_thermal_state(
     sys: SystemSpec, bd: BathDiscretization, bath: BathParams,
-    conv: RenormalizationConvention, cutoff: int, dimension_cap: int,
+    conv: RenormalizationConvention, cutoff: int,
 ) -> tuple[np.ndarray, float]:
     """(rho_S, Z_SB) at one Fock cutoff, from one eigendecomposition of H."""
-    h = build_total_hamiltonian(sys, bd, bath.lam, conv, cutoff, dimension_cap)
+    h = build_total_hamiltonian(sys, bd, bath.lam, conv, cutoff)
     dec = eigh(h)
     # Boltzmann weights relative to the ground state stay in range; the shift
     # cancels in the normalized state and is restored in Z_SB.
@@ -230,7 +229,6 @@ def exact_mean_force_state(
     bd: BathDiscretization,
     bath: BathParams,
     conv: RenormalizationConvention = RenormalizationConvention.RENORMALIZED,
-    dimension_cap: int = _ORACLE_DIMENSION_CAP,
 ) -> OracleResult:
     """rho_S = Tr_B[e^{-beta H}]/Z_SB by dense diagonalization.
 
@@ -247,10 +245,10 @@ def exact_mean_force_state(
     else:
         cutoff = bd.fock_cutoff
         truncation_suspect = est > cutoff / 4.0
-    rho, z_sb = _reduced_thermal_state(sys, bd, bath, conv, cutoff, dimension_cap)
+    rho, z_sb = _reduced_thermal_state(sys, bd, bath, conv, cutoff)
     rows = []
     for c in sorted({c for c in (cutoff - 10, cutoff - 5) if c >= 1}):
-        rho_c, _ = _reduced_thermal_state(sys, bd, bath, conv, c, dimension_cap)
+        rho_c, _ = _reduced_thermal_state(sys, bd, bath, conv, c)
         rows.append((c, _trace_distance(rho_c, rho)))
     non_converged = bool(rows[-1][1] > _CONVERGENCE_TOL) if rows else True
     return OracleResult(

@@ -288,7 +288,7 @@ def integrate_finite(f, a: float, b: float, settings: QuadratureSettings | None 
     The integrand is called with a 1-D array of nodes; it may return either a
     matching 1-D array or an array with extra trailing axes (integrated
     componentwise, error controlled in the max norm). Any other shape raises
-    ValidationError. Integrands must be side-effect-free.
+    ValidationError. Integrands must be side-effect-free; a == b gives zeros.
 
     The initial subdivision places breakpoints at fractions 1e-4..1e-1 of the
     span from each endpoint, so thin boundary layers are seen before the
@@ -301,8 +301,11 @@ def integrate_finite(f, a: float, b: float, settings: QuadratureSettings | None 
         raise ValidationError("integration endpoints must be finite")
     if a > b:
         raise ValidationError(f"requires a <= b, got a={a}, b={b}")
-    if a == b:
-        return QuadratureResult(0.0, 0.0, 0)
+    if a == b:  # zeros shaped like one integrand value, learnt at one evaluation
+        zero = np.zeros_like(_eval_nodes(f, np.array([a]))[0])
+        if zero.ndim == 0:
+            return QuadratureResult(zero.item(), 0.0, 1)
+        return QuadratureResult(zero, 0.0, 1, np.zeros(zero.shape))
 
     pts = _initial_breakpoints(a, b)
     segs: list[_Segment] = [_gk15(f, lo, hi) for lo, hi in zip(pts[:-1], pts[1:])]

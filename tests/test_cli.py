@@ -233,6 +233,26 @@ def test_validation_failures_exit_1(tmp_path, capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--sweep", "lambda2Q", "--from", "-1", "--to", "1"],
+        ["--sweep", "beta", "--from", "0.5", "--to", "1", "--lambda2q", "-1"],
+        ["--sweep", "beta", "--from", "0.5", "--to", "1", "--lambda2q", "nan"],
+        ["--sweep", "beta", "--from", "0.5", "--to", "inf"],
+        ["--sweep", "omega_c", "--from", "-inf", "--to", "1"],
+        ["--sweep", "beta", "--from", "nan", "--to", "1"],
+    ],
+    ids=["negative-lambda2Q-from", "negative-lambda2q", "nan-lambda2q", "inf-to",
+         "minus-inf-from", "nan-from"],
+)
+def test_negative_or_nonfinite_sweep_input_exit_1(argv, capsys):
+    rc = run_main(["sweep", *argv, "--points", "2", "--methods", "high-t"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_numerics_failure_exit_3(tmp_path, monkeypatch, capsys):
     def boom(spec):
         raise NumericsError("synthetic")

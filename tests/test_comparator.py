@@ -257,6 +257,104 @@ def test_g_fault_surfaces_after_memo_filled(monkeypatch, cold_memo):
             me_steady_state(SPIN, b, LD)
 
 
+def _me_coherences_pair_loop(sys, bath, sd, s):
+    # The per-pair, per-sign loop that the all-pairs integrand replaces: each
+    # active pair gets its own cut and window, and each sign of wbar its own
+    # integrate_finite call per window.
+    energies = comparator._effective_energies(
+        sys, bath, RenormalizationConvention.NATURAL, sd
+    )
+    p = comparator._populations(energies, bath.beta)
+    q_reorg = sd.reorganization_energy()
+    pairs = [(l, l2) for l in range(sys.dim) for l2 in range(sys.dim) if l < l2]
+    s_values = {(l, l2): bath.lam**2 * float(sys.a_diffs[l2, l]) ** 2 for l, l2 in pairs}
+    active = [pr for pr in pairs if sys.h_elements[pr] != 0]
+    coh = np.zeros((sys.dim, sys.dim), dtype=complex)
+    s_min = min(s_values[pr] for pr in active)
+    tau_max = comparator._find_tau_max(sd, bath.beta, s_min, s.tail_cutoff_exponent, s)
+    grid, sp = comparator._build_g_splines(sd, bath.beta, tau_max, s)[:2]
+    re_g = sp.y[0]
+    for l, l2 in active:
+        s_pair = s_values[(l, l2)]
+        wbar = float(energies[l] - energies[l2])
+        idx = np.searchsorted(s_pair * re_g, s.tail_cutoff_exponent)
+        tau_star = float(grid[min(idx, len(grid) - 1)])
+
+        def transform(w):
+            def f(t):
+                re, im = sp(t)
+                phase = s_pair * (im + q_reorg * t) - w * t
+                return np.exp(-s_pair * re + 1j * phase)
+
+            window = tau_star
+            if w != 0.0:
+                window = min(window, comparator._WINDOW_PERIODS * 2.0 * np.pi / abs(w))
+            edges = np.linspace(0.0, tau_star, max(2, int(np.ceil(tau_star / window)) + 1))
+            return sum(
+                comparator.integrate_finite(f, float(a), float(b), s).value
+                for a, b in zip(edges[:-1], edges[1:])
+            )
+
+        val = sys.h_elements[l, l2] * (
+            1j * p[l] * transform(wbar) - 1j * p[l2] * np.conj(transform(-wbar))
+        )
+        coh[l, l2] = val
+        coh[l2, l] = np.conj(val)
+    return coh
+
+
+_DIM3 = SystemSpec(
+    np.array([[0.5, 0.0, 0.3], [0.0, 0.1, 0.2], [0.3, 0.2, -0.4]], dtype=float),
+    np.diag([-1.0, 0.2, 1.0]),
+)
+_DIM4 = SystemSpec(
+    np.array(
+        [
+            [0.6, 0.2 + 0.1j, 0.1, 0.15j],
+            [0.2 - 0.1j, 0.1, 0.3 - 0.2j, 0.05],
+            [0.1, 0.3 + 0.2j, -0.2, 0.25 + 0.05j],
+            [-0.15j, 0.05, 0.25 - 0.05j, -0.5],
+        ]
+    ),
+    np.diag([-1.0, -0.3, 0.4, 1.1]),
+)
+
+
+@pytest.mark.parametrize(
+    "sys, lam2q",
+    [(SPIN, 1.0), (SPIN, 2.0), (SPIN, 5.0), (_DIM3, 1.44), (_DIM4, 2.0)],
+    ids=["spin-1", "spin-2", "spin-5", "dim3", "dim4-complex"],
+)
+def test_me_all_pairs_matches_pair_loop(sys, lam2q):
+    bath = BathParams(beta=1.0, lam=math.sqrt(lam2q / LD.reorganization_energy()))
+    ref = _me_coherences_pair_loop(sys, bath, LD, QuadratureSettings())
+    me = me_steady_state(sys, bath, LD)
+    assert np.max(np.abs(me.coherences - ref)) <= 1e-11 * np.max(np.abs(ref))
+    assert np.array_equal(me.coherences == 0.0, ref == 0.0)
+
+
+def test_me_one_integrate_finite_call_per_window(monkeypatch):
+    # All 6 pairs of the dim-4 system and both signs are one integrand: when
+    # the shared cut fits in one window, one call covers the whole point.
+    calls = []
+    integrate = comparator.integrate_finite
+
+    def counted(f, a, b, settings=None):
+        r = integrate(f, a, b, settings)
+        calls.append(r)
+        return r
+
+    monkeypatch.setattr(comparator, "integrate_finite", counted)
+    me = me_steady_state(_DIM4, BathParams(beta=1.0, lam=math.sqrt(2.0)), LD)
+    assert len(calls) == 1
+    assert np.shape(calls[0].value) == (12,)
+    d = me.diagnostics
+    assert len(d["per_pair"]) == 6
+    for pair in d["per_pair"].values():
+        assert pair["tau_star"] == me.truncation_tau
+        assert pair["evaluations"] == calls[0].evaluations
+
+
 def test_me_state_assembly():
     bath = BathParams(beta=1.0, lam=math.sqrt(5.0))
     me = me_steady_state(SPIN, bath, LD)

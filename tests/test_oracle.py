@@ -232,7 +232,7 @@ def test_reduced_thermal_state_matches_matrix_exponential_route(sys_name, conv):
     # Hamiltonian, then trace the bath out of the (S, B, S, B) reshape.
     sys = _case_system(sys_name)
     bath = BathParams(beta=1.3, lam=0.9)
-    rho, z_sb = _reduced_thermal_state(sys, _TWO_MODES, bath, conv, 6, 6000)
+    rho, z_sb = _reduced_thermal_state(sys, _TWO_MODES, bath, conv, 6)
     h = build_total_hamiltonian(sys, _TWO_MODES, bath.lam, conv)
     e0 = float(np.linalg.eigvalsh(h.entries)[0])
     m = matrix_exp_hermitian(h.entries - e0 * np.eye(h.dim), -bath.beta).entries
@@ -259,6 +259,6 @@ def test_reduced_thermal_state_runs_one_eigensolve(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted(name))
     _reduced_thermal_state(
         sys, _TWO_MODES, BathParams(beta=1.0, lam=0.7),
-        RenormalizationConvention.RENORMALIZED, 6, 6000,
+        RenormalizationConvention.RENORMALIZED, 6,
     )
     assert calls == {"eigh": 1, "eigvalsh": 0}

@@ -264,6 +264,18 @@ def test_integrate_finite_propagates_integrand_error_without_retry():
     assert calls == [(15,)]
 
 
+def test_integrate_finite_empty_interval_keeps_value_shape():
+    # a == b integrates to zeros shaped like one integrand value, learnt at
+    # one evaluation; a scalar integrand still gets a float.
+    r = integrate_finite(lambda x: np.stack([x, x**2], -1), 1.0, 1.0)
+    assert r.value.shape == r.component_errors.shape == (2,)
+    assert np.all(r.value == 0.0) and np.all(r.component_errors == 0.0)
+    assert r.error_estimate == 0.0 and r.evaluations == 1
+    scalar = integrate_finite(lambda x: x, 1.0, 1.0)
+    assert type(scalar.value) is float and scalar.value == 0.0
+    assert scalar.component_errors == 0.0 and scalar.evaluations == 1
+
+
 def test_integrate_finite_rejects_scalar_integrand():
     with pytest.raises(ValidationError, match="one value per node"):
         integrate_finite(lambda x: 1.0, 0.0, 1.0)
