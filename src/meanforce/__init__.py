@@ -31,7 +31,6 @@ from .spectral import (
     OhmicHardCutoff,
     SpectralDensity,
     Tabulated,
-    bath_correlation,
     g_double_integral,
     j_of_omega,
     overlap_kernel,
@@ -79,7 +78,6 @@ __all__ = [
     "Tabulated",
     "UnsupportedOperationError",
     "ValidationError",
-    "bath_correlation",
     "build_system",
     "dawson",
     "exp1",

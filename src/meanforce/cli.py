@@ -97,6 +97,10 @@ class SweepSpec:
             )
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValidationError(f"sweep bounds must be finite, got [{self.lo}, {self.hi}]")
+        for name in ("delta", "beta", "omega_c"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if not self.lo < self.hi:
             raise ValidationError(f"need from < to, got [{self.lo}, {self.hi}]")
         if self.points < 2:

@@ -223,6 +223,8 @@ def me_steady_state(
     object, beta, grid end tau_max and quadrature settings, as along a
     lambda^2 Q sweep; diagnostics["g_spline_reused"] reports it. The reused
     spline is the one a fresh build would give, bit for bit.
+
+    Raises NumericsError when lam^2 (a_l - a_l')^2 overflows.
     """
     s = q or QuadratureSettings()
     if not bath.lam > 0:
@@ -234,7 +236,12 @@ def me_steady_state(
 
     # SystemSpec rejects a vanishing [H_S, A], so at least one pair is active.
     l, l2 = np.nonzero(np.triu(sys.h_elements != 0, 1))
-    s_pair = lam**2 * sys.a_diffs[l2, l] ** 2
+    with np.errstate(over="ignore"):
+        s_pair = lam**2 * sys.a_diffs[l2, l] ** 2
+    if not np.isfinite(s_pair).all():
+        raise NumericsError(
+            f"coupling lambda^2 (a_l - a_l')^2 overflows at lambda = {lam:.6g}"
+        )
     wbar = energies[l] - energies[l2]
     s_min = float(np.min(s_pair))
     tau_max = _find_tau_max(sd, beta, s_min, s.tail_cutoff_exponent, s)

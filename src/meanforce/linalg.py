@@ -4,12 +4,19 @@ exponential.
 Matrices stay small (system dimension times a truncated Fock space); dense
 numpy is the whole story here. Real-symmetric inputs keep real dtype
 throughout, which matters for the large exact-diagonalization runs.
+
+eigh copies its input only when it must. Validation records whether a matrix
+is exactly Hermitian (conj(m) == m^T entry for entry). Such a matrix goes to
+LAPACK as it is: the solver reads one triangle, and (m + m^H)/2 would give back
+the same matrix. A matrix that is Hermitian only within the 1e-12 tolerance is
+symmetrized first, into one new D x D array. numpy's eigh still makes its own
+working copy for LAPACK either way.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,8 +35,9 @@ _TRACE_TOL = 1e-10
 _PSD_TOL = -1e-9
 
 
-def _hermitian_array(entries, what: str) -> np.ndarray:
-    """A finite square copy of entries, Hermitian within _HERM_TOL absolute."""
+def _hermitian_array(entries, what: str) -> tuple[np.ndarray, bool]:
+    """A finite square copy of entries, Hermitian within _HERM_TOL absolute,
+    and whether it is Hermitian exactly."""
     m = np.asarray(entries)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
@@ -44,9 +52,10 @@ def _hermitian_array(entries, what: str) -> np.ndarray:
     d = np.conjugate(m)
     d -= m.T
     np.abs(d, out=d)
-    if d.real.max() > _HERM_TOL:
+    deviation = d.real.max()
+    if deviation > _HERM_TOL:
         raise ValidationError(f"{what} is not Hermitian within {_HERM_TOL} absolute")
-    return m
+    return m, bool(deviation == 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,11 +63,13 @@ class HermitianMatrix:
     """A validated Hermitian matrix. entries is read-only after construction."""
 
     entries: np.ndarray
+    _exactly_hermitian: bool = field(repr=False)
 
     def __init__(self, entries):
-        m = _hermitian_array(entries, "matrix")
+        m, exact = _hermitian_array(entries, "matrix")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "_exactly_hermitian", exact)
 
     @property
     def dim(self) -> int:
@@ -80,9 +91,10 @@ class DensityMatrix:
 
     entries: np.ndarray
     min_eigenvalue: float
+    _exactly_hermitian: bool = field(repr=False)
 
     def __init__(self, entries, check_positive: bool = True):
-        m = _hermitian_array(entries, "density matrix")
+        m, exact = _hermitian_array(entries, "density matrix")
         tr = m.trace()
         if abs(tr - 1.0) > _TRACE_TOL:
             raise ValidationError(f"density matrix trace {tr} is not 1 within 1e-10")
@@ -94,6 +106,7 @@ class DensityMatrix:
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "min_eigenvalue", lo)
+        object.__setattr__(self, "_exactly_hermitian", exact)
 
     @property
     def dim(self) -> int:
@@ -115,13 +128,18 @@ def eigh(m) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix (ascending eigenvalues).
 
     Accepts a HermitianMatrix or DensityMatrix, already validated when it was
-    built, or a plain array, which is validated here. The matrix is
-    symmetrized (m + m†)/2 so the solver sees an exactly Hermitian input.
+    built, or a plain array, which is validated here. An exactly Hermitian
+    matrix goes to the solver as it is; one that is Hermitian only within
+    tolerance is symmetrized (m + m^H)/2 first, so the solver always sees an
+    exactly Hermitian input.
     """
-    validated = isinstance(m, (HermitianMatrix, DensityMatrix))
-    a = m.entries if validated else _hermitian_array(m, "eigh input")
-    a = a + a.conj().T
-    a *= 0.5
+    if isinstance(m, (HermitianMatrix, DensityMatrix)):
+        a, exact = m.entries, m._exactly_hermitian
+    else:
+        a, exact = _hermitian_array(m, "eigh input")
+    if not exact:
+        a = a + a.conj().T
+        a *= 0.5
     w, v = np.linalg.eigh(a)
     return EigenDecomposition(w, v)
 

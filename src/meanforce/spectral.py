@@ -2,10 +2,10 @@
 
 A bath is a SpectralDensity: J(omega), the reorganization energy
 Q = int J/omega and a cutoff frequency. From those the base class builds the
-overlap kernel K(u) that exponentiates in the coherence corrections, and the
-correlation objects c_B(s) and G(tau) used by the master-equation comparator,
-as omega-quadratures over [0, cutoff]. Families with a closed form or an
-unbounded support override them.
+overlap kernel K(u) that exponentiates in the coherence corrections, and
+G(tau), the double integral of the bath correlation function c_B(s) used by
+the master-equation comparator, as omega-quadratures over [0, cutoff].
+Families with a closed form or an unbounded support override them.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "BathParams",
     "j_of_omega",
     "overlap_kernel",
-    "bath_correlation",
     "g_double_integral",
 ]
 
@@ -44,8 +43,8 @@ class SpectralDensity:
     A density defines __call__(w), J on an array of frequencies w >= 0;
     reorganization_energy(), Q = int_0^inf J(w)/w dw; and cutoff, the
     characteristic bath frequency (for a compactly supported J, the end of
-    its support). kernel, g and correlation integrate J over [0, cutoff];
-    a density whose J extends past its cutoff must override all three.
+    its support). kernel and g integrate J over [0, cutoff]; a density whose J
+    extends past its cutoff must override both.
 
     Densities are immutable (every built-in one is a frozen dataclass): the
     master-equation comparator reuses G built for the same density object.
@@ -76,14 +75,6 @@ class SpectralDensity:
 
         res = integrate_finite(integrand, 0.0, self.cutoff, settings)
         return np.atleast_1d(np.asarray(res.value))
-
-    def correlation(self, beta: float, s: float, settings: QuadratureSettings) -> complex:
-        """c_B(s) for one s >= 0."""
-
-        def integrand(w):
-            return self(w) * _c_factor(w, s, beta)
-
-        return complex(integrate_finite(integrand, 0.0, self.cutoff, settings).value)
 
 
 @dataclass(frozen=True)
@@ -134,14 +125,6 @@ class LorentzDrude(SpectralDensity):
         pos = x > 0.0
         tail[pos] = tau[pos] ** 2 * _tail_r(x[pos])
         return g + (2.0 * self.Q * self.omega_c / math.pi) * tail
-
-    def correlation(self, beta, s, settings):
-        # Re c_B(0) diverges logarithmically (J*coth falls off only as 1/w).
-        if s == 0.0:
-            return complex(math.inf, 0.0)
-        c_pole, c_mats, nu, _ = _matsubara_coefficients(self, beta)
-        val = c_pole * math.exp(-self.omega_c * s) + np.sum(c_mats * np.exp(-nu * s))
-        return complex(val)
 
 
 @dataclass(frozen=True)
@@ -211,10 +194,6 @@ class DiscreteModes(SpectralDensity):
     def g(self, beta, tau, settings):
         g, w = self.couplings, self.frequencies
         return (g**2 / w**2) @ _g_factor(w, tau, beta)
-
-    def correlation(self, beta, s, settings):
-        g, w = self.couplings, self.frequencies
-        return complex(np.sum(g**2 * _c_factor(w, s, beta)))
 
 
 @dataclass(frozen=True)
@@ -345,7 +324,7 @@ def overlap_kernel(
 
 
 # ----------------------------------------------------------------------------
-# Bath correlation function c_B(s) and its double integral G(tau)
+# G(tau), the double integral of the bath correlation function c_B(s)
 # ----------------------------------------------------------------------------
 
 _MATSUBARA_N = 3000
@@ -383,11 +362,6 @@ def _g_factor(w: np.ndarray, tau: np.ndarray, beta: float) -> np.ndarray:
     re = _coth(0.5 * beta * w)[:, None] * _one_minus_cos(wt)
     im = -_x_minus_sin(wt)
     return re + 1j * im
-
-
-def _c_factor(w: np.ndarray, s: float, beta: float) -> np.ndarray:
-    """The factor with c_B(s) = int J * (coth(wb/2) cos(ws) - i sin(ws))."""
-    return _coth(0.5 * beta * w) * np.cos(w * s) - 1j * np.sin(w * s)
 
 
 def _matsubara_coefficients(sd: LorentzDrude, beta: float):
@@ -520,22 +494,3 @@ def g_double_integral(
     s = settings or QuadratureSettings()
     return complex(_g_batch(sd, beta, np.array([tau]), s)[0])
 
-
-def bath_correlation(
-    sd: SpectralDensity, beta: float, s: float, settings: QuadratureSettings | None = None
-) -> complex:
-    """c_B(s) = int_0^inf dw J(w)[coth(beta*w/2) cos(ws) - i sin(ws)].
-
-    For DiscreteModes this is the exact finite sum; compact-support densities
-    integrate over their support. For LorentzDrude the real part at s=0
-    diverges logarithmically (J*coth falls off only as 1/w), so inf+0j is
-    returned there; s > 0 uses the Matsubara representation, accurate for
-    s down to about beta/1000.
-    """
-    beta = float(beta)
-    s = float(s)
-    if not beta > 0:
-        raise ValidationError("beta must be positive")
-    if s < 0:
-        raise ValidationError("s must be nonnegative")
-    return sd.correlation(beta, s, settings or QuadratureSettings())

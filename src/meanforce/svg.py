@@ -7,8 +7,8 @@ the polyline so unavailable cells leave visible gaps.
 
 from __future__ import annotations
 
+import html
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -19,6 +19,11 @@ __all__ = ["render_line_plot"]
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 70, 18, 34, 52
+
+
+def _escape(text: str) -> str:
+    """&, < and > as entities: all a text node needs."""
+    return html.escape(text, quote=False)
 
 
 def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -99,7 +104,7 @@ def render_line_plot(
     if title:
         out.append(
             f'<text x="{_W / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{escape(title)}</text>'
+            f'font-family="sans-serif" font-size="14">{_escape(title)}</text>'
         )
 
     if log_x:
@@ -115,7 +120,7 @@ def render_line_plot(
         )
         out.append(
             f'<text x="{x:.2f}" y="{_MT + ph + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{escape(label)}</text>'
+            f'font-family="sans-serif" font-size="11">{_escape(label)}</text>'
         )
     for v in _nice_ticks(y_lo, y_hi):
         y = py(v)
@@ -124,18 +129,18 @@ def render_line_plot(
         )
         out.append(
             f'<text x="{_ML - 8}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{escape(_fmt(v))}</text>'
+            f'font-family="sans-serif" font-size="11">{_escape(_fmt(v))}</text>'
         )
     if x_label:
         out.append(
             f'<text x="{_ML + pw / 2:.1f}" y="{_H - 10}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{escape(x_label)}</text>'
+            f'font-family="sans-serif" font-size="12">{_escape(x_label)}</text>'
         )
     if y_label:
         out.append(
             f'<text x="16" y="{_MT + ph / 2:.1f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 16 {_MT + ph / 2:.1f})">{escape(y_label)}</text>'
+            f'transform="rotate(-90 16 {_MT + ph / 2:.1f})">{_escape(y_label)}</text>'
         )
 
     for i, (label, x, y) in enumerate(cleaned):
@@ -166,7 +171,7 @@ def render_line_plot(
         )
         out.append(
             f'<text x="{_ML + pw - 116}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{escape(label)}</text>'
+            f'font-size="11">{_escape(label)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -242,15 +246,32 @@ def test_validation_failures_exit_1(tmp_path, capsys):
         ["--sweep", "beta", "--from", "0.5", "--to", "inf"],
         ["--sweep", "omega_c", "--from", "-inf", "--to", "1"],
         ["--sweep", "beta", "--from", "nan", "--to", "1"],
+        ["--sweep", "lambda2Q", "--from", "1", "--to", "2", "--omega-c", "inf",
+         "--methods", "me"],
+        ["--sweep", "lambda2Q", "--from", "1", "--to", "2", "--beta", "inf",
+         "--methods", "me"],
+        ["--sweep", "lambda2Q", "--from", "1", "--to", "2", "--omega-c", "inf"],
     ],
     ids=["negative-lambda2Q-from", "negative-lambda2q", "nan-lambda2q", "inf-to",
-         "minus-inf-from", "nan-from"],
+         "minus-inf-from", "nan-from", "inf-omega-c-me", "inf-beta-me",
+         "inf-omega-c-high-t"],
 )
 def test_negative_or_nonfinite_sweep_input_exit_1(argv, capsys):
-    rc = run_main(["sweep", *argv, "--points", "2", "--methods", "high-t"])
+    rc = run_main(["sweep", "--points", "2", "--methods", "high-t", *argv])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_me_coupling_overflow_is_na_with_note(capsys):
+    # lambda^2 (a_l - a_l')^2 overflows at lambda^2 Q = 1e308: NA and a note,
+    # as high-t does where it cannot evaluate.
+    rc = run_main(["sweep", "--sweep", "lambda2Q", "--from", "1e300", "--to", "1e308",
+                   "--points", "2", "--methods", "me"])
+    assert rc == 0
+    last = capsys.readouterr().out.strip().split("\n")[-1].split(",")
+    assert last[1:6] == ["NA"] * 5
+    assert last[-1].startswith("me: ") and "overflows" in last[-1]
 
 
 def test_numerics_failure_exit_3(tmp_path, monkeypatch, capsys):
@@ -311,3 +332,18 @@ def test_missing_config_file_exit_1(capsys):
     rc = run_main(["sweep", "--config", "/nonexistent/path.ini"])
     assert rc == 1
     capsys.readouterr()
+
+
+def test_cli_import_leaves_network_modules_unloaded():
+    # The CLI needs no URL, mail, HTTP or TLS code; importing it must not pull
+    # those in (each costs import time in every sweep and verify run).
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys, meanforce.cli; "
+        "print(','.join(m for m in ('urllib.request', 'ssl', 'email', 'http.client')"
+        " if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == ""

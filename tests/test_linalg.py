@@ -60,6 +60,42 @@ def test_eigh_ascending_and_orthonormal():
     assert np.allclose(rebuilt, m, atol=1e-12)
 
 
+@pytest.mark.parametrize("build", [HermitianMatrix, DensityMatrix])
+def test_eigh_hands_an_exactly_hermitian_matrix_over_uncopied(build, monkeypatch):
+    rng = np.random.default_rng(3)
+    m = random_hermitian(rng, 6)
+    m = m @ m
+    m = m + m.conj().T  # exactly Hermitian, where m @ m is so only to rounding
+    m = build(m / np.trace(m).real)
+    seen = []
+    solve = np.linalg.eigh
+
+    def capture(a, *args, **kwargs):
+        seen.append(a)
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", capture)
+    eigh(m)
+    assert len(seen) == 1 and seen[0] is m.entries
+
+
+def test_eigh_symmetrizes_a_nearly_hermitian_matrix_as_before():
+    # Hermitian only within tolerance: the eigenpairs are those of (m + m^H)/2,
+    # bit for bit as when eigh symmetrized every input.
+    rng = np.random.default_rng(11)
+    m = random_hermitian(rng, 7)
+    m[2, 5] += 1e-13
+    m[4, 1] -= 1e-13j
+    hm = HermitianMatrix(m)
+    a = hm.entries + hm.entries.conj().T
+    a *= 0.5
+    w_ref, v_ref = np.linalg.eigh(a)
+    for given_m in (hm, m):
+        dec = eigh(given_m)
+        assert np.array_equal(dec.eigenvalues, w_ref)
+        assert np.array_equal(dec.eigenvectors, v_ref)
+
+
 def test_eigh_rejects_nonhermitian():
     with pytest.raises(ValidationError):
         eigh(np.array([[0.0, 1.0], [0.5, 0.0]]))

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from meanforce.errors import ValidationError
-from meanforce.linalg import matrix_exp_hermitian
+from meanforce.linalg import eigh, matrix_exp_hermitian
 from meanforce.oracle import (
     BathDiscretization,
     _reduced_thermal_state,
@@ -262,3 +263,20 @@ def test_reduced_thermal_state_runs_one_eigensolve(monkeypatch):
         RenormalizationConvention.RENORMALIZED, 6,
     )
     assert calls == {"eigh": 1, "eigvalsh": 0}
+
+
+def test_eigh_of_the_total_hamiltonian_holds_no_copy_of_it():
+    # H is exactly Hermitian, so eigh hands it to LAPACK as it is. numpy's own
+    # LAPACK buffers are not traced; the eigenvectors (8 D^2 bytes) are.
+    sys_spec = build_system(SpinBosonParams(1.0, 0.7))
+    bd = BathDiscretization(discretize(LorentzDrude(1.0, 0.25), 2, 3.0).modes, 15)
+    h = build_total_hamiltonian(sys_spec, bd, 1.2)
+    dim = h.dim
+    assert dim == 512
+    tracemalloc.start()
+    try:
+        eigh(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * dim**2

@@ -21,7 +21,6 @@ from meanforce.spectral import (
     _matsubara_sum,
     _mu_exp,
     _tail_r,
-    bath_correlation,
     g_double_integral,
     j_of_omega,
     overlap_kernel,
@@ -140,8 +139,6 @@ def test_new_density_needs_only_the_protocol():
         assert overlap_kernel(ramp, beta, u) == overlap_kernel(ohmic, beta, u)
     for tau in (0.3, 2.0):
         assert g_double_integral(ramp, beta, tau) == g_double_integral(ohmic, beta, tau)
-    for s in (0.0, 1.3):
-        assert bath_correlation(ramp, beta, s) == bath_correlation(ohmic, beta, s)
     system = build_system(SpinBosonParams(1.0, 0.7))
     bath = BathParams(beta, 0.8)
     exact = CorrectionMethod.EXACT_QUADRATURE
@@ -414,11 +411,16 @@ def test_g_real_part_monotone_small_tau():
 
 def test_g_matches_direct_integral_for_compact_support():
     # For a hard-cutoff density G comes from the direct w-integral; check the
-    # independent double-integral route int_0^tau (tau - s) c_B(s) ds.
+    # independent double-integral route int_0^tau (tau - s) c_B(s) ds, with
+    # c_B(s) = int J (coth(w beta/2) cos(ws) - i sin(ws)) dw by Gauss-Legendre
+    # on the support [0, 1.5].
     sd = OhmicHardCutoff(1.0, 1.5)
     beta, tau = 0.9, 1.1
+    x, wx = np.polynomial.legendre.leggauss(64)
+    w = 0.75 * (x + 1.0)
     s_grid = np.linspace(0.0, tau, 3001)
-    cb = np.array([bath_correlation(sd, beta, float(s)) for s in s_grid])
+    ws = np.outer(s_grid, w)
+    cb = (np.cos(ws) / np.tanh(0.5 * beta * w) - 1j * np.sin(ws)) @ (0.75 * wx * sd(w))
     ref = np.trapezoid((tau - s_grid) * cb, s_grid)
     g = g_double_integral(sd, beta, tau)
     assert g.real == pytest.approx(ref.real, rel=2e-6)
@@ -456,38 +458,6 @@ def test_g_table_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
-
-
-def test_bath_correlation_discrete_modes_exact_sum():
-    dm = DiscreteModes([(0.5, 2.0), (0.3, 0.7)])
-    beta, s = 1.2, 0.8
-    ref = 0j
-    for g, w in dm.modes:
-        ref += g**2 * (
-            math.cos(w * s) / math.tanh(0.5 * beta * w) - 1j * math.sin(w * s)
-        )
-    assert bath_correlation(dm, beta, s) == pytest.approx(ref, rel=1e-14)
-
-
-def test_bath_correlation_lorentz_drude_frozen():
-    # Matsubara representation against a frozen high-precision sum.
-    val = bath_correlation(LorentzDrude(1.0, 0.25), 1.0, 1.3)
-    assert val.real == pytest.approx(1.4375657345685738, rel=1e-11)
-    assert val.imag == pytest.approx(-0.18063183841051805, rel=1e-11)
-
-
-def test_bath_correlation_lorentz_drude_diverges_at_zero():
-    # J coth falls off only as 1/w, so Re c_B(0) has no finite value.
-    val = bath_correlation(LorentzDrude(1.0, 0.25), 1.0, 0.0)
-    assert math.isinf(val.real) and val.real > 0
-    assert val.imag == 0.0
-
-
-def test_bath_correlation_hard_cutoff_at_zero_frozen():
-    # Compact support keeps c_B(0) finite: frozen int_0^1.5 2w coth(0.45w) dw.
-    val = bath_correlation(OhmicHardCutoff(2.0, 1.5), 0.9, 0.0)
-    assert val.real == pytest.approx(6.9981998656211577, rel=1e-8)
-    assert val.imag == 0.0
 
 
 def test_tabulated_from_file(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -89,3 +90,21 @@ def test_constant_data_still_renders():
     y = np.array([3.0, 3.0])
     doc = render_line_plot([("flat", x, y)])
     parse(doc)
+
+
+def test_markup_in_labels_escapes_to_frozen_bytes():
+    # &, < and > become entities in every text node; quotes stay literal. The
+    # digest was taken from xml.sax.saxutils.escape's output: the escaping
+    # function may change, the bytes may not.
+    x = np.linspace(0.0, 2.0, 7)
+    doc = render_line_plot(
+        [("a & b", x, x**2), ("<me>", x, np.where(x > 1.0, np.nan, 1.0 - x)),
+         ('"q" \'s\'', x, x)],
+        title='c_ss & c_eg <vs> "lambda" \'2Q\'', x_label="x < 1 & y > 0", y_label='"y"',
+    )
+    texts = [t.text for t in parse(doc).iter(f"{SVG_NS}text")]
+    assert "a & b" in texts and "<me>" in texts and '"q" \'s\'' in texts
+    assert "x &lt; 1 &amp; y &gt; 0" in doc
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "064e34fe17d47f42f55d2455de199fee087926a36712673d478bb326ba22fd1b"
+    )
