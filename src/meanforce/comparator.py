@@ -16,6 +16,7 @@ relationship is deliberately left open and only quantified numerically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,9 @@ _GROWTH_LIMIT = 200
 _STALL_RATIO = 1.001
 _STALL_STRIKES = 3
 _WINDOW_PERIODS = 8.0  # outer integral window length in units of 2 pi / |wbar|
+# At least 135 integrand nodes per window: far beyond any bath the route can
+# resolve, and a bound on the window array before it is built.
+_MAX_WINDOWS = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,7 +268,13 @@ def me_steady_state(
     w_max = float(np.max(np.abs(wbar)))
     if w_max != 0.0:
         window = min(window, _WINDOW_PERIODS * 2.0 * np.pi / w_max)
-    edges = np.linspace(0.0, tau_star, max(2, int(np.ceil(tau_star / window)) + 1))
+    n_windows = tau_star / window
+    if not n_windows <= _MAX_WINDOWS:
+        raise NumericsError(
+            f"the transform out to tau* = {tau_star:.6g} needs {n_windows:.3g} windows, "
+            f"more than {_MAX_WINDOWS}"
+        )
+    edges = np.linspace(0.0, tau_star, max(2, math.ceil(n_windows) + 1))
     total, err, evals = 0.0, 0.0, 0
     for a, b in zip(edges[:-1], edges[1:]):
         r = integrate_finite(f, float(a), float(b), s)

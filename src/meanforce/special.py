@@ -246,15 +246,14 @@ def _node_sum(w: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.dot(w[None, :], y.reshape(y.shape[0], -1)).reshape(y.shape[1:])
 
 
-def _gk15(f, a: float, b: float) -> _Segment:
-    """One Gauss-Kronrod 7/15 panel with QUADPACK-style error estimate.
+def _gk15(a: float, b: float, y: np.ndarray) -> _Segment:
+    """One Gauss-Kronrod 7/15 panel from its 15 node values, with the
+    QUADPACK-style error estimate.
 
     The four weighted node sums go through _node_sum, the same matrix
     product np.tensordot would make, so the panel's bits are tensordot's.
     """
-    c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    y = _eval_nodes(f, c + h * _XGK)
     resk = h * _node_sum(_WGK, y)
     resg = h * _node_sum(_WG, y)
     resabs = h * _node_sum(_WGK, np.abs(y))
@@ -268,6 +267,24 @@ def _gk15(f, a: float, b: float) -> _Segment:
     scaled = np.where(asc > 0.0, asc * ratio**1.5, raw)
     err_vec = np.maximum(scaled, 50.0 * np.finfo(float).eps * np.asarray(resabs, dtype=float))
     return _Segment(a, b, resk, resabs, err_vec, float(np.max(err_vec)))
+
+
+def _gk15_panels(f, edges: list[float]) -> list[_Segment]:
+    """GK15 panels on [edges[i], edges[i+1]], all from one integrand call.
+
+    The nodes go to f panel after panel, 15 each, and every panel's sums come
+    from its own 15 rows of the result; a panel's nodes are the ones a call
+    of its own would get, bit for bit.
+    """
+    lo = np.array(edges[:-1])
+    hi = np.array(edges[1:])
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    y = _eval_nodes(f, (c[:, None] + h[:, None] * _XGK).ravel())
+    return [
+        _gk15(a, b, y[15 * i:15 * i + 15])
+        for i, (a, b) in enumerate(zip(edges[:-1], edges[1:]))
+    ]
 
 
 _EDGE_LAYERS = (1e-4, 1e-3, 1e-2, 1e-1)
@@ -293,6 +310,16 @@ def integrate_finite(f, a: float, b: float, settings: QuadratureSettings | None 
     The initial subdivision places breakpoints at fractions 1e-4..1e-1 of the
     span from each endpoint, so thin boundary layers are seen before the
     adaptive pass begins. Worst-error-first bisection, deterministic order.
+
+    f is called once per batch of panels: once on the 9 initial panels (135
+    nodes), then once per bisection on both halves (30 nodes), so 1 +
+    n_bisections calls in all; evaluations still counts 15 per panel. The
+    nodes come panel after panel, 15 each, and every panel's GK15 sums are
+    taken from its own 15 rows of the result. So for an integrand that is
+    pointwise in its nodes (row i depends on x[i] alone) the panels, the
+    counts and every bit of the result are those of one call per panel. An
+    integrand whose rows depend on the whole batch, as f_exact's does through
+    the shared stopping rule of its inner K quadrature, moves by rounding.
     """
     s = settings or QuadratureSettings()
     a = float(a)
@@ -307,8 +334,7 @@ def integrate_finite(f, a: float, b: float, settings: QuadratureSettings | None 
             return QuadratureResult(zero.item(), 0.0, 1)
         return QuadratureResult(zero, 0.0, 1, np.zeros(zero.shape))
 
-    pts = _initial_breakpoints(a, b)
-    segs: list[_Segment] = [_gk15(f, lo, hi) for lo, hi in zip(pts[:-1], pts[1:])]
+    segs = _gk15_panels(f, _initial_breakpoints(a, b))
     evals = 15 * len(segs)
 
     total = sum(seg.value for seg in segs)
@@ -349,9 +375,7 @@ def integrate_finite(f, a: float, b: float, settings: QuadratureSettings | None 
         if dead_err > 0 and total_err - dead_err <= 0.1 * dead_err:
             break  # irreducible error dominates; report it honestly
         _, _, seg = heapq.heappop(heap)
-        mid = 0.5 * (seg.a + seg.b)
-        left = _gk15(f, seg.a, mid)
-        right = _gk15(f, mid, seg.b)
+        left, right = _gk15_panels(f, [seg.a, 0.5 * (seg.a + seg.b), seg.b])
         evals += 30
         n_bisections += 1
         total = total - seg.value + left.value + right.value

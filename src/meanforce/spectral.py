@@ -87,6 +87,11 @@ class LorentzDrude(SpectralDensity):
     def __post_init__(self):
         if not (self.Q > 0 and self.omega_c > 0):
             raise ValidationError("LorentzDrude requires Q > 0 and omega_c > 0")
+        if not math.isfinite(self.omega_c * self.omega_c):
+            # J(w) has omega_c^2 in its denominator.
+            raise ValidationError(
+                f"LorentzDrude requires a finite omega_c^2, got omega_c = {self.omega_c!r}"
+            )
 
     def __call__(self, w):
         w = np.asarray(w, dtype=float)

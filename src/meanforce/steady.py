@@ -220,14 +220,15 @@ def f_exact(
     """f_{l,l'}(beta) = int_0^beta du e^{u w_{l,l'}} e^{-lambda^2 a_{l',l}^2 K(u)}.
 
     Nested quadrature: the kernel K is itself an omega-integral, evaluated
-    batched over the u nodes at 10x tighter tolerance. Under the Natural
-    convention the gap in the exponent is the renormalized one.
+    batched over the u nodes of a whole panel batch (integrate_finite's call
+    pattern) at 10x tighter tolerance. Under the Natural convention the gap
+    in the exponent is the renormalized one.
 
     l and l2 may be matching integer arrays: every pair is then one component
-    of a single vector-valued integrand, so K is evaluated once per panel for
-    all of them, and the value is an array of their shape. The pairs share
-    the evaluation count; component_errors holds each pair's own error
-    estimate, in the value's shape, and error_estimate is the largest.
+    of a single vector-valued integrand, so K is evaluated once per panel
+    batch for all of them, and the value is an array of their shape. The
+    pairs share the evaluation count; component_errors holds each pair's own
+    error estimate, in the value's shape, and error_estimate is the largest.
     """
     omega, a2 = _pair_terms(sys, bath, conv, sd, l, l2)
     s = q or QuadratureSettings()

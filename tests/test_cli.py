@@ -251,10 +251,15 @@ def test_validation_failures_exit_1(tmp_path, capsys):
         ["--sweep", "lambda2Q", "--from", "1", "--to", "2", "--beta", "inf",
          "--methods", "me"],
         ["--sweep", "lambda2Q", "--from", "1", "--to", "2", "--omega-c", "inf"],
+        # Lorentz-Drude's J(w) divides by omega_c^2, which overflows here.
+        ["--sweep", "lambda2Q", "--from", "1", "--to", "2", "--omega-c", "1e308",
+         "--methods", "me"],
+        ["--sweep", "lambda2Q", "--from", "1", "--to", "2", "--omega-c", "1e308",
+         "--methods", "exact"],
     ],
     ids=["negative-lambda2Q-from", "negative-lambda2q", "nan-lambda2q", "inf-to",
          "minus-inf-from", "nan-from", "inf-omega-c-me", "inf-beta-me",
-         "inf-omega-c-high-t"],
+         "inf-omega-c-high-t", "huge-omega-c-me", "huge-omega-c-exact"],
 )
 def test_negative_or_nonfinite_sweep_input_exit_1(argv, capsys):
     rc = run_main(["sweep", "--points", "2", "--methods", "high-t", *argv])
@@ -272,6 +277,17 @@ def test_me_coupling_overflow_is_na_with_note(capsys):
     last = capsys.readouterr().out.strip().split("\n")[-1].split(",")
     assert last[1:6] == ["NA"] * 5
     assert last[-1].startswith("me: ") and "overflows" in last[-1]
+
+
+def test_me_window_count_past_its_bound_is_na_with_note(capsys):
+    # At omega_c = 1e-300 the transform would need ~1e291 windows: the count
+    # is bounded before the window array is built, giving NA and a note.
+    rc = run_main(["sweep", "--sweep", "lambda2Q", "--from", "1", "--to", "2",
+                   "--points", "2", "--omega-c", "1e-300", "--methods", "me"])
+    assert rc == 0
+    last = capsys.readouterr().out.strip().split("\n")[-1].split(",")
+    assert last[1:6] == ["NA"] * 5
+    assert last[-1].startswith("me: ") and "windows" in last[-1]
 
 
 def test_numerics_failure_exit_3(tmp_path, monkeypatch, capsys):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from meanforce.errors import QuadratureError, ValidationError
+import heapq
+
 from meanforce.special import (
     _WG,
     _WGK,
@@ -12,7 +14,10 @@ from meanforce.special import (
     QuadratureResult,
     QuadratureSettings,
     _EULER_GAMMA,
+    _eval_nodes,
     _gk15,
+    _gk15_panels,
+    _initial_breakpoints,
     dawson,
     exp1,
     integrate_finite,
@@ -243,7 +248,7 @@ def _gk15_tensordot_form(f, a, b):
     ids=["real-scalar", "real-3x4", "complex-2"],
 )
 def test_gk15_bit_identical_to_tensordot_form(f):
-    seg = _gk15(f, 0.25, 1.75)
+    (seg,) = _gk15_panels(f, [0.25, 1.75])
     value, resabs, err_vec = _gk15_tensordot_form(f, 0.25, 1.75)
     assert np.shape(seg.value) == np.shape(value)
     assert np.array_equal(seg.value, value)
@@ -261,7 +266,7 @@ def test_integrate_finite_propagates_integrand_error_without_retry():
 
     with pytest.raises(ValidationError, match="refuses"):
         integrate_finite(f, 0.0, 1.0)
-    assert calls == [(15,)]
+    assert calls == [(135,)]  # one call on the 9 initial panels, not retried
 
 
 def test_integrate_finite_empty_interval_keeps_value_shape():
@@ -359,3 +364,125 @@ def test_quadrature_settings_validation():
         QuadratureSettings(max_subdivisions=0)
     with pytest.raises(ValidationError):
         QuadratureResult(1.0, -1.0, 0)
+
+
+def integrate_finite_per_panel(f, a, b, settings=None):
+    """integrate_finite as it was with one integrand call per GK15 panel: the
+    reference for the batched engine (a < b only)."""
+    s = settings or QuadratureSettings()
+
+    def gk15(lo, hi):
+        c = 0.5 * (lo + hi)
+        h = 0.5 * (hi - lo)
+        return _gk15(lo, hi, _eval_nodes(f, c + h * _XGK))
+
+    pts = _initial_breakpoints(a, b)
+    segs = [gk15(lo, hi) for lo, hi in zip(pts[:-1], pts[1:])]
+    evals = 15 * len(segs)
+
+    total = sum(seg.value for seg in segs)
+    total_resabs = float(np.max(sum(np.asarray(seg.resabs, dtype=float) for seg in segs)))
+    heap = []
+    counter = 0
+    for seg in segs:
+        heapq.heappush(heap, (-seg.err, counter, seg))
+        counter += 1
+    err_vec = sum(seg.err_vec for seg in segs)
+    total_err = float(np.max(err_vec))
+
+    min_width = 1e-14 * max(abs(a), abs(b), b - a)
+    n_bisections = 0
+    noise_floor = 100.0 * np.finfo(float).eps
+    dead_err = 0.0
+    while True:
+        tol = max(s.abs_tol, s.rel_tol * float(np.max(np.abs(total))))
+        if total_err <= tol:
+            break
+        if total_err <= noise_floor * total_resabs:
+            break
+        if n_bisections >= s.max_subdivisions:
+            raise QuadratureError(
+                f"max_subdivisions={s.max_subdivisions} exceeded "
+                f"(error estimate {total_err:.3e}, tolerance {tol:.3e})",
+                best_estimate=total,
+                error_estimate=total_err,
+            )
+        while heap and (heap[0][2].b - heap[0][2].a) <= min_width:
+            _, _, dead = heapq.heappop(heap)
+            dead_err += dead.err
+        if not heap:
+            break
+        if dead_err > 0 and total_err - dead_err <= 0.1 * dead_err:
+            break
+        _, _, seg = heapq.heappop(heap)
+        mid = 0.5 * (seg.a + seg.b)
+        left = gk15(seg.a, mid)
+        right = gk15(mid, seg.b)
+        evals += 30
+        n_bisections += 1
+        total = total - seg.value + left.value + right.value
+        err_vec = err_vec - seg.err_vec + left.err_vec + right.err_vec
+        total_err = float(np.max(err_vec))
+        for child in (left, right):
+            heapq.heappush(heap, (-child.err, counter, child))
+            counter += 1
+
+    value = total
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value.item()
+    errors = float(err_vec) if np.ndim(err_vec) == 0 else err_vec
+    return QuadratureResult(value, float(total_err), evals, errors)
+
+
+_POINTWISE = {
+    "real-scalar": (lambda x: np.exp(-x) * np.cos(7.0 * x), 0.0, 3.0),
+    "real-n3": (lambda x: np.stack([np.sqrt(x), 1e-6 * np.sqrt(x), x**2], axis=-1), 0.0, 1.0),
+    "complex": (lambda x: np.exp((0.3 + 20j) * x), 0.0, 5.0),
+    "many-bisections": (lambda x: np.sin(50.0 * x), 0.0, 10.0),
+    "endpoint-singularity": (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0),
+}
+
+
+def _logged(f):
+    calls = []
+
+    def g(x):
+        calls.append(x.shape)
+        return f(x)
+
+    return g, calls
+
+
+@pytest.mark.parametrize("name", sorted(_POINTWISE))
+def test_batched_panels_keep_the_per_panel_bits(name):
+    f, a, b = _POINTWISE[name]
+    g, calls = _logged(f)
+    r = integrate_finite(g, a, b)
+    ref = integrate_finite_per_panel(f, a, b)
+    assert type(r.value) is type(ref.value)
+    assert np.array_equal(r.value, ref.value)
+    assert r.error_estimate == ref.error_estimate
+    assert np.array_equal(r.component_errors, ref.component_errors)
+    assert r.evaluations == ref.evaluations
+    n_bisections = (r.evaluations - 135) // 30
+    assert calls == [(135,)] + [(30,)] * n_bisections
+    if name == "many-bisections":
+        assert n_bisections >= 20
+    if name == "endpoint-singularity":
+        # Stopped by min-width retirement, with the tolerance unmet.
+        assert r.error_estimate > 1e-10 * abs(r.value)
+
+
+def test_batched_panels_keep_the_per_panel_best_estimate():
+    def f(x):
+        return np.sin(1.0 / (x + 1e-3))
+
+    s = QuadratureSettings(max_subdivisions=20)
+    g, calls = _logged(f)
+    with pytest.raises(QuadratureError) as got:
+        integrate_finite(g, 0.0, 1.0, s)
+    with pytest.raises(QuadratureError) as ref:
+        integrate_finite_per_panel(f, 0.0, 1.0, s)
+    assert got.value.best_estimate == ref.value.best_estimate
+    assert got.value.error_estimate == ref.value.error_estimate
+    assert calls == [(135,)] + [(30,)] * 20

@@ -176,25 +176,51 @@ def test_f_index_arrays_match_scalar_calls():
         assert np.max(np.abs(many / one - 1.0)) < 1e-13
 
 
-def test_exact_steady_state_one_kernel_call_per_panel(monkeypatch):
+def test_exact_steady_state_one_kernel_call_per_panel_batch(monkeypatch):
     # All pairs are one vector-valued integrand: K(u) is evaluated once per
-    # GK15 panel for every pair together, and the pairs share the count.
+    # batch of GK15 panels (the 9 initial panels, then the two halves of each
+    # bisection) for every pair together, and the pairs share the count.
     from meanforce import steady
 
-    calls = []
+    u_nodes = []
     kernel = steady._overlap_kernel_batch
 
-    def counted(*args):
-        calls.append(1)
-        return kernel(*args)
+    def counted(sd, beta, u, settings):
+        u_nodes.append(len(u))
+        return kernel(sd, beta, u, settings)
 
     monkeypatch.setattr(steady, "_overlap_kernel_batch", counted)
     sys = random_system(np.random.default_rng(11), 4)
     res = steady_state(sys, BathParams(beta=1.2, lam=1.3), LorentzDrude(1.0, 0.25), EXACT, NATURAL)
     evals = res.diagnostics["f_evaluations"]
     off = ~np.eye(4, dtype=bool)
-    assert len(calls) == evals[0, 1] // 15
+    assert len(u_nodes) == 1 + (evals[0, 1] // 15 - 9) // 2
+    assert u_nodes[0] == 135 and set(u_nodes[1:]) <= {30}
+    assert sum(u_nodes) == evals[0, 1]
     assert np.all(evals[off] == evals[0, 1])
+
+
+@pytest.mark.parametrize("system", ["spin", "dim4"])
+def test_exact_batched_panels_match_the_per_panel_route(system, monkeypatch):
+    # The nested K integrand is not pointwise in its u nodes (the inner
+    # quadrature stops on the max norm over the whole batch), so batching the
+    # outer panels moves f by rounding only; the panels and counts stay.
+    from test_special import integrate_finite_per_panel
+
+    from meanforce import special, spectral, steady
+
+    if system == "spin":
+        sys, bath = spin_system(), BathParams(beta=1.0, lam=math.sqrt(5.0))
+    else:
+        sys, bath = _seed101_multilevel()
+    sd = LorentzDrude(1.0, 0.25)
+    res = steady_state(sys, bath, sd, EXACT, NATURAL)
+    for module in (special, spectral, steady):
+        monkeypatch.setattr(module, "integrate_finite", integrate_finite_per_panel)
+    ref = steady_state(sys, bath, sd, EXACT, NATURAL)
+    off = ~np.eye(sys.dim, dtype=bool)
+    assert np.max(np.abs(res.f_values[off] / ref.f_values[off] - 1.0)) <= 1e-13
+    assert np.array_equal(res.diagnostics["f_evaluations"], ref.diagnostics["f_evaluations"])
 
 
 def _seed101_multilevel():
