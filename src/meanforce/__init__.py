@@ -23,7 +23,7 @@ from .oracle import (
     exact_mean_force_state,
     verify_trace_identity,
 )
-from .special import QuadratureResult, QuadratureSettings, dawson, exp1, integrate_finite, integrate_semi_infinite
+from .special import QuadratureResult, QuadratureSettings, dawson, exp1, integrate_finite
 from .spectral import (
     BathParams,
     DiscreteModes,
@@ -89,7 +89,6 @@ __all__ = [
     "f_series",
     "g_double_integral",
     "integrate_finite",
-    "integrate_semi_infinite",
     "j_of_omega",
     "matrix_exp_hermitian",
     "me_state",

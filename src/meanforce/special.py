@@ -1,4 +1,4 @@
-"""Dawson function and adaptive quadrature engines.
+"""Dawson and E1 special functions and the adaptive quadrature engine.
 
 Everything here is deterministic: fixed nodes, fixed subdivision policy,
 no randomness, so repeated runs produce bit-identical results.
@@ -20,7 +20,6 @@ __all__ = [
     "dawson",
     "exp1",
     "integrate_finite",
-    "integrate_semi_infinite",
 ]
 
 _EULER_GAMMA = 0.5772156649015328606
@@ -28,11 +27,11 @@ _EULER_GAMMA = 0.5772156649015328606
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Tolerances and limits shared by both integration engines.
+    """Tolerances and limits for integrate_finite and the routes built on it.
 
-    tail_cutoff_exponent controls where semi-infinite integrals are truncated:
-    at the point where the supplied magnitude envelope has fallen below
-    exp(-tail_cutoff_exponent) times its observed peak.
+    tail_cutoff_exponent sets only the master-equation route's tau cut: its
+    transform stops where the weakest pair's decay exponent s*Re G(tau)
+    reaches this value.
     """
 
     rel_tol: float = 1e-10
@@ -214,13 +213,19 @@ def _eval_nodes(f, x: np.ndarray) -> np.ndarray:
     """Evaluate integrand on a node array.
 
     f must be vectorized: it maps an (n,) array to an array whose first axis
-    has length n; trailing axes are integrated componentwise.
+    has length n; trailing axes are integrated componentwise. A value that is
+    not finite raises QuadratureError at once: no bisection can recover a sum
+    that holds it.
     """
     y = np.asarray(f(x))
     if y.ndim == 0 or y.shape[0] != x.shape[0]:
         raise ValidationError(
             f"integrand returned shape {y.shape} for {x.shape[0]} nodes; "
             "it must map an array of nodes to one value per node"
+        )
+    if not np.isfinite(y).all():
+        raise QuadratureError(
+            f"integrand is not finite on the nodes from {x.min():.17g} to {x.max():.17g}"
         )
     return y
 
@@ -391,86 +396,3 @@ def integrate_finite(f, a: float, b: float, settings: QuadratureSettings | None 
     errors = float(err_vec) if np.ndim(err_vec) == 0 else err_vec
     return QuadratureResult(value, float(total_err), evals, errors)
 
-
-def integrate_semi_infinite(
-    f,
-    a: float,
-    decay_bound,
-    settings: QuadratureSettings | None = None,
-    omega_ref: float = 1.0,
-) -> QuadratureResult:
-    """Integrate f over [a, infinity) with an explicit tail envelope.
-
-    decay_bound(w) must bound |f(w)| from above and decay monotonically beyond
-    some point. The integral is truncated where the envelope falls below
-    exp(-tail_cutoff_exponent) times its observed peak; a geometric-block bound
-    on the discarded tail is added to error_estimate. The finite part is
-    evaluated after the substitution w = a + omega_ref*t/(1-t), which maps the
-    half-line to [0, 1) and flattens both algebraic and exponential tails.
-    omega_ref should be the integrand's natural frequency scale.
-    """
-    s = settings or QuadratureSettings()
-    a = float(a)
-    omega_ref = float(omega_ref)
-    if not math.isfinite(a):
-        raise ValidationError("lower endpoint must be finite")
-    if omega_ref <= 0:
-        raise ValidationError("omega_ref must be positive")
-
-    # Scan geometrically for the truncation point.
-    cutoff_ratio = math.exp(-s.tail_cutoff_exponent)
-    peak = 0.0
-    t_cut = None
-    w = a + omega_ref / 8.0
-    for _ in range(260):
-        env = float(decay_bound(w))
-        if env < 0 or not math.isfinite(env):
-            raise ValidationError(f"decay_bound must be finite and nonnegative, got {env} at {w}")
-        peak = max(peak, env)
-        if env <= cutoff_ratio * peak:
-            t_cut = w
-            break
-        w *= 2.0
-    if t_cut is None:
-        raise QuadratureError(
-            "decay envelope never reaches the tail cutoff; integral is divergent "
-            "or decays too slowly to truncate"
-        )
-
-    # Bound the discarded tail by a sum over doubling blocks.
-    tail_bound = 0.0
-    wj = t_cut
-    prev_block = math.inf
-    stall = 0
-    for _ in range(400):
-        block = float(decay_bound(wj)) * wj  # block width equals wj (doubling)
-        tail_bound += block
-        if block < 1e-18 * (tail_bound + peak * omega_ref) + 1e-300:
-            break
-        if block >= 0.9 * prev_block:
-            stall += 1
-            if stall >= 12:
-                raise QuadratureError(
-                    "decay envelope tail decays too slowly for a convergent remainder bound"
-                )
-        else:
-            stall = 0
-        prev_block = block
-        wj *= 2.0
-    else:
-        raise QuadratureError("decay envelope tail bound did not converge")
-
-    t_max = (t_cut - a) / (t_cut - a + omega_ref)
-
-    def mapped(t):
-        t = np.asarray(t, dtype=float)
-        omega = a + omega_ref * t / (1.0 - t)
-        y = _eval_nodes(f, omega)
-        jac = omega_ref / (1.0 - t) ** 2
-        return y * jac.reshape(jac.shape + (1,) * (y.ndim - 1))
-
-    res = integrate_finite(mapped, 0.0, t_max, s)
-    return QuadratureResult(
-        res.value, res.error_estimate + tail_bound, res.evaluations,
-        res.component_errors + tail_bound,
-    )

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedOperationError, ValidationError
-from .special import (
-    _EULER_GAMMA,
-    QuadratureSettings,
-    exp1,
-    integrate_finite,
-    integrate_semi_infinite,
-)
+from .special import _EULER_GAMMA, QuadratureSettings, exp1, integrate_finite
 
 __all__ = [
     "SpectralDensity",
@@ -105,16 +99,14 @@ class LorentzDrude(SpectralDensity):
         return self.omega_c
 
     def kernel(self, beta, u, settings):
-        def integrand(w):
-            return (self(w) / w**2)[:, None] * _kernel_factor(w, u, beta)
+        # w = omega_c t/(1 - t) maps the half-line onto [0, 1). J/w^2 decays
+        # as w^-3, so the mapped integrand is smooth and falls to 0 at t = 1.
+        def integrand(t):
+            w = self.omega_c * t / (1.0 - t)
+            weight = self(w) / w**2 * self.omega_c / (1.0 - t) ** 2
+            return weight[:, None] * _kernel_factor(w, u, beta)
 
-        # r <= tanh(w*beta/4) <= min(1, w*beta/4) gives an integrable envelope.
-        def envelope(w):
-            return self(w) / w**2 * min(1.0, 0.25 * w * beta)
-
-        res = integrate_semi_infinite(
-            integrand, 0.0, envelope, settings, omega_ref=self.omega_c
-        )
+        res = integrate_finite(integrand, 0.0, 1.0, settings)
         return np.atleast_1d(np.asarray(res.value, dtype=float))
 
     def g(self, beta, tau, settings):

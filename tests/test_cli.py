@@ -290,6 +290,31 @@ def test_me_window_count_past_its_bound_is_na_with_note(capsys):
     assert last[-1].startswith("me: ") and "windows" in last[-1]
 
 
+def test_exact_at_huge_omega_c_gives_finite_cells(capsys):
+    # K(u) is one integral over the mapped half-line w = w_c t/(1 - t), so no
+    # frequency scan can overflow, however large omega_c is.
+    rc = run_main(["sweep", "--sweep", "lambda2Q", "--from", "1", "--to", "2",
+                   "--points", "2", "--omega-c", "1e146", "--methods", "exact"])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    for row in captured.out.strip().split("\n")[1:]:
+        cells = row.split(",")
+        assert all(math.isfinite(float(c)) for c in cells[1:6])
+        assert cells[-1] == ""
+
+
+def test_exact_at_tiny_omega_c_is_na_with_note(capsys):
+    # omega_c^2 underflows, so J/w^2 is not finite at the first K nodes: the
+    # quadrature stops on that call and the cell is NA plus a note.
+    rc = run_main(["sweep", "--sweep", "lambda2Q", "--from", "1", "--to", "2",
+                   "--points", "2", "--omega-c", "1e-200", "--methods", "exact"])
+    assert rc == 0
+    last = capsys.readouterr().out.strip().split("\n")[-1].split(",")
+    assert last[1:6] == ["NA"] * 5
+    assert last[-1].startswith("exact: ") and "not finite" in last[-1]
+
+
 def test_numerics_failure_exit_3(tmp_path, monkeypatch, capsys):
     def boom(spec):
         raise NumericsError("synthetic")

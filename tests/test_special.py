@@ -21,7 +21,6 @@ from meanforce.special import (
     dawson,
     exp1,
     integrate_finite,
-    integrate_semi_infinite,
 )
 
 # Frozen 40-digit references (mpmath: sqrt(pi)/2 * exp(-x^2) * erfi(x)),
@@ -269,6 +268,31 @@ def test_integrate_finite_propagates_integrand_error_without_retry():
     assert calls == [(135,)]  # one call on the 9 initial panels, not retried
 
 
+def test_integrate_finite_nonfinite_integrand_raises_at_once():
+    # A NaN in the sum fails every stopping test, so bisecting further is
+    # futile: the first call with a non-finite value raises, naming its nodes.
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return np.stack([x, np.full_like(x, np.nan)], -1)
+
+    with pytest.raises(QuadratureError, match="not finite on the nodes from"):
+        integrate_finite(f, 0.0, 1.0)
+    assert calls == [(135,)]
+
+
+def test_integrate_finite_stops_where_nodes_reach_a_pole():
+    # Nodes next to b = 1 round onto 1, where (1 - x)^-0.7 is inf; the call
+    # that first meets it raises: the initial call and 37 bisections, where
+    # a NaN error estimate would run all 2000.
+    g, calls = _logged(lambda x: (1.0 - x) ** -0.7)
+    with pytest.raises(QuadratureError, match="not finite"):
+        with np.errstate(divide="ignore"):
+            integrate_finite(g, 0.0, 1.0)
+    assert len(calls) == 38
+
+
 def test_integrate_finite_empty_interval_keeps_value_shape():
     # a == b integrates to zeros shaped like one integrand value, learnt at
     # one evaluation; a scalar integrand still gets a float.
@@ -301,60 +325,6 @@ def test_integrate_finite_determinism():
     a = integrate_finite(f, 0.0, 12.0)
     b = integrate_finite(f, 0.0, 12.0)
     assert a.value == b.value and a.evaluations == b.evaluations
-
-
-def test_semi_infinite_exponential():
-    r = integrate_semi_infinite(
-        lambda w: np.exp(-np.asarray(w)), 0.0, lambda w: math.exp(-w)
-    )
-    assert r.value == pytest.approx(1.0, rel=1e-10)
-
-
-def test_semi_infinite_gaussian():
-    r = integrate_semi_infinite(
-        lambda w: np.exp(-np.asarray(w) ** 2), 0.0, lambda w: math.exp(-(w**2))
-    )
-    assert r.value == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-10)
-
-
-def test_semi_infinite_oscillatory_with_envelope():
-    # int_0^inf t e^{-t/5} cos(t) dt = Re[(1/5 - i)^{-2}] = -150/169.
-    def f(w):
-        w = np.asarray(w)
-        return w * np.exp(-w / 5.0) * np.cos(w)
-
-    r = integrate_semi_infinite(f, 0.0, lambda w: w * math.exp(-w / 5.0), omega_ref=5.0)
-    assert r.value == pytest.approx(-150.0 / 169.0, rel=1e-9)
-
-
-def test_semi_infinite_algebraic_tail():
-    # 1/(1+w^2) from 0: pi/2. Algebraic decay is slow but still truncatable.
-    r = integrate_semi_infinite(
-        lambda w: 1.0 / (1.0 + np.asarray(w, dtype=float) ** 2),
-        0.0,
-        lambda w: 1.0 / (1.0 + w**2),
-        settings=QuadratureSettings(tail_cutoff_exponent=60.0),
-    )
-    assert r.value == pytest.approx(math.pi / 2.0, rel=1e-6)
-    assert abs(r.value - math.pi / 2.0) <= 10 * r.error_estimate
-
-
-def test_semi_infinite_rejects_divergent_envelope():
-    with pytest.raises(QuadratureError):
-        integrate_semi_infinite(
-            lambda w: np.ones_like(np.asarray(w, dtype=float)), 0.0, lambda w: 1.0
-        )
-
-
-def test_semi_infinite_too_slow_decay():
-    # 1/w decays, but the geometric block sum never converges.
-    with pytest.raises(QuadratureError):
-        integrate_semi_infinite(
-            lambda w: 1.0 / np.asarray(w, dtype=float),
-            1.0,
-            lambda w: 1.0 / w,
-            settings=QuadratureSettings(tail_cutoff_exponent=80.0),
-        )
 
 
 def test_quadrature_settings_validation():

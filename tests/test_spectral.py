@@ -153,6 +153,36 @@ def test_overlap_kernel_frozen_reference():
         assert val == pytest.approx(ref, rel=1e-9)
 
 
+def _kernel_mpmath(q, wc, beta, u):
+    """K(u) of Lorentz-Drude by mpmath.quad of its w-integral, which does not
+    oscillate and decays as w^-3. Evaluate inside mpmath.workdps."""
+    q, wc, beta, u = (mpmath.mpf(v) for v in (q, wc, beta, u))
+
+    def integrand(w):
+        j = 2 * q / mpmath.pi * wc * w / (wc**2 + w**2)
+        r = -mpmath.expm1(-w * u) * mpmath.expm1(w * (u - beta)) / mpmath.expm1(-w * beta)
+        return j / w**2 * r
+
+    return mpmath.quad(integrand, [0, wc, 10 * wc, mpmath.inf])
+
+
+@pytest.mark.parametrize("wc, beta", [(0.05, 0.5), (0.25, 1.0), (2.0, 12.0)])
+def test_lorentz_drude_kernel_against_mpmath(wc, beta):
+    u = np.array([0.1, 0.37, 0.5]) * beta
+    k = LorentzDrude(1.0, wc).kernel(beta, u, QuadratureSettings())
+    with mpmath.workdps(30):
+        ref = np.array([float(_kernel_mpmath(1.0, wc, beta, ui)) for ui in u])
+    assert np.max(np.abs(k / ref - 1.0)) <= 1e-13
+
+
+def test_lorentz_drude_kernel_parabola_limit_at_tiny_cutoff():
+    # As omega_c -> 0, K(u) -> Q u (1 - u/beta), the high-temperature parabola.
+    beta = 1.0
+    u = np.array([0.1, 0.37, 0.5, 0.9])
+    k = LorentzDrude(1.0, 1e-20).kernel(beta, u, QuadratureSettings())
+    assert np.max(np.abs(k / (u * (1.0 - u / beta)) - 1.0)) <= 1e-14
+
+
 def test_overlap_kernel_endpoints_and_symmetry():
     sd = LorentzDrude(1.0, 0.25)
     beta = 1.3
