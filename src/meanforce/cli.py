@@ -14,7 +14,7 @@ import configparser
 import json
 import math
 import sys as _sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,55 +35,50 @@ PRESETS = {
     "fig1a": {
         "swept": "lambda2Q", "lo": 0.2, "hi": 10.0, "points": 50,
         "delta": 0.7, "beta": 1.0, "omega_c": 0.25, "spectral": "lorentz-drude",
-        "methods": "high-t,series,me", "plot": "c_ss_real",
+        "methods": ("high-t", "series", "me"), "plot": "c_ss_real",
     },
     # Same sweep; the plot column is the energy-basis coherence instead.
     "fig1b": {
         "swept": "lambda2Q", "lo": 0.2, "hi": 10.0, "points": 50,
         "delta": 0.7, "beta": 1.0, "omega_c": 0.25, "spectral": "lorentz-drude",
-        "methods": "high-t,series,me", "plot": "c_eg_real",
+        "methods": ("high-t", "series", "me"), "plot": "c_eg_real",
     },
     "fig2": {
         "swept": "beta", "lo": 0.05, "hi": 3.0, "points": 60,
         "delta": 0.7, "lambda2q": 5.0, "omega_c": 0.5, "spectral": "lorentz-drude",
-        "methods": "high-t,me", "plot": "c_ss_real",
+        "methods": ("high-t", "me"), "plot": "c_ss_real",
     },
     # fig2 variant with the slower cutoff omega_c = 0.1.
     "fig2-text": {
         "swept": "beta", "lo": 0.05, "hi": 3.0, "points": 60,
         "delta": 0.7, "lambda2q": 5.0, "omega_c": 0.1, "spectral": "lorentz-drude",
-        "methods": "high-t,me", "plot": "c_ss_real",
+        "methods": ("high-t", "me"), "plot": "c_ss_real",
     },
     "fig3": {
         "swept": "omega_c", "lo": 0.05, "hi": 2.0, "points": 50,
         "delta": 0.7, "beta": 1.0, "lambda2q": 5.0, "spectral": "lorentz-drude",
-        "methods": "high-t,me", "plot": "c_ss_real",
+        "methods": ("high-t", "me"), "plot": "c_ss_real",
     },
 }
 
-_DEFAULTS = {
-    "swept": None, "lo": None, "hi": None, "points": None, "log": False,
-    "delta": 0.7, "beta": 1.0, "omega_c": 0.25, "lambda2q": 1.0,
-    "spectral": "lorentz-drude", "methods": "high-t", "convention": "renormalized",
-    "rel_tol": 1e-10, "oracle_modes": 3, "fock_cutoff": None, "plot": "c_ss_real",
-}
-
-
 @dataclass(frozen=True)
 class SweepSpec:
-    """Validated sweep request; energies in units of the sigma_z splitting."""
+    """Validated sweep request; energies in units of the sigma_z splitting.
+
+    Each field is set by the `sweep` flag whose dest is the field's name.
+    """
 
     swept: str
     lo: float
     hi: float
-    points: int
-    delta: float
-    beta: float
-    omega_c: float
-    lambda2q: float
-    spectral: str
-    methods: tuple
-    convention: RenormalizationConvention
+    points: int = 50
+    delta: float = 0.7
+    beta: float = 1.0
+    omega_c: float = 0.25
+    lambda2q: float = 1.0
+    spectral: str = "lorentz-drude"
+    methods: tuple = ("high-t",)
+    convention: RenormalizationConvention = RenormalizationConvention.RENORMALIZED
     log: bool = False
     rel_tol: float = 1e-10
     oracle_modes: int = 3
@@ -120,6 +115,8 @@ class SweepSpec:
             raise ValidationError(f"plot column {self.plot!r} not one of {_CELLS}")
         if self.oracle_modes < 1:
             raise ValidationError("oracle_modes must be at least 1")
+        if self.fock_cutoff is not None and self.fock_cutoff < 1:
+            raise ValidationError("fock_cutoff must be at least 1")
 
 
 def _spectral_density(name: str, omega_c: float) -> spectral.SpectralDensity:
@@ -368,7 +365,11 @@ def run_verify(checks=None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Argument handling: defaults < preset < config file < explicit CLI flags.
+# Argument handling. Each sweep setting is one SweepSpec field (name, default,
+# validation) and one flag of the sweep parser (spelling, type) whose dest is
+# the field name. A [sweep] config key is that flag's long name, `_` standing
+# for `-`, read through the same parser. Precedence: SweepSpec defaults <
+# preset < config file < explicit flags.
 # ---------------------------------------------------------------------------
 
 
@@ -380,23 +381,19 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-_CONFIG_KEY_MAP = {
-    "sweep": "swept", "from": "lo", "to": "hi", "omega-c": "omega_c",
-    "rel-tol": "rel_tol", "oracle-modes": "oracle_modes",
-    "fock-cutoff": "fock_cutoff",
-}
+# Sweep flags a config file may not set: they print help or name files.
+_FLAG_ONLY = ("help", "config", "out", "svg")
 
 
-# The sweep settings a config file or a flag may set, by SweepSpec field name.
-_SWEEP_KEYS = (
-    "swept", "lo", "hi", "points", "log", "delta", "beta", "omega_c",
-    "lambda2q", "spectral", "methods", "convention", "rel_tol",
-    "oracle_modes", "fock_cutoff", "plot",
-)
+def _boolean(text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a boolean; use true or false")
+    return states[text.lower()]
 
 
-def _read_config(path: str, section: str, allowed) -> dict:
-    """The section's values by setting name; a key naming no allowed setting is an error."""
+def _read_config(path: str, section: str) -> dict:
+    """The section's values by key; a missing section is empty."""
     parser = configparser.ConfigParser(interpolation=None)  # values are literal, as flags are
     try:
         found = parser.read(path)
@@ -406,76 +403,40 @@ def _read_config(path: str, section: str, allowed) -> dict:
         ) from None
     if not found:
         raise ValidationError(f"config file {path!r} not found or unreadable")
-    if section not in parser:
-        return {}
-    conf = parser[section]
-    names = {k: _CONFIG_KEY_MAP.get(k, k.replace("-", "_")) for k in conf}
-    unknown = [k for k, name in names.items() if name not in allowed]
+    return dict(parser[section]) if section in parser else {}
+
+
+def _read_sweep_config(path: str | None) -> argparse.Namespace:
+    """The [sweep] section parsed as `--key=value` sweep flags; no path, no settings."""
+    conf = _read_config(path, "sweep") if path else {}
+    flags = {
+        k: f"--{k.replace('_', '-')}={v}" for k, v in conf.items() if k not in _FLAG_ONLY
+    }
+    try:
+        ns, extra = _parser().parse_known_args(["sweep", *flags.values()])
+    except ValidationError as exc:
+        raise ValidationError(f"{exc} (in [sweep] of {path})") from None
+    # A key naming no setting is an error, so a typo cannot pass silently.
+    unknown = [k for k in conf if k in _FLAG_ONLY or flags[k] in extra]
     if unknown:
-        raise ValidationError(f"unknown keys {unknown} in [{section}] of {path}")
-    return {name: conf[k] for k, name in names.items()}
+        raise ValidationError(f"unknown keys {unknown} in [sweep] of {path}")
+    return ns
 
 
-def _coerce(merged: dict) -> dict:
-    """Config file values arrive as strings; give them their real types."""
-    out = dict(merged)
-    keys = {v: k for k, v in _CONFIG_KEY_MAP.items()}
-    for kind, names in (
-        (float, ("lo", "hi", "delta", "beta", "omega_c", "lambda2q", "rel_tol")),
-        (int, ("points", "oracle_modes", "fock_cutoff")),
-    ):
-        for k in names:
-            if isinstance(out.get(k), str):
-                try:
-                    out[k] = kind(out[k])
-                except ValueError:
-                    raise ValidationError(
-                        f"config key {keys.get(k, k)} = {out[k]!r} is not a valid {kind.__name__}"
-                    ) from None
-    if isinstance(out.get("log"), str):
-        out["log"] = out["log"].strip().lower() in ("1", "true", "yes", "on")
-    return out
+def _settings(ns: argparse.Namespace) -> dict:
+    """The SweepSpec fields a parse gave a value, by field name."""
+    values = {f.name: getattr(ns, f.name) for f in fields(SweepSpec)}
+    return {k: v for k, v in values.items() if v is not None}
 
 
 def _build_sweep_spec(args: argparse.Namespace) -> SweepSpec:
-    merged = dict(_DEFAULTS)
-    config = {}
-    if args.config:
-        config = _read_config(args.config, "sweep", ("preset",) + _SWEEP_KEYS)
-    preset = args.preset if args.preset is not None else config.pop("preset", None)
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ValidationError(f"unknown preset {preset!r}; have {list(PRESETS)}")
-        merged.update(PRESETS[preset])
-    merged.update(config)
-    for key in _SWEEP_KEYS:
-        v = getattr(args, key, None)
-        if v is not None:
-            merged[key] = v
-    merged = _coerce(merged)
-    if merged["swept"] is None or merged["lo"] is None or merged["hi"] is None:
+    config = _read_sweep_config(args.config)
+    merged = dict(PRESETS.get(args.preset or config.preset, {}))
+    merged.update(_settings(config))
+    merged.update(_settings(args))
+    if not {"swept", "lo", "hi"} <= merged.keys():
         raise ValidationError("a sweep needs --sweep, --from and --to (or a preset)")
-    if merged["points"] is None:
-        merged["points"] = 50
-    methods = merged["methods"]
-    if isinstance(methods, str):
-        methods = tuple(m.strip() for m in methods.split(",") if m.strip())
-    try:
-        convention = RenormalizationConvention(merged["convention"])
-    except ValueError:
-        raise ValidationError(
-            f"unknown convention {merged['convention']!r}; "
-            "use renormalized or natural"
-        ) from None
-    return SweepSpec(
-        swept=merged["swept"], lo=merged["lo"], hi=merged["hi"],
-        points=merged["points"], delta=merged["delta"], beta=merged["beta"],
-        omega_c=merged["omega_c"], lambda2q=merged["lambda2q"],
-        spectral=merged["spectral"], methods=methods, convention=convention,
-        log=bool(merged["log"]), rel_tol=merged["rel_tol"],
-        oracle_modes=merged["oracle_modes"], fock_cutoff=merged["fock_cutoff"],
-        plot=merged["plot"],
-    )
+    return SweepSpec(**merged)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -485,31 +446,34 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sw = sub.add_parser("sweep", help="sweep a parameter, emit CSV and optional SVG")
-    sw.add_argument("--preset", default=None, help=f"one of {sorted(PRESETS)}")
-    sw.add_argument("--config", default=None, help="INI file mirroring these flags")
-    sw.add_argument("--sweep", dest="swept", choices=SWEPT_NAMES, default=None)
-    sw.add_argument("--from", dest="lo", type=float, default=None)
-    sw.add_argument("--to", dest="hi", type=float, default=None)
-    sw.add_argument("--points", type=int, default=None)
-    sw.add_argument("--log", action="store_true", default=None,
+    sw = sub.add_parser("sweep", help="sweep a parameter, emit CSV and optional SVG",
+                        allow_abbrev=False)
+    sw.add_argument("--preset", choices=sorted(PRESETS))
+    sw.add_argument("--config", help="INI file whose [sweep] keys are these flags")
+    sw.add_argument("--out", help="CSV path (default stdout)")
+    sw.add_argument("--svg", help="also write an SVG plot here")
+    sw.add_argument("--sweep", dest="swept", choices=SWEPT_NAMES)
+    sw.add_argument("--from", dest="lo", type=float)
+    sw.add_argument("--to", dest="hi", type=float)
+    sw.add_argument("--points", type=int)
+    sw.add_argument("--log", type=_boolean, nargs="?", const=True, metavar="BOOL",
                     help="logarithmic sweep grid")
-    sw.add_argument("--delta", type=float, default=None)
-    sw.add_argument("--beta", type=float, default=None)
-    sw.add_argument("--omega-c", dest="omega_c", type=float, default=None)
-    sw.add_argument("--lambda2q", type=float, default=None)
-    sw.add_argument("--spectral", default=None,
-                    help="lorentz-drude | ohmic | tabulated:PATH")
-    sw.add_argument("--methods", default=None,
-                    help=f"comma list from {METHOD_NAMES}")
-    sw.add_argument("--convention", choices=("renormalized", "natural"), default=None)
-    sw.add_argument("--out", default=None, help="CSV path (default stdout)")
-    sw.add_argument("--svg", default=None, help="also write an SVG plot here")
-    sw.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-    sw.add_argument("--oracle-modes", dest="oracle_modes", type=int, default=None)
-    sw.add_argument("--fock-cutoff", dest="fock_cutoff", type=int, default=None)
+    sw.add_argument("--delta", type=float)
+    sw.add_argument("--beta", type=float)
+    sw.add_argument("--omega-c", dest="omega_c", type=float)
+    sw.add_argument("--lambda2q", type=float)
+    sw.add_argument("--spectral", help="lorentz-drude | ohmic | tabulated:PATH")
+    sw.add_argument("--methods", help=f"comma list from {METHOD_NAMES}",
+                    type=lambda s: tuple(m.strip() for m in s.split(",") if m.strip()))
+    sw.add_argument("--convention", type=RenormalizationConvention,
+                    metavar="{renormalized,natural}")
+    sw.add_argument("--rel-tol", dest="rel_tol", type=float)
+    sw.add_argument("--oracle-modes", dest="oracle_modes", type=int)
+    sw.add_argument("--fock-cutoff", dest="fock_cutoff", type=int)
+    sw.add_argument("--plot", choices=_CELLS, help="column the SVG plots")
 
-    vf = sub.add_parser("verify", help="run consistency checks, emit a JSON report")
+    vf = sub.add_parser("verify", help="run consistency checks, emit a JSON report",
+                        allow_abbrev=False)
     vf.add_argument("checks", nargs="*", help=f"names from {list(_CHECKS)}")
     vf.add_argument("--config", default=None)
     vf.add_argument("--out", default=None, help="report path (default stdout)")
@@ -533,7 +497,10 @@ def main(argv=None) -> int:
             return 0
         checks = list(args.checks) or None
         if checks is None and args.config:
-            conf = _read_config(args.config, "verify", ("checks",))
+            conf = _read_config(args.config, "verify")
+            unknown = [k for k in conf if k != "checks"]
+            if unknown:
+                raise ValidationError(f"unknown keys {unknown} in [verify] of {args.config}")
             if "checks" in conf:
                 # An empty value is an explicit empty list, not "all".
                 checks = [c.strip() for c in conf["checks"].split(",") if c.strip()]

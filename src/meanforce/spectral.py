@@ -198,7 +198,8 @@ class Tabulated(SpectralDensity):
     """J given on a strictly increasing frequency grid, linearly interpolated.
 
     J is zero below the first grid point and beyond the last. A grid starting
-    at omega=0 must have J(0)=0, or int J/omega would diverge.
+    at omega=0 must have J(0)=0, or int J/omega would diverge, and J must be
+    positive somewhere, or Q = 0 and no coupling reaches a given lambda^2 Q.
     """
 
     omega: np.ndarray
@@ -215,6 +216,8 @@ class Tabulated(SpectralDensity):
             raise ValidationError("J(omega) must be nonnegative")
         if omega[0] == 0 and j[0] != 0:
             raise ValidationError("J(0) must be 0 for a grid starting at omega=0")
+        if not np.any(j > 0):
+            raise ValidationError("J(omega) is zero on the whole grid, so Q = 0")
         omega.flags.writeable = False
         j.flags.writeable = False
         object.__setattr__(self, "omega", omega)

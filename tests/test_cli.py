@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -164,12 +165,15 @@ def test_config_layering(tmp_path):
     assert spec.lambda2q == 5.0  # preset value survives
 
 
-def test_unknown_sweep_config_key_exit_1(tmp_path, capsys):
+# A typo, an abbreviation of a flag, a flag that prints help or names a file,
+# and a SweepSpec field name that is no flag.
+@pytest.mark.parametrize("key", ["pionts", "point", "help", "out", "lo"])
+def test_unknown_sweep_config_key_exit_1(key, tmp_path, capsys):
     conf = tmp_path / "sweep.ini"
-    conf.write_text("[sweep]\npreset = fig1a\npoints = 3\npionts = 7\n")
+    conf.write_text(f"[sweep]\npreset = fig1a\npoints = 3\n{key} = 7\n")
     rc = run_main(["sweep", "--config", str(conf)])
     assert rc == 1
-    assert "pionts" in capsys.readouterr().err
+    assert f"unknown keys ['{key}'] in [sweep] of {conf}" in capsys.readouterr().err
 
 
 def test_unknown_verify_config_key_exit_1(tmp_path, capsys):
@@ -181,13 +185,50 @@ def test_unknown_verify_config_key_exit_1(tmp_path, capsys):
     assert "'check'" in err and "'checks'" not in err
 
 
-def test_malformed_config_value_exit_1(tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [("points", "abc"), ("log", "ture")],
+                         ids=["points", "log"])
+def test_malformed_config_value_exit_1(key, value, tmp_path, capsys):
     conf = tmp_path / "sweep.ini"
-    conf.write_text("[sweep]\npreset = fig1a\npoints = abc\n")
+    conf.write_text(f"[sweep]\npreset = fig1a\n{key} = {value}\n")
     rc = run_main(["sweep", "--config", str(conf)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "points" in err and "Traceback" not in err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"--{key}" in err and f"'{value}'" in err and f"[sweep] of {conf}" in err
+
+
+# Per SweepSpec field: its flag and a value other than the default or fig2's.
+_SETTINGS = {
+    "swept": ("sweep", "omega_c"), "lo": ("from", "0.1"), "hi": ("to", "0.9"),
+    "points": ("points", "3"), "log": ("log", "true"), "delta": ("delta", "0.5"),
+    "beta": ("beta", "2"), "omega_c": ("omega-c", "0.3"), "lambda2q": ("lambda2q", "4"),
+    "spectral": ("spectral", "ohmic"), "methods": ("methods", "high-t, series"),
+    "convention": ("convention", "natural"), "rel_tol": ("rel-tol", "1e-8"),
+    "oracle_modes": ("oracle-modes", "2"), "fock_cutoff": ("fock-cutoff", "5"),
+    "plot": ("plot", "p_plus"),
+}
+
+
+def test_every_sweep_setting_is_one_flag_and_one_config_key(tmp_path, capsys):
+    assert set(_SETTINGS) == {f.name for f in fields(cli.SweepSpec)}
+    conf = tmp_path / "sweep.ini"
+
+    def spec(argv, config_line=""):
+        conf.write_text(f"[sweep]\n{config_line}\n")
+        args = cli._parser().parse_args(["sweep", "--preset", "fig2", "--config", str(conf),
+                                         *argv])
+        return cli._build_sweep_spec(args)
+
+    base = spec([])
+    for name, (flag, value) in _SETTINGS.items():
+        by_flag = spec([f"--{flag}", value])
+        assert by_flag == spec([], f"{flag} = {value}") != base, name
+        assert getattr(by_flag, name) != getattr(base, name), name
+        assert by_flag == spec([], f"{flag.replace('-', '_')} = {value}"), name
+    rc = run_main(["sweep", "--preset", "fig2", "--points", "2", "--methods", "high-t",
+                   "--omega", "0.3"])
+    assert rc == 1
+    assert "--omega" in capsys.readouterr().err
 
 
 def test_config_without_section_header_exit_1(tmp_path, capsys):
@@ -256,13 +297,26 @@ def test_validation_failures_exit_1(tmp_path, capsys):
          "--methods", "me"],
         ["--sweep", "lambda2Q", "--from", "1", "--to", "2", "--omega-c", "1e308",
          "--methods", "exact"],
+        ["--sweep", "lambda2Q", "--from", "1", "--to", "2", "--methods", "oracle",
+         "--fock-cutoff", "0"],
     ],
     ids=["negative-lambda2Q-from", "negative-lambda2q", "nan-lambda2q", "inf-to",
          "minus-inf-from", "nan-from", "inf-omega-c-me", "inf-beta-me",
-         "inf-omega-c-high-t", "huge-omega-c-me", "huge-omega-c-exact"],
+         "inf-omega-c-high-t", "huge-omega-c-me", "huge-omega-c-exact",
+         "zero-fock-cutoff"],
 )
 def test_negative_or_nonfinite_sweep_input_exit_1(argv, capsys):
     rc = run_main(["sweep", "--points", "2", "--methods", "high-t", *argv])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_tabulated_density_with_zero_q_exit_1(tmp_path, capsys):
+    table = tmp_path / "j.txt"
+    table.write_text("0.0 0.0\n1.0 0.0\n2.0 0.0\n")
+    rc = run_main(["sweep", "--sweep", "lambda2Q", "--from", "1", "--to", "2",
+                   "--points", "2", "--spectral", f"tabulated:{table}"])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

@@ -75,6 +75,8 @@ def test_density_constructors_validate():
         Tabulated([0.0, 1.0], [0.5, 0.0])  # J(0) != 0
     with pytest.raises(ValidationError):
         Tabulated([1.0, 0.5], [0.0, 0.0])  # not increasing
+    with pytest.raises(ValidationError, match="zero on the whole grid"):
+        Tabulated([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])  # Q = 0
 
 
 def test_bath_params_validate():
