@@ -109,6 +109,9 @@ class SweepSpec:
         bad = [m for m in self.methods if m not in METHOD_NAMES]
         if bad:
             raise ValidationError(f"unknown methods {bad}; choose from {METHOD_NAMES}")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise ValidationError(f"methods {repeated} named more than once")
         if self.spectral.startswith("tabulated:") and self.swept == "omega_c":
             raise ValidationError("a tabulated density has no omega_c to sweep")
         if self.plot not in _CELLS:
@@ -409,6 +412,10 @@ def _read_config(path: str, section: str) -> dict:
 def _read_sweep_config(path: str | None) -> argparse.Namespace:
     """The [sweep] section parsed as `--key=value` sweep flags; no path, no settings."""
     conf = _read_config(path, "sweep") if path else {}
+    names = [k.replace("_", "-") for k in conf]
+    twice = [k for k, name in zip(conf, names) if names.count(name) > 1]
+    if twice:
+        raise ValidationError(f"keys {twice} in [sweep] of {path} name one setting twice")
     flags = {
         k: f"--{k.replace('_', '-')}={v}" for k, v in conf.items() if k not in _FLAG_ONLY
     }
@@ -480,6 +487,14 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path!r}: {exc.strerror}") from None
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -487,13 +502,11 @@ def main(argv=None) -> int:
             spec = _build_sweep_spec(args)
             csv_text = run_sweep(spec)
             if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(csv_text)
+                _write(args.out, csv_text)
             else:
                 _sys.stdout.write(csv_text)
             if args.svg:
-                with open(args.svg, "w") as fh:
-                    fh.write(sweep_svg(spec, csv_text))
+                _write(args.svg, sweep_svg(spec, csv_text))
             return 0
         checks = list(args.checks) or None
         if checks is None and args.config:
@@ -507,8 +520,7 @@ def main(argv=None) -> int:
         report = run_verify(checks)
         text = json.dumps(report, indent=2) + "\n"
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+            _write(args.out, text)
         else:
             _sys.stdout.write(text)
         return 0 if report["all_passed"] else 2

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericsError, ValidationError
 from .linalg import DensityMatrix
@@ -31,7 +32,12 @@ __all__ = ["MEResult", "me_steady_state", "me_state"]
 
 _GRID_MAX_NODES = 4097
 _GRID_START_NODES = 65
-_SPLINE_TOL = 1e-8
+_SPLINE_TOL = 1e-11  # table error at the probes, in units of Q
+_OFFSETS = np.arange(8.0)[:, None]  # the Lagrange stencil's nodes, in node spacings
+# prod_{m != k} (k - m) over the stencil offsets k, m = 0, ..., 7: the
+# denominators of the 8-point Lagrange weights.
+_LAGRANGE_DENOM = np.array([-5040.0, 720.0, -240.0, 144.0, -144.0, 240.0, -720.0, 5040.0])[:, None]
+_TAIL_CUTOFF_EXPONENT = 40.0  # the transform stops where the weakest pair's s Re G reaches it
 _GROWTH_FACTOR = 1.5
 _GROWTH_LIMIT = 200
 _STALL_RATIO = 1.001
@@ -59,58 +65,37 @@ class MEResult:
     diagnostics: dict
 
 
-class _CubicSpline:
-    """Natural cubic splines of the two rows of y, Re G and Im G, on one grid x.
+class _GTable:
+    """Re G and Im G on the grid tau = tau_max s^2, s uniform on [0, 1].
 
-    The rows share their grid, so one Thomas elimination serves both
-    right-hand sides and one lookup serves both at evaluation. The
-    elimination runs on Python floats, which round exactly like numpy
-    float64 scalars at a fraction of the cost per operation. Each row keeps
-    its own real arithmetic: a complex spline would divide by multiplying
-    with a reciprocal and change the last bits.
+    G is smooth in s, so the table is read by 8-point Lagrange interpolation
+    in s, on the stencil centred on the cell where it fits and one-sided at
+    both ends. A grid node reads back its own value exactly.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        n = len(x)
-        h = np.diff(x)
-        # Thomas algorithm for the natural-spline moment system; the
-        # matrix is symmetric, so one off-diagonal list serves both sides.
-        m = np.zeros(y.shape)
-        if n > 2:
-            diag = (2.0 * (h[:-1] + h[1:])).tolist()
-            re, im = (6.0 * np.diff(np.diff(y, axis=1) / h, axis=1)).tolist()
-            off = h[1:-1].tolist()
-            for i in range(1, n - 2):
-                w = off[i - 1] / diag[i - 1]
-                diag[i] -= w * off[i - 1]
-                re[i] -= w * re[i - 1]
-                im[i] -= w * im[i - 1]
-            re[-1] /= diag[-1]
-            im[-1] /= diag[-1]
-            for i in range(n - 4, -1, -1):
-                re[i] = (re[i] - off[i] * re[i + 1]) / diag[i]
-                im[i] = (im[i] - off[i] * im[i + 1]) / diag[i]
-            m[:, 1:-1] = (re, im)
-        self.x = x
-        self.y = y
-        self.h = h
-        self.m = m
+    def __init__(self, grid: np.ndarray, y: np.ndarray):
+        self.grid = grid
+        self.y = y  # rows Re G and Im G at the grid nodes
+        self._stencils = sliding_window_view(y, 8, axis=1)  # (2, n - 7, 8), no copy
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
-        """Both splines at t, shape (2, len(t))."""
+        """Both rows at t, shape (2, len(t))."""
         t = np.asarray(t, dtype=float)
-        j = np.clip(np.searchsorted(self.x, t) - 1, 0, len(self.x) - 2)
-        h = self.h[j]
-        d = t - self.x[j]
-        e = self.x[j + 1] - t
-        y0, y1 = self.y[:, j], self.y[:, j + 1]
-        m0, m1 = self.m[:, j], self.m[:, j + 1]
-        return (
-            m0 * e**3 / (6.0 * h)
-            + m1 * d**3 / (6.0 * h)
-            + (y0 / h - m0 * h / 6.0) * e
-            + (y1 / h - m1 * h / 6.0) * d
-        )
+        n = len(self.grid)
+        u = np.sqrt(t / self.grid[-1]) * (n - 1)  # s in units of the node spacing
+        i = np.rint(u)
+        # the square root may round a node off its integer u
+        u = np.where(self.grid.take(i.astype(int), mode="clip") == t, i, u)
+        j = np.clip(np.floor(u).astype(int) - 3, 0, n - 8)
+        d = u - j - _OFFSETS  # (8, len(t)): u minus each stencil node
+        # weight k is prod_{m != k} d_m / prod_{m != k} (k - m), by prefix
+        # and suffix products, so a node (d_k = 0) gets weights exactly 1 and 0
+        w = np.ones_like(d)
+        np.cumprod(d[:-1], axis=0, out=w[1:])
+        suffix = np.ones_like(d)
+        np.cumprod(d[:0:-1], axis=0, out=suffix[-2::-1])
+        w *= suffix / _LAGRANGE_DENOM
+        return np.einsum("rnk,kn->rn", self._stencils[:, j], w)
 
 
 def _find_tau_max(
@@ -143,15 +128,17 @@ def _find_tau_max(
 
 def _build_g_splines(
     sd: SpectralDensity, beta: float, tau_max: float, settings: QuadratureSettings
-) -> tuple[np.ndarray, _CubicSpline, int, float]:
-    """Cached G on a near-0-clustered grid, doubled until the spline checks out.
+) -> tuple[np.ndarray, _GTable, int, float]:
+    """Cached G on a near-0-clustered grid, doubled until the table checks out.
 
     The grid is tau = tau_max s^2 on uniform s. The probes sit at the
     s-midpoints, which are the new nodes of the next doubling, so each G
     value is evaluated once and a failed check becomes the next grid.
-    Returns the grid, the spline of (Re G, Im G) on it, the node count and
-    the relative spline error at the last probes.
+    Returns the grid, the table of (Re G, Im G) on it, the node count and
+    the table's error at the last probes: the largest |dRe G| + |dIm G|,
+    divided by the reorganization energy Q.
     """
+    q_reorg = sd.reorganization_energy()
     n = _GRID_START_NODES
     grid = tau_max * np.linspace(0.0, 1.0, n) ** 2
     g = _g_batch(sd, beta, grid, settings)
@@ -160,25 +147,24 @@ def _build_g_splines(
         re, im = np.real(g), np.imag(g)
         if np.any(np.diff(re) < -1e-10 * max(1.0, float(re[-1]))):
             raise NumericsError("Re G(tau) is not nondecreasing for this bath")
-        sp = _CubicSpline(grid, np.stack([re, im]))
+        table = _GTable(grid, np.stack([re, im]))
         # n - 1 is a power of two, so the even nodes of the doubled grid
         # reproduce this grid bit for bit and the odd ones are the probes.
         doubled = tau_max * np.linspace(0.0, 1.0, 2 * n - 1) ** 2
         mid = doubled[1::2]
         probe = _g_batch(sd, beta, mid, settings)
-        scale = max(1.0, float(np.max(np.abs(g))))
-        sp_mid = sp(mid)
+        at_mid = table(mid)
         err = float(
-            np.max(np.abs(sp_mid[0] - np.real(probe)) + np.abs(sp_mid[1] - np.imag(probe)))
-        ) / scale
+            np.max(np.abs(at_mid[0] - np.real(probe)) + np.abs(at_mid[1] - np.imag(probe)))
+        ) / q_reorg
         if err <= _SPLINE_TOL or n >= _GRID_MAX_NODES:
-            return grid, sp, n, err
+            return grid, table, n, err
         g_doubled = np.empty(2 * n - 1, dtype=complex)
         g_doubled[::2], g_doubled[1::2] = g, probe
         grid, g, n = doubled, g_doubled, 2 * n - 1
 
 
-# The last G spline built, as (density, (beta, tau_max, settings), result).
+# The last G table built, as (density, (beta, tau_max, settings), result).
 # One entry suffices: the points of a lambda^2 Q sweep ask for the same key in
 # an unbroken run, and a beta or omega_c sweep never repeats one. The density
 # is matched by identity (a Tabulated density holds arrays, which neither hash
@@ -188,7 +174,7 @@ _last_spline: tuple | None = None
 
 def _g_splines(
     sd: SpectralDensity, beta: float, tau_max: float, settings: QuadratureSettings
-) -> tuple[tuple[np.ndarray, _CubicSpline, int, float], bool]:
+) -> tuple[tuple[np.ndarray, _GTable, int, float], bool]:
     """_build_g_splines' result, reused when the last call had the same key.
 
     Returns the result and whether it was reused. Densities are immutable,
@@ -200,8 +186,7 @@ def _g_splines(
     if entry is not None and entry[0] is sd and entry[1] == key:
         return entry[2], True
     built = _build_g_splines(sd, beta, tau_max, settings)
-    grid, sp = built[0], built[1]
-    for arr in (grid, sp.y, sp.h, sp.m):
+    for arr in (built[0], built[1].y):
         arr.flags.writeable = False
     _last_spline = (sd, key, built)
     return built, False
@@ -215,18 +200,19 @@ def me_steady_state(
 ) -> MEResult:
     """Master-equation coherences for every coupling-eigenbasis pair.
 
-    G is evaluated once on an adaptive grid and splined. The transforms of
-    all pairs with h_{l,l'} != 0, at both signs of wbar, are one
-    vector-valued integrand, so the spline is evaluated once per tau node.
+    G is evaluated once on an adaptive grid, and the transforms read it from
+    that table. The transforms of all pairs with h_{l,l'} != 0, at both
+    signs of wbar, are one vector-valued integrand, so the table is read
+    once per tau node.
     It runs out to one cut tau*, where the weakest pair's lam^2 a^2 Re G
     passes the tail cutoff, in windows short enough to track the fastest
     e^{-i wbar tau}. Per-pair diagnostics give the shared tau* and
     evaluation count, and the pair's own error estimate and tail bound.
 
-    The spline is reused across consecutive calls with the same density
+    The table is reused across consecutive calls with the same density
     object, beta, grid end tau_max and quadrature settings, as along a
     lambda^2 Q sweep; diagnostics["g_spline_reused"] reports it. The reused
-    spline is the one a fresh build would give, bit for bit.
+    table is the one a fresh build would give, bit for bit.
 
     Raises NumericsError when lam^2 (a_l - a_l')^2 overflows.
     """
@@ -248,11 +234,11 @@ def me_steady_state(
         )
     wbar = energies[l] - energies[l2]
     s_min = float(np.min(s_pair))
-    tau_max = _find_tau_max(sd, beta, s_min, s.tail_cutoff_exponent, s)
-    (grid, sp, nodes, sp_err), reused = _g_splines(sd, beta, tau_max, s)
-    re_g = sp.y[0]
+    tau_max = _find_tau_max(sd, beta, s_min, _TAIL_CUTOFF_EXPONENT, s)
+    (grid, table, nodes, table_err), reused = _g_splines(sd, beta, tau_max, s)
+    re_g = table.y[0]
     # shared cut: first grid point past the weakest pair's tail threshold
-    idx = np.searchsorted(s_min * re_g, s.tail_cutoff_exponent)
+    idx = np.searchsorted(s_min * re_g, _TAIL_CUTOFF_EXPONENT)
     tau_star = float(grid[min(idx, len(grid) - 1)])
 
     # components: I1 of every pair, then conj(I2), the transform at -wbar
@@ -260,7 +246,7 @@ def me_steady_state(
     w_c = np.concatenate([wbar, -wbar])
 
     def f(t):
-        re, im = sp(t)
+        re, im = table(t)
         phase = np.outer(im + q_reorg * t, s_c) - np.outer(t, w_c)
         return np.exp(-np.outer(re, s_c) + 1j * phase)
 
@@ -296,7 +282,7 @@ def me_steady_state(
     diagnostics = {
         "per_pair": per_pair,
         "tau_grid_nodes": nodes,
-        "spline_error": sp_err,
+        "spline_error": table_err,
         "tau_max": tau_max,
         "g_spline_reused": reused,
     }

@@ -27,17 +27,11 @@ _EULER_GAMMA = 0.5772156649015328606
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Tolerances and limits for integrate_finite and the routes built on it.
-
-    tail_cutoff_exponent sets only the master-equation route's tau cut: its
-    transform stops where the weakest pair's decay exponent s*Re G(tau)
-    reaches this value.
-    """
+    """Tolerances and limits for integrate_finite and the routes built on it."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
     max_subdivisions: int = 2000
-    tail_cutoff_exponent: float = 40.0
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0):

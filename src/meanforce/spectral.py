@@ -226,7 +226,10 @@ class Tabulated(SpectralDensity):
     @classmethod
     def from_file(cls, path) -> "Tabulated":
         """Load from a two-column text file (omega, J); '#' starts a comment."""
-        data = np.loadtxt(path, comments="#", ndmin=2)
+        try:
+            data = np.loadtxt(path, comments="#", ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"{path}: not a readable table of numbers: {exc}") from None
         if data.shape[1] < 2:
             raise ValidationError(f"{path}: expected two columns (omega, J)")
         return cls(data[:, 0], data[:, 1])

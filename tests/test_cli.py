@@ -248,6 +248,25 @@ def test_percent_in_config_value_is_literal(tmp_path, capsys):
     assert "'high-t%'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, argv, named",
+    [
+        ("omega-c = 0.3\nomega_c = 0.9\n", [], "['omega-c', 'omega_c']"),
+        ("", ["--methods", "high-t,series,high-t"], "['high-t']"),
+    ],
+    ids=["config-spellings", "methods"],
+)
+def test_duplicated_sweep_input_exit_1(config, argv, named, tmp_path, capsys):
+    # One setting under two spellings, or one method twice, is refused rather
+    # than resolved by order.
+    conf = tmp_path / "sweep.ini"
+    conf.write_text(f"[sweep]\npreset = fig1a\npoints = 2\n{config}")
+    rc = run_main(["sweep", "--config", str(conf), *argv])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
 def test_svg_output(tmp_path):
     out, svg = tmp_path / "s.csv", tmp_path / "s.svg"
     rc = run_main([
@@ -320,6 +339,33 @@ def test_tabulated_density_with_zero_q_exit_1(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "table, out",
+    [
+        (None, None),
+        ("0.0 0.0\n1.0 abc\n", None),
+        ("0.0 0.0\n1.0\n2.0 0.5\n", None),
+        ("0.0 0.0\n1.0 1.0\n2.0 0.0\n", "--out"),
+        ("0.0 0.0\n1.0 1.0\n2.0 0.0\n", "--svg"),
+    ],
+    ids=["missing-table", "non-numeric-cell", "ragged-rows", "out-dir-missing",
+         "svg-dir-missing"],
+)
+def test_unreadable_or_unwritable_file_exit_1(table, out, tmp_path, capsys):
+    path = tmp_path / "j.txt"
+    if table is not None:
+        path.write_text(table)
+    argv = ["sweep", "--sweep", "lambda2Q", "--from", "1", "--to", "2", "--points", "2",
+            "--spectral", f"tabulated:{path}"]
+    if out is not None:
+        argv += [out, str(tmp_path / "no-such-dir" / "s.out")]
+    rc = run_main(argv)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert str(path if out is None else tmp_path / "no-such-dir") in err
 
 
 def test_me_coupling_overflow_is_na_with_note(capsys):

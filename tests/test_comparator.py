@@ -7,7 +7,7 @@ from meanforce import comparator
 from meanforce.comparator import me_state, me_steady_state
 from meanforce.errors import NumericsError, ValidationError
 from meanforce.special import QuadratureSettings
-from meanforce.spectral import BathParams, DiscreteModes, LorentzDrude, _g_batch
+from meanforce.spectral import BathParams, DiscreteModes, LorentzDrude
 from meanforce.spinboson import SpinBosonParams, build_system
 from meanforce.steady import (
     CorrectionMethod,
@@ -91,7 +91,7 @@ def test_me_diagnostics_and_truncation():
     me = me_steady_state(SPIN, bath, LD)
     d = me.diagnostics
     assert d["tau_grid_nodes"] >= 65
-    assert d["spline_error"] <= 1e-8
+    assert d["spline_error"] <= comparator._SPLINE_TOL
     assert me.truncation_tau > 0.0
     assert me.truncation_tau <= d["tau_max"]
     pair = d["per_pair"][(0, 1)]
@@ -101,68 +101,51 @@ def test_me_diagnostics_and_truncation():
     assert pair["tail_bound"] < 1e-20
 
 
-def _spline_moments_scalar_loop(x, y):
-    # Natural-spline moments by the Thomas loop on numpy float64 scalars, one
-    # right-hand side at a time: the reference for _CubicSpline's float loop.
-    n = len(x)
-    h = np.diff(x)
-    m = np.zeros(n)
-    if n > 2:
-        diag = 2.0 * (h[:-1] + h[1:])
-        rhs = 6.0 * np.diff(np.diff(y) / h)
-        upper = h[1:-1].copy()
-        lower = h[1:-1].copy()
-        for i in range(1, n - 2):
-            w = lower[i - 1] / diag[i - 1]
-            diag[i] -= w * upper[i - 1]
-            rhs[i] -= w * rhs[i - 1]
-        sol = np.zeros(n - 2)
-        sol[-1] = rhs[-1] / diag[-1]
-        for i in range(n - 4, -1, -1):
-            sol[i] = (rhs[i] - upper[i] * sol[i + 1]) / diag[i]
-        m[1:-1] = sol
-    return m
-
-
-def _spline_eval_one_row(x, y, m, t):
-    # The one-row spline evaluation the two-row _CubicSpline.__call__ replaces.
-    h = np.diff(x)
-    j = np.clip(np.searchsorted(x, t) - 1, 0, len(x) - 2)
-    hj, d, e = h[j], t - x[j], x[j + 1] - t
-    return (
-        m[j] * e**3 / (6.0 * hj)
-        + m[j + 1] * d**3 / (6.0 * hj)
-        + (y[j] / hj - m[j] * hj / 6.0) * e
-        + (y[j + 1] / hj - m[j + 1] * hj / 6.0) * d
-    )
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 65])
-def test_spline_moments_match_scalar_loop_and_dense_solve(n):
-    tau_max = 16.0
+def _table(values, n=65, tau_max=16.0):
+    # A G table whose rows are the given functions of s on n grid nodes.
     grid = tau_max * np.linspace(0.0, 1.0, n) ** 2
-    g = _g_batch(LD, 1.0, grid, QuadratureSettings())
-    g[0] = 0.0
-    y = np.stack([g.real, g.imag])
-    sp = comparator._CubicSpline(grid, y)
-    t = tau_max * np.linspace(0.0, 1.0, 2 * n + 1) ** 2
-    vals = sp(t)
-    for row, ys in enumerate(y):
-        ref = _spline_moments_scalar_loop(grid, ys)
-        assert np.array_equal(sp.m[row], ref)
-        assert np.array_equal(vals[row], _spline_eval_one_row(grid, ys, ref, t))
-        if n > 2:
-            # The moment system itself, solved densely.
-            h = np.diff(grid)
-            a = np.diag(2.0 * (h[:-1] + h[1:])) + np.diag(h[1:-1], 1) + np.diag(h[1:-1], -1)
-            dense = np.linalg.solve(a, 6.0 * np.diff(np.diff(ys) / h))
-            assert np.max(np.abs(ref[1:-1] - dense)) <= 1e-12 * np.max(np.abs(dense))
-        assert ref[0] == ref[-1] == 0.0
+    s = np.sqrt(grid / tau_max)
+    return grid, comparator._GTable(grid, np.stack([f(s) for f in values]))
+
+
+def test_g_table_reads_its_nodes_exactly():
+    # tau_max is no power of two, so sqrt(tau / tau_max) misses some nodes' s.
+    grid, table = _table([np.cos, np.sin], tau_max=18.3)
+    assert np.array_equal(table(grid), table.y)
+
+
+def test_g_table_reproduces_degree_7_polynomial_in_s():
+    # 8-point Lagrange interpolation is exact on degree 7, end stencils included.
+    c = np.random.default_rng(0).normal(size=(2, 8))
+    rows = [np.polynomial.Polynomial(ci) for ci in c]
+    grid, table = _table(rows)
+    s = np.linspace(0.0, 1.0, 1001)
+    vals = table(16.0 * s**2)
+    for row, p in zip(vals, rows):
+        assert np.max(np.abs(row - p(s))) <= 1e-14 * np.max(np.abs(p(s)))
+
+
+def test_g_table_accurate_in_end_stencils():
+    # At every cell midpoint, the one-sided stencils of the first and last
+    # three cells included, the error stays within the Lagrange remainder
+    # bound max|f^(8)| h^8 prod_k |u - u_k| / 8!, u in node spacings.
+    n = 65
+    rows = [(lambda s: np.exp(-3.0 * s), 3.0**8), (lambda s: np.sin(5.0 * s + 0.3), 5.0**8)]
+    grid, table = _table([f for f, _ in rows], n)
+    u = np.arange(n - 1) + 0.5
+    first = np.clip(np.floor(u) - 3.0, 0.0, n - 8.0)
+    node_prod = np.prod(np.abs(u - first - np.arange(8.0)[:, None]), axis=0)
+    s = u / (n - 1)
+    vals = table(16.0 * s**2)
+    for row, (f, d8) in zip(vals, rows):
+        bound = d8 * node_prod / ((n - 1.0) ** 8 * math.factorial(8))
+        assert np.all(np.abs(row - f(s)) <= bound + 1e-15)
+        assert np.max(bound) < 3e-11
 
 
 @pytest.fixture
 def cold_memo(monkeypatch):
-    # An earlier test may have left a spline for LD at the same key.
+    # An earlier test may have left a G table for LD at the same key.
     monkeypatch.setattr(comparator, "_last_spline", None)
 
 
@@ -206,7 +189,7 @@ def _counting_builds(monkeypatch):
 
 def test_g_spline_reused_across_couplings(monkeypatch, cold_memo):
     # Two couplings of one lambda^2 Q sweep land on the same tau_max, so the
-    # second call reuses the first spline and still gives the cold result.
+    # second call reuses the first G table and still gives the cold result.
     baths = [BathParams(beta=1.0, lam=math.sqrt(v)) for v in (2.0, 5.0)]
     cold = []
     for bath in baths:
@@ -221,8 +204,9 @@ def test_g_spline_reused_across_couplings(monkeypatch, cold_memo):
     for c, w in zip(cold, warm):
         assert np.array_equal(w.coherences, c.coherences)
         assert w.diagnostics["spline_error"] == c.diagnostics["spline_error"]
-    grid, sp = comparator._last_spline[2][:2]
-    assert not (grid.flags.writeable or sp.y.flags.writeable or sp.m.flags.writeable)
+    grid, table = comparator._last_spline[2][:2]
+    assert table.grid is grid
+    assert not (grid.flags.writeable or table.y.flags.writeable)
 
 
 @pytest.mark.parametrize(
@@ -271,18 +255,19 @@ def _me_coherences_pair_loop(sys, bath, sd, s):
     active = [pr for pr in pairs if sys.h_elements[pr] != 0]
     coh = np.zeros((sys.dim, sys.dim), dtype=complex)
     s_min = min(s_values[pr] for pr in active)
-    tau_max = comparator._find_tau_max(sd, bath.beta, s_min, s.tail_cutoff_exponent, s)
-    grid, sp = comparator._build_g_splines(sd, bath.beta, tau_max, s)[:2]
-    re_g = sp.y[0]
+    tail = comparator._TAIL_CUTOFF_EXPONENT
+    tau_max = comparator._find_tau_max(sd, bath.beta, s_min, tail, s)
+    grid, table = comparator._build_g_splines(sd, bath.beta, tau_max, s)[:2]
+    re_g = table.y[0]
     for l, l2 in active:
         s_pair = s_values[(l, l2)]
         wbar = float(energies[l] - energies[l2])
-        idx = np.searchsorted(s_pair * re_g, s.tail_cutoff_exponent)
+        idx = np.searchsorted(s_pair * re_g, tail)
         tau_star = float(grid[min(idx, len(grid) - 1)])
 
         def transform(w):
             def f(t):
-                re, im = sp(t)
+                re, im = table(t)
                 phase = s_pair * (im + q_reorg * t) - w * t
                 return np.exp(-s_pair * re + 1j * phase)
 
@@ -331,6 +316,38 @@ def test_me_all_pairs_matches_pair_loop(sys, lam2q):
     me = me_steady_state(sys, bath, LD)
     assert np.max(np.abs(me.coherences - ref)) <= 1e-11 * np.max(np.abs(ref))
     assert np.array_equal(me.coherences == 0.0, ref == 0.0)
+
+
+def _random_system(dim):
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    a = np.diag(np.linspace(-1.0, 1.0, dim) + 0.01 * rng.normal(size=dim))
+    return SystemSpec(0.3 * (m + m.conj().T) / 2.0, a)
+
+
+@pytest.mark.parametrize(
+    "sys, lam2q, omega_c, beta",
+    [
+        (_DIM4, 3.0, 0.5, 1.5),
+        (_DIM4, 3.0, 0.5, 4.0),
+        (_DIM4, 3.0, 0.5, 12.0),
+        (_random_system(8), 2.0, 0.25, 1.0),
+        (_random_system(12), 2.0, 0.25, 1.0),
+    ],
+    ids=["dim4-beta1.5", "dim4-beta4", "dim4-beta12", "dim8", "dim12"],
+)
+def test_me_matches_exact_on_multilevel_systems(sys, lam2q, omega_c, beta):
+    # The G table is read to 1e-11 of Q, so the ME route holds the exact
+    # route to rounding on systems whose pairs decay at very different rates.
+    sd = LorentzDrude(1.0, omega_c)
+    bath = BathParams(beta=beta, lam=math.sqrt(lam2q / sd.reorganization_energy()))
+    me = me_steady_state(sys, bath, sd)
+    ex = steady_state(sys, bath, sd, CorrectionMethod.EXACT_QUADRATURE,
+                      RenormalizationConvention.NATURAL)
+    v = sys.a_eigenvectors
+    c_ex = v.conj().T @ ex.state.entries @ v
+    c_ex -= np.diag(np.diag(c_ex))
+    assert np.max(np.abs(me.coherences - c_ex)) <= 1e-11 * np.max(np.abs(c_ex))
 
 
 def test_me_one_integrate_finite_call_per_window(monkeypatch):
