@@ -1,13 +1,13 @@
-"""Dawson integral and E1 across their implementation regimes.
+"""The Dawson integral across its implementation regimes.
 
 dawson() switches at |x| = 1 (series), 6 (sampled exponentials), and beyond
-(asymptotic series); exp1() switches at x = 1.5. The printed columns compare
-against slow direct quadrature so regime seams are visible if they exist.
+(asymptotic series). The printed columns compare against slow direct
+quadrature so regime seams are visible if they exist.
 """
 
 import numpy as np
 
-from meanforce.special import dawson, exp1, integrate_finite
+from meanforce.special import dawson, integrate_finite
 from meanforce.svg import render_line_plot
 
 print(f"{'x':>6} {'dawson':>22} {'quadrature':>22} {'diff':>10}")
@@ -17,12 +17,6 @@ for x in (0.2, 0.9, 1.1, 3.0, 5.9, 6.1, 12.0, 40.0):
     ).value
     d = dawson(x)
     print(f"{x:6.1f} {d:22.16g} {ref:22.16g} {abs(d - ref):10.2e}")
-
-print()
-print(f"{'x':>6} {'exp1':>22} {'x e^x E1(x) -> 1':>18}")
-for x in (0.05, 0.5, 1.4, 1.6, 5.0, 30.0, 300.0):
-    e = exp1(x)
-    print(f"{x:6.2f} {e:22.16g} {x * np.exp(min(x, 700.0)) * e:18.12f}")
 
 xs = np.linspace(0.01, 10.0, 400)
 dv = np.array([dawson(float(x)) for x in xs])

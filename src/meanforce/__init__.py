@@ -23,7 +23,7 @@ from .oracle import (
     exact_mean_force_state,
     verify_trace_identity,
 )
-from .special import QuadratureResult, QuadratureSettings, dawson, exp1, integrate_finite
+from .special import QuadratureResult, QuadratureSettings, dawson, integrate_finite
 from .spectral import (
     BathParams,
     DiscreteModes,
@@ -80,7 +80,6 @@ __all__ = [
     "ValidationError",
     "build_system",
     "dawson",
-    "exp1",
     "discretize",
     "eigh",
     "exact_mean_force_state",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import math
 import sys as _sys
@@ -334,12 +335,34 @@ def _check_reorganization() -> tuple[float, float, str]:
     return worst, 1e-8, "closed-form Q vs direct quadrature of J/w"
 
 
+def _check_me_vs_exact() -> tuple[float, float, str]:
+    sd = spectral.LorentzDrude(1.0, 0.25)
+    spin, beta_n = build_system(SpinBosonParams(1.0, 0.7)), 2.0 * math.pi / sd.omega_c
+    dim4 = steady.SystemSpec(np.array(
+        [[0.6, 0.2 + 0.1j, 0.1, 0.15j], [0.2 - 0.1j, 0.1, 0.3 - 0.2j, 0.05],
+         [0.1, 0.3 + 0.2j, -0.2, 0.25 + 0.05j], [-0.15j, 0.05, 0.25 - 0.05j, -0.5]]),
+        np.diag([-1.0, -0.3, 0.4, 1.1]))
+    worst = 0.0
+    for sys_spec, beta, lambda2q in (
+        (spin, 1.0, 5.0), (dim4, 1.0, 2.0), (spin, beta_n, 1.0), (spin, beta_n * (1 + 1e-6), 1.0)
+    ):
+        bath, v = spectral.BathParams(beta, math.sqrt(lambda2q)), sys_spec.a_eigenvectors
+        ex = v.conj().T @ steady.steady_state(
+            sys_spec, bath, sd, CorrectionMethod.EXACT_QUADRATURE, RenormalizationConvention.NATURAL
+        ).state.entries @ v
+        ex -= np.diag(np.diag(ex))
+        me = me_steady_state(sys_spec, bath, sd).coherences
+        worst = max(worst, float(np.max(np.abs(me - ex)) / np.max(np.abs(ex))))
+    return worst, 1e-9, "me vs exact, w_c 0.25: spin-boson at beta 1, 2pi/w_c (1 + 0, 1e-6); dim-4"
+
+
 _CHECKS = {
     "identity-grid": _check_identity_grid,
     "kernel-symmetry": _check_kernel_symmetry,
     "hermiticity": _check_hermiticity,
     "dawson": _check_dawson,
     "reorganization": _check_reorganization,
+    "me-vs-exact": _check_me_vs_exact,
 }
 
 
@@ -487,10 +510,12 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _write(path: str, text: str) -> None:
+def _open(path: str | None, stack: contextlib.ExitStack):
+    """path opened for writing and closed with stack; stdout for no path."""
+    if path is None:
+        return _sys.stdout
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
+        return stack.enter_context(open(path, "w"))
     except OSError as exc:
         raise ValidationError(f"cannot write {path!r}: {exc.strerror}") from None
 
@@ -498,36 +523,33 @@ def _write(path: str, text: str) -> None:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        if args.command == "sweep":
-            spec = _build_sweep_spec(args)
-            csv_text = run_sweep(spec)
-            if args.out:
-                _write(args.out, csv_text)
-            else:
-                _sys.stdout.write(csv_text)
-            if args.svg:
-                _write(args.svg, sweep_svg(spec, csv_text))
-            return 0
-        checks = list(args.checks) or None
-        if checks is None and args.config:
-            conf = _read_config(args.config, "verify")
-            unknown = [k for k in conf if k != "checks"]
-            if unknown:
-                raise ValidationError(f"unknown keys {unknown} in [verify] of {args.config}")
-            if "checks" in conf:
-                # An empty value is an explicit empty list, not "all".
-                checks = [c.strip() for c in conf["checks"].split(",") if c.strip()]
-        report = run_verify(checks)
-        text = json.dumps(report, indent=2) + "\n"
-        if args.out:
-            _write(args.out, text)
-        else:
-            _sys.stdout.write(text)
-        return 0 if report["all_passed"] else 2
+        # Output files are opened before the run, so a bad path costs no sweep.
+        with contextlib.ExitStack() as stack:
+            if args.command == "sweep":
+                spec = _build_sweep_spec(args)
+                out, svg = _open(args.out, stack), args.svg and _open(args.svg, stack)
+                csv_text = run_sweep(spec)
+                out.write(csv_text)
+                if svg:
+                    svg.write(sweep_svg(spec, csv_text))
+                return 0
+            checks = list(args.checks) or None
+            if checks is None and args.config:
+                conf = _read_config(args.config, "verify")
+                unknown = [k for k in conf if k != "checks"]
+                if unknown:
+                    raise ValidationError(f"unknown keys {unknown} in [verify] of {args.config}")
+                if "checks" in conf:
+                    # An empty value is an explicit empty list, not "all".
+                    checks = [c.strip() for c in conf["checks"].split(",") if c.strip()]
+            out = _open(args.out, stack)
+            report = run_verify(checks)
+            out.write(json.dumps(report, indent=2) + "\n")
+            return 0 if report["all_passed"] else 2
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=_sys.stderr)
         return 3
-    except MeanForceError as exc:
+    except (MeanForceError, OSError) as exc:  # OSError: a write to an opened file failed
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

@@ -66,11 +66,12 @@ class MEResult:
 
 
 class _GTable:
-    """Re G and Im G on the grid tau = tau_max s^2, s uniform on [0, 1].
+    """Re G and Im G on the grid tau = tau_max s^3, s uniform on [0, 1].
 
-    G is smooth in s, so the table is read by 8-point Lagrange interpolation
-    in s, on the stencil centred on the cell where it fits and one-sided at
-    both ends. A grid node reads back its own value exactly.
+    G is smooth in s: where Re G ~ tau^2 ln tau near 0 (a J falling as 1/w),
+    the log enters at s^6 ln s. The table is read by 8-point Lagrange
+    interpolation in s, on the stencil centred on the cell where it fits and
+    one-sided at both ends. A grid node reads back its own value exactly.
     """
 
     def __init__(self, grid: np.ndarray, y: np.ndarray):
@@ -82,9 +83,9 @@ class _GTable:
         """Both rows at t, shape (2, len(t))."""
         t = np.asarray(t, dtype=float)
         n = len(self.grid)
-        u = np.sqrt(t / self.grid[-1]) * (n - 1)  # s in units of the node spacing
+        u = np.cbrt(t / self.grid[-1]) * (n - 1)  # s in units of the node spacing
         i = np.rint(u)
-        # the square root may round a node off its integer u
+        # the cube root may round a node off its integer u
         u = np.where(self.grid.take(i.astype(int), mode="clip") == t, i, u)
         j = np.clip(np.floor(u).astype(int) - 3, 0, n - 8)
         d = u - j - _OFFSETS  # (8, len(t)): u minus each stencil node
@@ -98,19 +99,28 @@ class _GTable:
         return np.einsum("rnk,kn->rn", self._stencils[:, j], w)
 
 
+def _finite_g(sd: SpectralDensity, beta: float, tau: np.ndarray, settings: QuadratureSettings):
+    """_g_batch, or NumericsError where G is not finite (it overflows at huge tau)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _g_batch(sd, beta, tau, settings)
+    if np.isfinite(g).all():
+        return g
+    raise NumericsError(f"G(tau) is not finite for tau up to {np.max(tau):.6g}")
+
+
 def _find_tau_max(
     sd: SpectralDensity, beta: float, s_min: float, cutoff_exp: float,
     settings: QuadratureSettings,
 ) -> float:
     """Smallest grid end with s_min * Re G beyond the tail cutoff."""
     tau = max(beta, 4.0 / sd.cutoff)
-    prev = float(np.real(_g_batch(sd, beta, np.array([tau]), settings)[0]))
+    prev = float(np.real(_finite_g(sd, beta, np.array([tau]), settings)[0]))
     strikes = 0
     for _ in range(_GROWTH_LIMIT):
         if s_min * prev > cutoff_exp:
             return tau
         tau *= _GROWTH_FACTOR
-        cur = float(np.real(_g_batch(sd, beta, np.array([tau]), settings)[0]))
+        cur = float(np.real(_finite_g(sd, beta, np.array([tau]), settings)[0]))
         if cur < prev * _STALL_RATIO:
             strikes += 1
             if strikes >= _STALL_STRIKES:
@@ -131,17 +141,20 @@ def _build_g_splines(
 ) -> tuple[np.ndarray, _GTable, int, float]:
     """Cached G on a near-0-clustered grid, doubled until the table checks out.
 
-    The grid is tau = tau_max s^2 on uniform s. The probes sit at the
+    The grid is tau = tau_max s^3 on uniform s. The probes sit at the
     s-midpoints, which are the new nodes of the next doubling, so each G
     value is evaluated once and a failed check becomes the next grid.
     Returns the grid, the table of (Re G, Im G) on it, the node count and
     the table's error at the last probes: the largest |dRe G| + |dIm G|,
     divided by the reorganization energy Q.
+
+    Raises NumericsError when G is not finite on the grid, or when the table
+    still misses _SPLINE_TOL at _GRID_MAX_NODES nodes.
     """
     q_reorg = sd.reorganization_energy()
     n = _GRID_START_NODES
-    grid = tau_max * np.linspace(0.0, 1.0, n) ** 2
-    g = _g_batch(sd, beta, grid, settings)
+    grid = tau_max * np.linspace(0.0, 1.0, n) ** 3
+    g = _finite_g(sd, beta, grid, settings)
     g[0] = 0.0  # G(0) = 0 exactly
     while True:
         re, im = np.real(g), np.imag(g)
@@ -150,15 +163,17 @@ def _build_g_splines(
         table = _GTable(grid, np.stack([re, im]))
         # n - 1 is a power of two, so the even nodes of the doubled grid
         # reproduce this grid bit for bit and the odd ones are the probes.
-        doubled = tau_max * np.linspace(0.0, 1.0, 2 * n - 1) ** 2
+        doubled = tau_max * np.linspace(0.0, 1.0, 2 * n - 1) ** 3
         mid = doubled[1::2]
-        probe = _g_batch(sd, beta, mid, settings)
+        probe = _finite_g(sd, beta, mid, settings)
         at_mid = table(mid)
         err = float(
             np.max(np.abs(at_mid[0] - np.real(probe)) + np.abs(at_mid[1] - np.imag(probe)))
         ) / q_reorg
-        if err <= _SPLINE_TOL or n >= _GRID_MAX_NODES:
+        if err <= _SPLINE_TOL:
             return grid, table, n, err
+        if n >= _GRID_MAX_NODES:
+            raise NumericsError(f"the G(tau) table is {err:.3g} of Q off at {n} nodes, above {_SPLINE_TOL:g}")
         g_doubled = np.empty(2 * n - 1, dtype=complex)
         g_doubled[::2], g_doubled[1::2] = g, probe
         grid, g, n = doubled, g_doubled, 2 * n - 1

@@ -1,4 +1,4 @@
-"""Dawson and E1 special functions and the adaptive quadrature engine.
+"""The Dawson function and the adaptive quadrature engine.
 
 Everything here is deterministic: fixed nodes, fixed subdivision policy,
 no randomness, so repeated runs produce bit-identical results.
@@ -18,11 +18,8 @@ __all__ = [
     "QuadratureSettings",
     "QuadratureResult",
     "dawson",
-    "exp1",
     "integrate_finite",
 ]
-
-_EULER_GAMMA = 0.5772156649015328606
 
 
 @dataclass(frozen=True)
@@ -119,43 +116,6 @@ def dawson(x: float) -> float:
         term = new
         total += term
     return total / (2.0 * x)
-
-
-def exp1(x):
-    """Exponential integral E1(x) = integral_x^inf e^{-t}/t dt, x > 0.
-
-    Accepts a scalar or array. Alternating series up to x=1.5, modified-Lentz
-    continued fraction above; each branch runs only on its own entries.
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ValidationError("exp1 requires finite positive input")
-    small = arr <= 1.5
-    large = ~small
-    out = np.empty_like(arr)
-    if small.any():
-        xs = arr[small]
-        term = np.ones_like(xs)
-        acc = np.zeros_like(xs)
-        for k in range(1, 32):
-            term = term * xs / k
-            acc = acc + (term / k if k % 2 else -term / k)
-        out[small] = -_EULER_GAMMA - np.log(xs) + acc
-    if large.any():
-        # E1(x) = e^{-x} / (x + 1 - 1/(x + 3 - 4/(x + 5 - 9/(...)))), x > 1.5
-        xl = arr[large]
-        b = xl + 1.0
-        c = np.full_like(xl, 1e308)
-        d = 1.0 / b
-        h = d.copy()
-        for k in range(1, 48):
-            a = -float(k * k)
-            b = b + 2.0
-            d = 1.0 / (b + a * d)
-            c = b + a / c
-            h = h * c * d
-        out[large] = np.exp(-xl) * h
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
 # ----------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedOperationError, ValidationError
-from .special import _EULER_GAMMA, QuadratureSettings, exp1, integrate_finite
+from .errors import NumericsError, UnsupportedOperationError, ValidationError
+from .special import QuadratureSettings, integrate_finite
 
 __all__ = [
     "SpectralDensity",
@@ -110,18 +110,7 @@ class LorentzDrude(SpectralDensity):
         return np.atleast_1d(np.asarray(res.value, dtype=float))
 
     def g(self, beta, tau, settings):
-        c_pole, c_mats, nu, nu_star = _matsubara_coefficients(self, beta)
-        g = c_pole * _mu_exp(np.array([self.omega_c]), tau)[0]
-        g = g + _matsubara_sum(c_mats, nu, tau)
-        # Euler-Maclaurin midpoint correction for the truncated Matsubara
-        # tail: sum_{k>N} c_k mu(nu_k, tau) ~ (2Q w_c/pi) tau^2 R(nu* tau).
-        # R's large-x form tau/nu* - 1/(2 nu*^2) is off by ~1/(2 nu*^2) for
-        # nu* tau < 1, which breaks G(0) = 0 and small-tau monotonicity.
-        x = nu_star * tau
-        tail = np.zeros_like(tau)
-        pos = x > 0.0
-        tail[pos] = tau[pos] ** 2 * _tail_r(x[pos])
-        return g + (2.0 * self.Q * self.omega_c / math.pi) * tail
+        return _lorentz_drude_g(self.Q, self.omega_c, beta, tau)
 
 
 @dataclass(frozen=True)
@@ -330,148 +319,162 @@ def overlap_kernel(
 # G(tau), the double integral of the bath correlation function c_B(s)
 # ----------------------------------------------------------------------------
 
-_MATSUBARA_N = 3000
-# Beyond nu*tau = 40, e^{-nu tau} < 4.3e-18 lies below half an ulp of the
-# nu*tau - 1 it is added to (expm1(-x) already rounds to -1 from x ~ 37.5),
-# so mu(nu, tau) = tau/nu - 1/nu^2 in double precision.
-_AFFINE_X = 40.0
-# tau nodes per _mu_exp block. A block's smallest tau sets how many poles it
-# keeps, so small blocks keep few full-width rows near tau = 0 and bound the
-# temporaries at 3000 poles x 16 nodes (0.4 MB each).
-_TAU_BLOCK = 16
-
-
-def _one_minus_cos(x: np.ndarray) -> np.ndarray:
-    return 2.0 * np.sin(0.5 * x) ** 2
-
-
-def _x_minus_sin(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    out = np.where(
-        np.abs(x) < 1e-4,
-        (x**3 / 6.0) * (1.0 - x**2 / 20.0),
-        x - np.sin(x),
-    )
-    return out
-
-
-def _coth(x: np.ndarray) -> np.ndarray:
-    return 1.0 / np.tanh(x)
-
-
 def _g_factor(w: np.ndarray, tau: np.ndarray, beta: float) -> np.ndarray:
     """The factor with G(tau) = int J/w^2 * (coth(wb/2)(1 - cos wt) - i(wt - sin wt))."""
     wt = w[:, None] * tau[None, :]
-    re = _coth(0.5 * beta * w)[:, None] * _one_minus_cos(wt)
-    im = -_x_minus_sin(wt)
-    return re + 1j * im
+    re = (1.0 / np.tanh(0.5 * beta * w))[:, None] * (2.0 * np.sin(0.5 * wt) ** 2)
+    x_minus_sin = np.where(np.abs(wt) < 1e-4, (wt**3 / 6.0) * (1.0 - wt**2 / 20.0), wt - np.sin(wt))
+    return re + 1j * -x_minus_sin
 
 
-def _matsubara_coefficients(sd: LorentzDrude, beta: float):
-    """Pole and Matsubara expansion coefficients for the Lorentz-Drude bath.
-
-    When beta*omega_c sits on a Matsubara frequency the cot pole and the
-    matching sum term cancel; rather than implementing that cancellation, beta
-    is nudged by one part in 1e9 (c_B and G are smooth across the point).
-    """
-    wc, q = sd.omega_c, sd.Q
-    ratio = beta * wc / (2.0 * math.pi)
-    if abs(ratio - round(ratio)) < 1e-8 and round(ratio) >= 1:
-        beta = beta * (1.0 + 1e-9)
-    n = np.arange(1.0, _MATSUBARA_N + 1)
-    nu = 2.0 * math.pi * n / beta
-    c_pole = q * wc * (1.0 / math.tan(beta * wc / 2.0) - 1j)
-    c_mats = (4.0 * q * wc / beta) * nu / (nu**2 - wc**2)
-    nu_star = 2.0 * math.pi * (_MATSUBARA_N + 0.5) / beta
-    return c_pole, c_mats, nu, nu_star
+_EULER_GAMMA = 0.5772156649015328606
+# B_2k/(2k)! for k = 0, ..., 20 (DLMF 24.2), for the series of the Lorentz-Drude G and of cot.
+_BERNOULLI_EVEN = np.array([
+    1.0, 0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05, -8.267195767195768e-07,
+    2.08767569878681e-08, -5.284190138687493e-10, 1.3382536530684679e-11, -3.3896802963225827e-13,
+    8.586062056277845e-15, -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
+    3.534707039629467e-21, -8.953517427037546e-23, 2.267952452337683e-24, -5.744790668872202e-26,
+    1.455172475614865e-27, -3.6859949406653103e-29, 9.336734257095045e-31, -2.36502241570063e-32,
+])
+# Past k x = 40, e^{-k x} < 4.3e-18 is below half an ulp of the affine part it is added to.
+_EXP_CUT = 40.0
+_EXP_BLOCK = 64  # terms per block of the exponential sum, which bounds its memory for large a
+_A_MAX = 1e4  # G's sum has 40 a terms: past a = beta w_c/2 pi = 1e4 it is refused
 
 
-def _tail_r(x: np.ndarray) -> np.ndarray:
-    """R(x) = int_x^inf (e^{-t} - 1 + t)/t^3 dt for x > 0.
+def _digamma(z: float) -> float:
+    """psi(z) for z > 0: recurrence up to z >= 16, then DLMF 5.11.2 to z^-12."""
+    acc = 0.0
+    while z < 16.0:
+        acc -= 1.0 / z
+        z += 1.0
+    t = 1.0 / (z * z)
+    tail = t * (1 / 12 - t * (1 / 120 - t * (1 / 252 - t * (1 / 240 - t * (1 / 132 - t * 691 / 32760)))))
+    return acc + math.log(z) - 0.5 / z - tail
 
-    Closed form R = e^{-x}/(2x^2) - e^{-x}/(2x) + E1(x)/2 + 1/x - 1/(2x^2);
-    below x = 0.35 the 1/x^2 pieces cancel catastrophically, so a power
-    series around 0 (with the log from the 1/(2t) part of the integrand)
-    takes over. Each form runs only on its own entries, and exp1 only at
-    x <= _AFFINE_X: beyond it the three e^{-x} terms sum to less than half an
-    ulp of 1/x, so the closed form rounds to 1/x - 1/(2x^2) bit for bit.
-    """
-    x = np.asarray(x, dtype=float)
-    small = x < 0.35
-    large = x > _AFFINE_X
-    out = np.empty_like(x)
-    xs = x[small]
-    xs = np.where(xs > 0.0, xs, 1.0)
-    r_series = 0.75 - 0.5 * _EULER_GAMMA - 0.5 * np.log(xs)
-    fact = 2.0
-    for m in range(3, 14):
-        fact *= m
-        term = xs ** (m - 2) / ((m - 2) * fact)
-        r_series = r_series + (term if m % 2 else -term)
-    out[small] = r_series
-    mid = ~(small | large)
-    if mid.any():
-        xm = x[mid]
-        ex = np.exp(-xm)
-        out[mid] = (
-            ex / (2.0 * xm**2) - ex / (2.0 * xm) + 0.5 * exp1(xm)
-            + 1.0 / xm - 1.0 / (2.0 * xm**2)
-        )
-    xl = x[large]
-    out[large] = 1.0 / xl - 1.0 / (2.0 * xl**2)
-    return out
+
+def _cot_minus_inverse(y: float) -> float:
+    """rho(y) = cot y - 1/y for |y| <= pi/2; up to |y| = 1 by y cot y = sum B_2k/(2k)! (-4y^2)^k."""
+    if abs(y) > 1.0:
+        return 1.0 / math.tan(y) - 1.0 / y
+    acc = 0.0
+    for b in _BERNOULLI_EVEN[:0:-1].tolist():
+        acc = acc * -4.0 * y * y + b
+    return -4.0 * y * acc
 
 
 def _mu_exp(kappa: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """mu(kappa, tau) = (e^{-kt} - 1 + kt)/kappa^2, stable for small kt.
+    """mu(kappa, tau) = (e^{-kt} - 1 + kt)/kappa^2, to rounding for every kt.
 
-    The direct form is built in place on the whole block and the Taylor
-    series overwrites only the entries with kt <= 1e-4, so each entry sees
-    the same operations in the same order as if both forms were evaluated
-    everywhere and selected after.
+    The direct form is built in place on the whole block; the 25-term Taylor
+    series overwrites the entries with kt <= 0.5 (all of them at kappa = 0),
+    where the direct form would lose digits to cancellation.
     """
-    kappa = np.asarray(kappa, dtype=float)
-    tau = np.asarray(tau, dtype=float)
     kt = kappa[:, None] * tau[None, :]
-    k2 = kappa**2
     out = np.negative(kt)
-    with np.errstate(invalid="ignore"):
-        np.expm1(out, out=out)
-        out += kt
-        out /= np.where(k2 > 0, k2, 1.0)[:, None]
-    small = kt <= 1e-4
+    np.expm1(out, out=out)
+    out += kt
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out /= kappa[:, None]  # twice by kappa, not once by kappa^2, which underflows first
+        out /= kappa[:, None]
+    small = kt <= 0.5
     if small.any():
         ks = kt[small]
-        t2 = np.broadcast_to(tau**2, kt.shape)[small]
-        out[small] = t2 * (0.5 - ks / 6.0 + ks**2 / 24.0 - ks**3 / 120.0)
+        series = np.ones_like(ks)  # 2 sum_{m<25} (-kt)^m/(m+2)!, by Horner
+        for j in range(26, 2, -1):
+            series = 1.0 - ks * series / j
+        out[small] = np.broadcast_to(tau**2, kt.shape)[small] * series / 2.0
     return out
 
 
-def _matsubara_sum(c: np.ndarray, nu: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """sum_k c_k mu(nu_k, tau) for ascending nu_k and tau >= 0 in any order.
+def _lorentz_drude_g(q: float, wc: float, beta: float, tau: np.ndarray) -> np.ndarray:
+    """G(tau) of Lorentz-Drude in closed form, with no truncated sum.
 
-    The terms with nu_k tau > _AFFINE_X are affine in tau, so their sum is
-    tau*S1(K) - S2(K) with suffix sums S1 of c/nu and S2 of c/nu^2 from the
-    first affine row K on. _mu_exp sees only the rows below K, per block of
-    sorted tau, with K taken at the block's smallest tau (all rows at tau = 0).
+    With c = 2 pi/beta, a = w_c/c, x = c tau and mu_k = mu(k c, tau), the
+    Matsubara expansion is Im G = -Q w_c mu(w_c, tau) and Re G = Q w_c cot(pi a)
+    mu(w_c, tau) + (4 Q w_c/beta) sum_{k>=1} k c mu_k/(k^2 c^2 - w_c^2). For n
+    the integer nearest a, the cot pole and the k = n term cancel; together
+    they are Q w_c rho(pi (a - n)) mu(w_c, tau) + (2 Q w_c/beta) B, with
+    rho(y) = cot y - 1/y and B = [mu(w_c) - mu_n]/(w_c - n c) + mu_n/(n c + w_c).
+    The other terms sum to (4 Q w_c/beta) F(x)/c^3, where up to s = min(2, 1/a)
+    a^2 F = -(cosh(ax) - 1) ln x + sum_{m=2}^{40} r_m x^m, from the Bernoulli
+    expansion of the Lerch transcendents sum_k e^{-kx}/(k +- a) (DLMF 25.11.14,
+    25.14), split into even and odd parts in a so that no r_m cancels like
+    1/a^2 (its terms stay below about e^2 times its sum), and past s
+    F = sum_{k <= 40/s} e^{-kx}/(k (k^2 - a^2)) - H0 + x H1, H1 in closed form
+    and H0 matched to the series at s. B is a series below s too.
     """
-    s1 = np.append(np.cumsum((c / nu)[::-1])[::-1], 0.0)
-    s2 = np.append(np.cumsum((c / nu**2)[::-1])[::-1], 0.0)
-    order = np.argsort(tau)
-    ts = tau[order]
+    c = 2.0 * math.pi / beta
+    a, x = wc / c, c * tau
+    if not a <= _A_MAX:
+        raise NumericsError(f"beta w_c/2pi = {a:.6g} is past {_A_MAX:g}, where G would need {_EXP_CUT * a:.3g} terms")
+    n = round(a)
+    eps, s = a - n, min(2.0, 1.0 / a)
+    small, big = x <= s, x > s
+    rho = _cot_minus_inverse(math.pi * eps)
+
+    # Power series in y = x/s: coefficient m is scaled by s^m.
+    m = np.arange(41.0)
+    even = m % 2 == 0
+    sign = np.where(even, 1.0, -1.0)
+    inv_fact = np.cumprod(np.concatenate(([1.0], 1.0 / m[1:])))
+    e_ax = (a * s) ** m * inv_fact
+    cosh_m1 = even * s * s * np.concatenate(([0.0, 0.0], e_ax[:-2] / (m[2:] * (m[2:] - 1.0))))  # (cosh ax - 1)/a^2
+    sinh = ~even * s * np.concatenate(([0.0], e_ax[:-1] / m[1:]))  # sinh(ax)/a
+    bern1 = np.zeros_like(m)  # B_j(1)/j!
+    bern1[::2] = _BERNOULLI_EVEN
+    bern1[1] = 0.5
+    bern1 *= s**m
+    w = -sign / np.maximum(m, 1.0)
+    # sum_k e^{-kx}/(k + v) = -ln x - gamma - psi(1 + v) + sum_{j>=1} w_j B_j(1 + v)/j! x^j:
+    # its parts even and odd in v = +-a (the even part less its v = 0 value) over a^2
+    # and a, with the k = n pole taken out of the v = -a sum: psi(1 + a) less
+    # psi(1 - a) without that pole is [n > 0]/a - pi rho.
+    d_even = w * np.convolve(bern1, cosh_m1)[:41]
+    u_even = w * bern1 + a * a * d_even
+    u_odd = w * np.convolve(bern1, sinh)[:41]
+    u_odd[0] = (math.pi * rho - (n > 0) / a) / (2.0 * a)
+    u_even[0] = -_EULER_GAMMA - _digamma(1.0 + a) - a * u_odd[0]
+    r = np.convolve(cosh_m1, u_even)[:41] + d_even + np.convolve(sinh, u_odd)[:41]
+    n_pow = (n * s) ** m
+    h = np.concatenate(([0.0], s * np.convolve((a * s) ** m, n_pow)[:40]))  # (a^m - n^m)/(a - n)
+    if n:  # the pole taken out, and the rest of the k = n term
+        r += sign * inv_fact * (n_pow * (n + 2.0 * a) / (2.0 * n * (n + a)) - 0.5 * h) / (a * a)
+    r[:2] = 0.0
+    # 2 F plus x^2 times the divided difference, sum_{m>=1} (-1)^m h_m x^m/(m+2)!
+    poly = 2.0 * r
+    poly[2:] += s * s * (sign * h * inv_fact / ((m + 1.0) * (m + 2.0)))[:-2]
+
+    h1 = -math.pi * rho / (2.0 * a) + (0.5 / (a * a) + 0.5 / (a * (n + a)) if n else 0.0)
+    k = np.arange(1.0, math.ceil(_EXP_CUT / s) + 1.0)
+    k = k[k != n]
+    b = 1.0 / (k * (k * k - a * a))
+    h0 = float(b @ np.exp(-k * s) + s * h1 - np.sum(r) + np.sum(cosh_m1) * math.log(s))
+
+    mu_w = _mu_exp(np.array([wc]), tau)[0]
+    half = np.empty_like(tau)  # B + 2 F/c^3
+    xs, nu = x[small], n * c
     with np.errstate(divide="ignore"):
-        rows = np.searchsorted(nu, _AFFINE_X / ts, side="right")
-    k = np.repeat(rows[::_TAU_BLOCK], _TAU_BLOCK)[: len(ts)]
-    out = ts * s1[k] - s2[k]
-    # rows falls as tau grows, so the blocks that need _mu_exp come first.
-    for i in range(0, len(ts), _TAU_BLOCK):
-        if k[i] == 0:
+        log_x = np.log(np.where(xs > 0.0, xs, 1.0))
+    powers = (xs / s)[:, None] ** m
+    half[small] = _mu_exp(np.array([nu]), tau[small])[0] / (nu + wc) + (
+        powers @ poly - 2.0 * (powers @ cosh_m1) * log_x) / c**3
+    tb, xb = tau[big], x[big]
+    exp_sum = np.zeros_like(xb)
+    for i in range(0, len(k), _EXP_BLOCK):  # each block only where k x < 40 for its first k
+        near = xb < _EXP_CUT / k[i]
+        if not near.any():
             break
-        t = ts[i : i + _TAU_BLOCK]
-        out[i : i + _TAU_BLOCK] += c[: k[i]] @ _mu_exp(nu[: k[i]], t)
-    result = np.empty_like(out)
-    result[order] = out
-    return result
+        exp_sum[near] += np.exp(-np.outer(xb[near], k[i : i + _EXP_BLOCK])) @ b[i : i + _EXP_BLOCK]
+    if n == 0:
+        pair = mu_w[big] / wc
+    else:
+        u, v, gap = wc * tb, nu * tb, abs(eps) * xb
+        # (e^{-u} - e^{-v})/(u - v), with no overflow for either sign of u - v
+        dd_exp = np.exp(-min(a, n) * xb) * np.expm1(-gap) / gap if eps else -np.exp(-v)
+        pair = tb**3 * (dd_exp - u / (u + v) - (v + 2.0 * u) * np.expm1(-v) / (v * (u + v))) / (u * u)
+    half[big] = pair + 2.0 * (exp_sum - h0 + xb * h1) / c**3
+    return q * wc * (rho * mu_w + (2.0 / beta) * half) - 1j * (q * wc * mu_w)
 
 
 def _g_batch(sd: SpectralDensity, beta: float, tau: np.ndarray, settings: QuadratureSettings) -> np.ndarray:

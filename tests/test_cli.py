@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from meanforce import cli
+from meanforce import cli, comparator
 from meanforce.errors import NumericsError, ValidationError
 from meanforce.spectral import BathParams, LorentzDrude
 from meanforce.spinboson import SpinBosonParams, build_system
@@ -84,8 +84,6 @@ def test_lambda_sweep_bytes_do_not_depend_on_spline_reuse(monkeypatch):
     # Along a lambda^2 Q sweep the ME route reuses one G spline. A sweep that
     # builds it at every point, one that builds it at the first point only,
     # and a second run that finds it already built give the same bytes.
-    from meanforce import comparator
-
     spec = cli.SweepSpec(
         swept="lambda2Q", lo=0.2, hi=10.0, points=5, delta=0.7, beta=1.0,
         omega_c=0.25, lambda2q=1.0, spectral="lorentz-drude", methods=("me",),
@@ -353,7 +351,11 @@ def test_tabulated_density_with_zero_q_exit_1(tmp_path, capsys):
     ids=["missing-table", "non-numeric-cell", "ragged-rows", "out-dir-missing",
          "svg-dir-missing"],
 )
-def test_unreadable_or_unwritable_file_exit_1(table, out, tmp_path, capsys):
+def test_unreadable_or_unwritable_file_exit_1(table, out, tmp_path, monkeypatch, capsys):
+    # An output path that cannot be written is refused before the sweep starts.
+    points = []
+    evaluate = cli._evaluate_point
+    monkeypatch.setattr(cli, "_evaluate_point", lambda *a: points.append(a) or evaluate(*a))
     path = tmp_path / "j.txt"
     if table is not None:
         path.write_text(table)
@@ -366,6 +368,7 @@ def test_unreadable_or_unwritable_file_exit_1(table, out, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert str(path if out is None else tmp_path / "no-such-dir") in err
+    assert points == []
 
 
 def test_me_coupling_overflow_is_na_with_note(capsys):
@@ -379,15 +382,31 @@ def test_me_coupling_overflow_is_na_with_note(capsys):
     assert last[-1].startswith("me: ") and "overflows" in last[-1]
 
 
-def test_me_window_count_past_its_bound_is_na_with_note(capsys):
-    # At omega_c = 1e-300 the transform would need ~1e291 windows: the count
-    # is bounded before the window array is built, giving NA and a note.
-    rc = run_main(["sweep", "--sweep", "lambda2Q", "--from", "1", "--to", "2",
-                   "--points", "2", "--omega-c", "1e-300", "--methods", "me"])
+def test_me_window_count_past_its_bound_is_na_with_note(monkeypatch, capsys):
+    # The window count is bounded before the window array is built. At
+    # lambda^2 Q = 0.01 and 0.02 the transform runs over 2.6 and 1.3 windows
+    # (G is finite and its table checks out), so with the bound lowered to 1
+    # the bound is what stops both points: NA and a note.
+    monkeypatch.setattr(comparator, "_MAX_WINDOWS", 1)
+    rc = run_main(["sweep", "--sweep", "lambda2Q", "--from", "0.01", "--to", "0.02",
+                   "--points", "2", "--methods", "me"])
     assert rc == 0
     last = capsys.readouterr().out.strip().split("\n")[-1].split(",")
     assert last[1:6] == ["NA"] * 5
     assert last[-1].startswith("me: ") and "windows" in last[-1]
+
+
+def test_me_non_finite_g_is_na_with_note(capsys):
+    # At omega_c = 1e-300 the search for the tail starts at tau = 4e300,
+    # where Re G overflows: NA and a note, before any G table is built.
+    rc = run_main(["sweep", "--sweep", "lambda2Q", "--from", "1", "--to", "2",
+                   "--points", "2", "--omega-c", "1e-300", "--methods", "me"])
+    assert rc == 0
+    captured = capsys.readouterr()
+    last = captured.out.strip().split("\n")[-1].split(",")
+    assert last[1:6] == ["NA"] * 5
+    assert last[-1].startswith("me: ") and "not finite" in last[-1]
+    assert captured.err == ""
 
 
 def test_exact_at_huge_omega_c_gives_finite_cells(capsys):
@@ -437,6 +456,15 @@ def test_verify_passes(tmp_path):
     assert names == ["dawson", "kernel-symmetry", "reorganization"]
     for r in report["checks"]:
         assert r["measured"] < r["tolerance"]
+
+
+def test_verify_me_against_exact():
+    # Every check, by name; me-vs-exact holds the ME route to the exact one,
+    # at beta w_c = 2 pi among others.
+    assert list(cli._CHECKS) == ["identity-grid", "kernel-symmetry", "hermiticity",
+                                 "dawson", "reorganization", "me-vs-exact"]
+    (row,) = cli.run_verify(["me-vs-exact"])["checks"]
+    assert row["passed"] and row["measured"] < 1e-12
 
 
 def test_verify_detects_injected_fault(monkeypatch, capsys):

@@ -103,13 +103,13 @@ def test_me_diagnostics_and_truncation():
 
 def _table(values, n=65, tau_max=16.0):
     # A G table whose rows are the given functions of s on n grid nodes.
-    grid = tau_max * np.linspace(0.0, 1.0, n) ** 2
-    s = np.sqrt(grid / tau_max)
+    grid = tau_max * np.linspace(0.0, 1.0, n) ** 3
+    s = np.cbrt(grid / tau_max)
     return grid, comparator._GTable(grid, np.stack([f(s) for f in values]))
 
 
 def test_g_table_reads_its_nodes_exactly():
-    # tau_max is no power of two, so sqrt(tau / tau_max) misses some nodes' s.
+    # tau_max is no power of two, so cbrt(tau / tau_max) misses some nodes' s.
     grid, table = _table([np.cos, np.sin], tau_max=18.3)
     assert np.array_equal(table(grid), table.y)
 
@@ -120,7 +120,7 @@ def test_g_table_reproduces_degree_7_polynomial_in_s():
     rows = [np.polynomial.Polynomial(ci) for ci in c]
     grid, table = _table(rows)
     s = np.linspace(0.0, 1.0, 1001)
-    vals = table(16.0 * s**2)
+    vals = table(16.0 * s**3)
     for row, p in zip(vals, rows):
         assert np.max(np.abs(row - p(s))) <= 1e-14 * np.max(np.abs(p(s)))
 
@@ -136,7 +136,7 @@ def test_g_table_accurate_in_end_stencils():
     first = np.clip(np.floor(u) - 3.0, 0.0, n - 8.0)
     node_prod = np.prod(np.abs(u - first - np.arange(8.0)[:, None]), axis=0)
     s = u / (n - 1)
-    vals = table(16.0 * s**2)
+    vals = table(16.0 * s**3)
     for row, (f, d8) in zip(vals, rows):
         bound = d8 * node_prod / ((n - 1.0) ** 8 * math.factorial(8))
         assert np.all(np.abs(row - f(s)) <= bound + 1e-15)
@@ -348,6 +348,35 @@ def test_me_matches_exact_on_multilevel_systems(sys, lam2q, omega_c, beta):
     c_ex = v.conj().T @ ex.state.entries @ v
     c_ex -= np.diag(np.diag(c_ex))
     assert np.max(np.abs(me.coherences - c_ex)) <= 1e-11 * np.max(np.abs(c_ex))
+
+
+@pytest.mark.parametrize("lam2q", [1.0, 5.0])
+@pytest.mark.parametrize(
+    "omega_c, beta",
+    [
+        (0.25, 8.0),
+        (0.25, 2.0 * math.pi / 0.25),
+        (0.25, 2.0 * math.pi / 0.25 * (1.0 + 1e-6)),
+        (1.0, 2.0 * math.pi),
+        (1.0, 4.0 * math.pi),
+        (1.0, 4.0 * math.pi * 1.001),
+        (2.0, 20.0),
+        (2.0, 50.0),
+    ],
+    ids=["wc0.25-beta8", "wc0.25-2pi", "wc0.25-2pi-1e-6", "wc1-2pi", "wc1-4pi",
+         "wc1-4pi-1e-3", "wc2-beta20", "wc2-beta50"],
+)
+def test_me_matches_exact_at_matsubara_resonance(omega_c, beta, lam2q):
+    # At beta w_c = 2 pi n the cot pole of G meets the n-th Matsubara term;
+    # G cancels them analytically, so the ME route holds the exact one there,
+    # next to it, and at low temperature (a = beta w_c/2 pi up to 15.9).
+    sd = LorentzDrude(1.0, omega_c)
+    bath = BathParams(beta=beta, lam=math.sqrt(lam2q))
+    me = me_steady_state(SPIN, bath, sd)
+    ex = steady_state(SPIN, bath, sd, CorrectionMethod.EXACT_QUADRATURE,
+                      RenormalizationConvention.NATURAL)
+    c_ex = a_basis_coherence(ex.state, SPIN)
+    assert abs(me.coherences[0, 1] / c_ex - 1.0) <= 1e-11
 
 
 def test_me_one_integrate_finite_call_per_window(monkeypatch):

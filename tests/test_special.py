@@ -13,13 +13,11 @@ from meanforce.special import (
     _XGK,
     QuadratureResult,
     QuadratureSettings,
-    _EULER_GAMMA,
     _eval_nodes,
     _gk15,
     _gk15_panels,
     _initial_breakpoints,
     dawson,
-    exp1,
     integrate_finite,
 )
 
@@ -38,24 +36,6 @@ DAWSON_REF = (
     (25.0, 0.020016038554466408),
     (50.0, 0.010002001201201683),
 )
-
-# Frozen mpmath.e1 values; 1.5 is the series/continued-fraction switch.
-EXP1_REF = (
-    (0.01, 4.0379295765381138),
-    (0.1, 1.8229239584193906),
-    (0.5, 0.55977359477616081),
-    (1.0, 0.21938393439552027),
-    (1.4, 0.1162193125713579),
-    (1.5, 0.10001958240663265),
-    (1.6, 0.086308333697539774),
-    (2.0, 0.04890051070806112),
-    (5.0, 0.0011482955912753258),
-    (10.0, 4.1569689296853243e-6),
-    (50.0, 3.783264029550459e-24),
-    (300.0, 1.7103842768045101e-133),
-    (700.0, 1.4065187662340329e-307),
-)
-
 
 def test_dawson_matches_frozen_reference():
     for x, ref in DAWSON_REF:
@@ -89,83 +69,6 @@ def test_dawson_positive_and_bounded(x):
     assert 0.0 <= v <= 0.5411
     if x >= 1.0:
         assert v <= 1.0 / (2.0 * x) + 1.0 / (2.0 * x**3)
-
-
-def test_exp1_matches_frozen_reference():
-    for x, ref in EXP1_REF:
-        assert exp1(x) == pytest.approx(ref, rel=5e-13)
-
-
-def test_exp1_array_input_matches_scalar():
-    xs = np.array([v for v, _ in EXP1_REF])
-    out = exp1(xs)
-    assert out.shape == xs.shape
-    for i, (x, _) in enumerate(EXP1_REF):
-        assert out[i] == exp1(x)
-
-
-def _exp1_both_branches_everywhere(x):
-    # exp1 as it was before each branch ran only on its own entries: both
-    # loops over the whole array, then a select. The reference for its bits.
-    arr = np.asarray(x, dtype=float)
-    small = arr <= 1.5
-    xs = np.where(small, arr, 1.0)
-    term = np.ones_like(xs)
-    acc = np.zeros_like(xs)
-    for k in range(1, 32):
-        term = term * xs / k
-        acc = acc + (term / k if k % 2 else -term / k)
-    e_series = -_EULER_GAMMA - np.log(xs) + acc
-    xl = np.where(small, 2.0, arr)
-    b = xl + 1.0
-    c = np.full_like(xl, 1e308)
-    d = 1.0 / b
-    h = d.copy()
-    for k in range(1, 48):
-        a = -float(k * k)
-        b = b + 2.0
-        d = 1.0 / (b + a * d)
-        c = b + a / c
-        h = h * c * d
-    e_frac = np.exp(-xl) * h
-    out = np.where(small, e_series, e_frac)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
-def test_exp1_branches_bit_identical_to_select_form():
-    rng = np.random.default_rng(7)
-    straddle = np.concatenate(
-        [np.nextafter(1.5, [0.0, 3.0]), [1.5], np.exp(rng.uniform(-18.0, 6.5, 41))]
-    )
-    cases = [
-        straddle,
-        straddle.reshape(4, 11),
-        rng.uniform(1e-6, 1.5, 17),  # all small
-        rng.uniform(1.5000001, 40.0, 17),  # all large
-        np.array([0.3]),
-    ]
-    for x in cases:
-        got, ref = exp1(x), _exp1_both_branches_everywhere(x)
-        assert got.shape == ref.shape
-        assert np.array_equal(got, ref)
-    for x in (1e-12, 0.5, 1.5, 1.5000000000000002, 2.0, 39.9, 700.0, np.array(2.1)):
-        got = exp1(x)
-        assert type(got) is float
-        assert got == _exp1_both_branches_everywhere(x)
-
-
-def test_exp1_rejects_nonpositive():
-    for bad in (0.0, -1.0, math.nan):
-        with pytest.raises(ValidationError):
-            exp1(bad)
-
-
-def test_exp1_recurrence():
-    # d/dx E1 = -e^{-x}/x; check the integral identity
-    # E1(a) - E1(b) = int_a^b e^{-t}/t dt against the quadrature engine.
-    a, b = 0.7, 2.9
-    r = integrate_finite(lambda t: np.exp(-t) / t, a, b)
-    assert r.value == pytest.approx(exp1(a) - exp1(b), rel=1e-10)
 
 
 def test_integrate_finite_polynomial_is_exact():

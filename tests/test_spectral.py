@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meanforce import spectral
-from meanforce.errors import ValidationError
-from meanforce.special import _EULER_GAMMA, QuadratureSettings, exp1
+from meanforce.errors import NumericsError, ValidationError
+from meanforce.special import QuadratureSettings
 from meanforce.spectral import (
     BathParams,
     DiscreteModes,
@@ -17,10 +16,7 @@ from meanforce.spectral import (
     SpectralDensity,
     Tabulated,
     _g_batch,
-    _matsubara_coefficients,
-    _matsubara_sum,
     _mu_exp,
-    _tail_r,
     g_double_integral,
     j_of_omega,
     overlap_kernel,
@@ -43,22 +39,6 @@ RE_G_REF = (
     ((1.0, 0.5, 1.9, 0.3), 0.06579390812344721),
     ((1.0, 0.25, 1.0, 2.0), 3.4697751100362652),
 )
-
-# Frozen R(x) = int_x^inf (e^-t - 1 + t)/t^3 dt; 0.35 is the series switch.
-TAIL_R_REF = (
-    (0.01, 2.7656418466509221),
-    (0.1, 1.6291457908278761),
-    (0.3, 1.1115758507112706),
-    (0.34, 1.0551600434052406),
-    (0.36, 1.0296417905614826),
-    (0.5, 0.88641745710071383),
-    (1.0, 0.60969196719776014),
-    (3.0, 0.27877007183955808),
-    (10.0, 0.095000035487625531),
-    (100.0, 0.00995),
-    (2976.3, 0.00033593119180935135),
-)
-
 
 def test_density_constructors_validate():
     with pytest.raises(ValidationError):
@@ -244,32 +224,6 @@ def test_overlap_kernel_mode_bound(w, beta, frac):
     assert overlap_kernel(sd, beta, u) <= bound * (1.0 + 1e-12)
 
 
-def test_tail_r_frozen_reference():
-    for x, ref in TAIL_R_REF:
-        assert float(_tail_r(np.array([x]))[0]) == pytest.approx(ref, rel=5e-13)
-
-
-def _tail_r_select_form(x):
-    # R(x) as both forms on every entry, then selected: the reference for the
-    # per-branch evaluation in _tail_r.
-    x = np.asarray(x, dtype=float)
-    small = x < 0.35
-    xs = np.where(small, np.where(x > 0.0, x, 1.0), 1.0)
-    r_series = 0.75 - 0.5 * _EULER_GAMMA - 0.5 * np.log(xs)
-    fact = 2.0
-    for m in range(3, 14):
-        fact *= m
-        term = xs ** (m - 2) / ((m - 2) * fact)
-        r_series = r_series + (term if m % 2 else -term)
-    xl = np.where(small, 1.0, x)
-    ex = np.exp(-xl)
-    r_closed = (
-        ex / (2.0 * xl**2) - ex / (2.0 * xl) + 0.5 * exp1(xl)
-        + 1.0 / xl - 1.0 / (2.0 * xl**2)
-    )
-    return np.where(small, r_series, r_closed)
-
-
 def _mu_exp_select_form(kappa, tau):
     # mu as both forms on the whole block, then selected: the reference for
     # the in-place _mu_exp.
@@ -277,56 +231,28 @@ def _mu_exp_select_form(kappa, tau):
     tau = np.asarray(tau, dtype=float)
     kt = kappa[:, None] * tau[None, :]
     t2 = np.broadcast_to(tau[None, :] ** 2, kt.shape)
-    series = t2 * (0.5 - kt / 6.0 + kt**2 / 24.0 - kt**3 / 120.0)
-    k2 = np.broadcast_to(kappa[:, None] ** 2, kt.shape)
-    with np.errstate(invalid="ignore"):
-        direct = np.where(kt > 1e-4, (np.expm1(-kt) + kt) / np.where(k2 > 0, k2, 1.0), 0.0)
-    return np.where(kt > 1e-4, direct, series)
-
-
-def test_tail_r_bit_identical_to_select_form():
-    # Both sides of the series switch at 0.35 and of the exp1 cut at 40.
-    x = np.concatenate([
-        [np.nextafter(0.35, 0.0), 0.35, np.nextafter(0.35, 1.0)],
-        [39.999, np.nextafter(40.0, 0.0), 40.0, np.nextafter(40.0, 99.0), 40.001],
-        [1e3, 1e6, 1e-9, 2976.3],
-        np.geomspace(1e-3, 1e4, 200),
-    ])
-    assert np.array_equal(_tail_r(x), _tail_r_select_form(x))
+    series = np.ones_like(kt)
+    for j in range(26, 2, -1):
+        series = 1.0 - kt * series / j
+    k = np.broadcast_to(kappa[:, None], kt.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = (np.expm1(-kt) + kt) / k / k
+    return np.where(kt > 0.5, direct, t2 * series / 2.0)
 
 
 def test_mu_exp_bit_identical_to_select_form():
-    # kappa = 0, tau = 0, and kt at 1e-4 exactly and one part in 1e12 away.
+    # kappa = 0, tau = 0, and kt at 0.5 exactly and one part in 1e12 away.
     kappa = np.concatenate([[0.0, 1.0, 0.25], 2.0 * math.pi * np.arange(1.0, 3001.0, 37.0)])
     tau = np.concatenate([
         [0.0],
-        1e-4 * np.array([1.0 - 1e-12, 1.0, 1.0 + 1e-12]),
+        0.5 * np.array([1.0 - 1e-12, 1.0, 1.0 + 1e-12]),
         np.geomspace(1e-9, 60.0, 60),
     ])
     kt = kappa[:, None] * tau[None, :]
-    assert np.any(kt == 1e-4) and np.any(kt == 1e-4 * (1.0 - 1e-12))
+    assert np.any(kt == 0.5) and np.any(kt == 0.5 * (1.0 - 1e-12))
     got = _mu_exp(kappa, tau)
     assert np.array_equal(got, _mu_exp_select_form(kappa, tau))
     assert np.all(got[0] == tau**2 / 2.0) and np.all(got[:, 0] == 0.0)
-
-
-def test_g_table_calls_exp1_only_below_affine_edge(monkeypatch):
-    # Beyond nu* tau = 40 the tail's closed form rounds to 1/x - 1/(2x^2), so
-    # on a 2049-node fig1a table only the few nodes nearest 0 reach exp1.
-    seen = []
-
-    def spy(x):
-        seen.append(np.array(x, dtype=float))
-        return exp1(x)
-
-    monkeypatch.setattr(spectral, "exp1", spy)
-    sd = LorentzDrude(1.0, 0.25)
-    grid = 16.0 * np.linspace(0.0, 1.0, 2049) ** 2
-    _g_batch(sd, 1.0, grid, QuadratureSettings())
-    args = np.concatenate(seen)
-    x = _matsubara_coefficients(sd, 1.0)[3] * grid
-    assert args.max() <= 40.0
-    assert len(args) == np.count_nonzero((x >= 0.35) & (x <= 40.0)) < 30
 
 
 def test_g_zero_and_validation():
@@ -350,8 +276,9 @@ def _g_closed_form(q, wc, beta, tau):
     With a = beta w_c/2pi, c = 2pi/beta and z = e^{-c tau}, the Matsubara
     sum splits into tau*S1 - S2 + T: S1 and S2 are the affine suffix sums in
     closed form, and T = sum_k z^k/(k(k^2 - a^2))/c^3 is a log plus two
-    Lerch transcendents by partial fractions. No truncation and no E1 tail,
-    so it shares nothing with spectral's G. Evaluate inside mpmath.workdps.
+    Lerch transcendents by partial fractions. spectral evaluates the same
+    sum, by the series of these transcendents; _g_quadrature shares nothing
+    with it. Evaluate inside mpmath.workdps.
     """
     q, wc, beta, tau = (mpmath.mpf(v) for v in (q, wc, beta, tau))
     a = beta * wc / (2 * mpmath.pi)
@@ -373,9 +300,9 @@ G_REF_TAUS = (1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.3, 2.0, 16.0)
 # Relative error of Re G against _g_closed_form at 50 digits, as measured for
 # Q = 1, w_c = 0.25 and beta in {1, 1.9}: (largest tau of the band, bound).
 RE_G_BANDS = ((1e-3, 2.7e-10), (0.01, 1.6e-11), (16.0, 7.7e-13))
-# Im G is -Q w_c mu(w_c, tau); the largest error, 6.1e-13 at tau = 1e-3, is
-# the direct form of mu just above its kt = 1e-4 series switch.
-IM_G_BAND = 6.2e-13
+# Im G is -Q w_c mu(w_c, tau); the largest error, as measured at the same
+# points and at beta w_c = 2 pi.
+IM_G_BAND = 1.2e-16
 
 
 def _g_relative_errors(beta, taus):
@@ -397,8 +324,7 @@ def test_g_against_mpmath_closed_form(beta):
 
 
 def test_g_imag_part_on_nudge_path_against_mpmath():
-    # beta w_c = 2 pi puts the cot pole on nu_1, so beta is nudged by 1e-9;
-    # Im G does not depend on beta and is unaffected.
+    # beta w_c = 2 pi puts the cot pole on nu_1; Im G does not depend on beta.
     beta = 2.0 * math.pi / 0.25
     g = _g_batch(LorentzDrude(1.0, 0.25), beta, np.array(G_REF_TAUS), QuadratureSettings())
     with mpmath.workdps(50):
@@ -408,17 +334,83 @@ def test_g_imag_part_on_nudge_path_against_mpmath():
             assert float(abs(v.imag / im - 1)) <= IM_G_BAND
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known fault: on the nudge path the cot pole and the nu_1 Matsubara term "
-    "cancel to O(1e8) magnitudes with inconsistent roundings; Re G is off by 2.7 to 54 "
-    "relative at beta w_c = 2 pi, 1.4e-5 at 1e-6 away from it",
-)
-def test_g_real_part_on_nudge_path_against_mpmath():
+def test_g_real_part_at_resonance_against_mpmath():
+    # beta w_c = 2 pi: the cot pole and the nu_1 Matsubara term cancel, which
+    # spectral does analytically. (50 digits leave the reference about 1e-14
+    # at tau = 1e-6, as the cancellation is of order 1/(beta w_c/2pi - 1).)
     beta = 2.0 * math.pi / 0.25
     for tau, (re_err, _) in zip(G_REF_TAUS, _g_relative_errors(beta, G_REF_TAUS)):
         band = next(bound for edge, bound in RE_G_BANDS if tau <= edge)
         assert re_err <= band, (tau, re_err)
+
+
+def _g_quadrature(q, wc, beta, tau):
+    """G of Lorentz-Drude by mpmath.quad of its w-integral,
+    int J/w^2 (coth(beta w/2)(1 - cos w tau) - i(w tau - sin w tau)) dw.
+
+    Up to w_end, one period of cos w tau per piece; past it, the smooth part
+    on the mapped half-line w = w_end + t/(1 - t), and the oscillating parts
+    -(coth -+ 1) e^{+-i w tau}/2 on rays turned off the axis, w = w_end +- i y,
+    where they decay as e^{-y tau} (every pole of the integrand is on the
+    imaginary axis). Evaluate inside mpmath.workdps.
+    """
+    q, wc, beta, tau = (mpmath.mpf(v) for v in (q, wc, beta, tau))
+
+    def j_over_w2(w):
+        return 2 * q / mpmath.pi * wc / (w * (wc**2 + w**2))
+
+    def coth(w):
+        return 1 / mpmath.tanh(beta * w / 2)
+
+    period = 2 * mpmath.pi / tau
+    w_end = 2 * max(wc, 2 * mpmath.pi / beta, period)
+    cuts = {mpmath.mpf(0), wc, 2 * mpmath.pi / beta, w_end}
+    cuts |= {j * period for j in range(1, int(w_end / period) + 1)}
+    head = mpmath.quad(
+        lambda w: j_over_w2(w) * (
+            coth(w) * 2 * mpmath.sin(w * tau / 2) ** 2 - 1j * (w * tau - mpmath.sin(w * tau))
+        ),
+        sorted(cuts),
+    )
+
+    def smooth(t):
+        w = w_end + t / (1 - t)
+        return j_over_w2(w) * (coth(w) - 1j * w * tau) / (1 - t) ** 2
+
+    def ray(sign):
+        def f(y):
+            w = w_end + sign * 1j * y
+            return j_over_w2(w) * (coth(w) - sign) * mpmath.exp(sign * 1j * w * tau) * sign * 1j
+
+        return -mpmath.quad(f, [0, mpmath.inf]) / 2
+
+    return head + mpmath.quad(smooth, [0, 1]) + ray(1) + ray(-1)
+
+
+# The largest relative error of Re G and of Im G against _g_quadrature, as measured.
+G_QUADRATURE_BAND = 7.1e-16
+
+
+@pytest.mark.parametrize(
+    "wc, beta",
+    [(0.25, 2.0 * math.pi / 0.25), (0.25, 2.0 * math.pi / 0.25 * (1.0 + 1e-6)), (0.5, 20.0), (2.0, 50.0)],
+    ids=["resonance", "near-resonance", "a1.6", "a15.9"],
+)
+def test_g_against_mpmath_quadrature(wc, beta):
+    taus = (1e-3, 0.3, 2.0, 16.0)
+    g = _g_batch(LorentzDrude(1.0, wc), beta, np.array(taus), QuadratureSettings())
+    with mpmath.workdps(30):
+        for tau, v in zip(taus, g):
+            ref = _g_quadrature(1.0, wc, beta, tau)
+            assert float(abs(v.real / ref.real - 1)) <= G_QUADRATURE_BAND, tau
+            assert float(abs(v.imag / ref.imag - 1)) <= G_QUADRATURE_BAND, tau
+
+
+def test_g_refused_past_its_term_budget():
+    # a = beta w_c/2 pi sets the 40 a terms of the exponential sum; past
+    # a = 1e4 (here 1.6e4) G is refused with NumericsError, not summed.
+    with pytest.raises(NumericsError, match="past 10000"):
+        g_double_integral(LorentzDrude(1.0, 1e3), 100.0, 1.0)
 
 
 def test_g_imag_part_closed_form():
@@ -457,26 +449,6 @@ def test_g_matches_direct_integral_for_compact_support():
     g = g_double_integral(sd, beta, tau)
     assert g.real == pytest.approx(ref.real, rel=2e-6)
     assert g.imag == pytest.approx(ref.imag, rel=2e-6)
-
-
-@pytest.mark.parametrize("beta", [0.5, 1.0, 1.9, 2.0 * math.pi / 0.25])
-def test_matsubara_affine_split_matches_full_sum(beta):
-    # The terms with nu_k tau > 40 are summed in closed form; the last beta
-    # sits on a Matsubara frequency and takes the nudge path.
-    _, c_mats, nu, _ = _matsubara_coefficients(LorentzDrude(1.0, 0.25), beta)
-    edge = 40.0 / nu[[0, 9, 99, 999, 2999]]
-    tau = np.concatenate([
-        [0.0, 1e-7, 3000.0],
-        edge * (1.0 - 1e-9),
-        edge * (1.0 + 1e-9),
-        np.geomspace(1e-4, 60.0, 41),
-    ])
-    tau = np.random.default_rng(7).permutation(tau)
-    got = _matsubara_sum(c_mats, nu, tau)
-    ref = c_mats @ _mu_exp(nu, tau)
-    assert got[tau == 0.0] == 0.0
-    nz = ref != 0.0
-    assert np.max(np.abs(got[nz] / ref[nz] - 1.0)) <= 1e-13
 
 
 def test_g_table_memory_stays_small():
