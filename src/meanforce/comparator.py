@@ -182,8 +182,8 @@ def _build_g_splines(
 # The last G table built, as (density, (beta, tau_max, settings), result).
 # One entry suffices: the points of a lambda^2 Q sweep ask for the same key in
 # an unbroken run, and a beta or omega_c sweep never repeats one. The density
-# is matched by identity (a Tabulated density holds arrays, which neither hash
-# nor compare with ==) and held here, so its id cannot be recycled.
+# is matched by identity (Tabulated's own equality, as it holds arrays) and
+# held here, so its id cannot be recycled.
 _last_spline: tuple | None = None
 
 

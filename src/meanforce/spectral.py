@@ -103,8 +103,12 @@ class LorentzDrude(SpectralDensity):
         # as w^-3, so the mapped integrand is smooth and falls to 0 at t = 1.
         def integrand(t):
             w = self.omega_c * t / (1.0 - t)
-            weight = self(w) / w**2 * self.omega_c / (1.0 - t) ** 2
-            return weight[:, None] * _kernel_factor(w, u, beta)
+            # At an extreme omega_c, w^2 or omega_c^2 leaves the double range;
+            # a weight that is then not finite makes the quadrature raise
+            # QuadratureError.
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                weight = self(w) / w**2 * self.omega_c / (1.0 - t) ** 2
+                return weight[:, None] * _kernel_factor(w, u, beta)
 
         res = integrate_finite(integrand, 0.0, 1.0, settings)
         return np.atleast_1d(np.asarray(res.value, dtype=float))
@@ -182,13 +186,14 @@ class DiscreteModes(SpectralDensity):
         return (g**2 / w**2) @ _g_factor(w, tau, beta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tabulated(SpectralDensity):
     """J given on a strictly increasing frequency grid, linearly interpolated.
 
     J is zero below the first grid point and beyond the last. A grid starting
     at omega=0 must have J(0)=0, or int J/omega would diverge, and J must be
     positive somewhere, or Q = 0 and no coupling reaches a given lambda^2 Q.
+    Equality and hash are by identity: the grids are arrays.
     """
 
     omega: np.ndarray

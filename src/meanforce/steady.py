@@ -275,7 +275,8 @@ def f_high_t(
     """High-temperature closed form of f_{l,l'} via the Dawson function.
 
     Exact for the parabolic kernel K(u) = u(1-u/beta)Q, which the true kernel
-    approaches when omega_c*beta is small. Elementwise over index arrays.
+    approaches when omega_c*beta is small. Elementwise over index arrays,
+    with one dawson call for the two arguments of every pair.
     """
     lam = bath.lam
     if lam == 0:
@@ -288,13 +289,9 @@ def f_high_t(
     aa = np.sqrt(a2)  # |a_{l'} - a_l|, exactly: sqrt(x*x) = |x| in binary floating point
     root = np.sqrt(beta / q)
     pref = root / (lam * aa)
-    x1 = (root / (2.0 * lam * aa)) * (lam**2 * a2 * q - omega)
-    x2 = (root / (2.0 * lam * aa)) * (lam**2 * a2 * q + omega)
-
-    def df(x):
-        return np.array([dawson(v) for v in x.ravel().tolist()]).reshape(x.shape)
-
-    return _scalar_or_array(pref * (df(x1) + np.exp(beta * omega) * df(x2)))
+    c = lam**2 * a2 * q
+    d1, d2 = dawson((root / (2.0 * lam * aa)) * np.stack([c - omega, c + omega]))
+    return _scalar_or_array(pref * (d1 + np.exp(beta * omega) * d2))
 
 
 def f_series(

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -22,7 +23,7 @@ from meanforce.special import (
 )
 
 # Frozen 40-digit references (mpmath: sqrt(pi)/2 * exp(-x^2) * erfi(x)),
-# covering every regime switch: series (<1), Rybicki (1..6), asymptotic (>6).
+# from near the origin through the maximum to the 1/(2x) tail.
 DAWSON_REF = (
     (0.1, 0.099335992397852867),
     (0.5, 0.4244363835020223),
@@ -46,6 +47,9 @@ def test_dawson_is_odd():
     for x, ref in DAWSON_REF:
         assert dawson(-x) == -dawson(x)
     assert dawson(0.0) == 0.0
+    x = np.concatenate([np.geomspace(1e-300, 1e300, 301), np.linspace(0.0, 50.0, 401)])
+    assert np.array_equal(dawson(-x), -dawson(x))
+    assert np.array_equal(dawson(np.zeros((2, 3))), np.zeros((2, 3)))
 
 
 def test_dawson_asymptotic_band():
@@ -60,6 +64,53 @@ def test_dawson_rejects_nonfinite():
         dawson(math.nan)
     with pytest.raises(ValidationError):
         dawson(math.inf)
+    with pytest.raises(ValidationError):
+        dawson(np.array([1.0, -math.inf]))
+
+
+def _dawson_mpmath(x: float) -> mpmath.mpf:
+    """DF(x) to 30 digits or more. Past |x| = 1e4, where erfi at this
+    precision loses digits, four terms of the asymptotic series
+    1/(2x) sum_k (2k-1)!!/(2x^2)^k; the first one left out is below 1e-31."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        if abs(x) <= 1e4:
+            return mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-x * x) * mpmath.erfi(x)
+        y = 1 / (2 * x * x)
+        return (1 + y + 3 * y**2 + 15 * y**3) / (2 * x)
+
+
+def test_dawson_arrays_against_mpmath():
+    tiny, huge = 5e-324, np.finfo(float).max
+    pos = np.unique(np.concatenate([
+        np.linspace(0.0, 50.0, 2001)[1:],
+        np.geomspace(1e-300, 1e307, 609),
+        [tiny, 1e-310, 1e-300, 1e-20, 0.25, 0.75, 1e8, 1e150, 1e307, 4.5e307, huge],
+    ]))
+    x = np.concatenate([-pos[::-1], pos])
+    d = dawson(x)
+    assert d.shape == x.shape and np.isfinite(d).all()
+    ref = [_dawson_mpmath(v) for v in x]
+    abs_err = np.array([float(abs(mpmath.mpf(float(v)) - r)) for v, r in zip(d, ref)])
+    rel_err = abs_err / np.array([float(abs(r)) for r in ref])
+    assert np.max(abs_err[np.abs(x) <= 50.0]) < 1e-15
+    assert np.max(rel_err[np.abs(x) >= 1e-300]) < 1e-14
+    assert dawson(tiny) == tiny
+
+
+def test_dawson_scalar_in_float_out():
+    assert type(dawson(0.5)) is float
+    assert type(dawson(np.float64(0.5))) is float
+    assert type(dawson(np.array(0.5))) is float
+    assert dawson(0.5) == dawson(np.array([0.5]))[0]
+
+
+def test_dawson_element_bits_do_not_depend_on_shape():
+    x = np.linspace(-8.0, 8.0, 60)
+    flat = dawson(x)
+    assert np.array_equal(dawson(x.reshape(3, 4, 5)), flat.reshape(3, 4, 5))
+    assert np.array_equal(dawson(x[::-1]), flat[::-1])
+    assert np.array_equal([dawson(float(v)) for v in x], flat)
 
 
 @given(st.floats(min_value=0.0, max_value=50.0, allow_nan=False))

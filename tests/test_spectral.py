@@ -95,6 +95,19 @@ def test_reorganization_energy_tabulated_linear_interpolant():
     assert sd2.reorganization_energy() == pytest.approx(float(ref), rel=1e-8)
 
 
+def test_tabulated_equality_is_identity():
+    # Its grids are arrays: equal content must not make == raise or compare
+    # the arrays, and the density must hash, as the G table memo assumes.
+    a = Tabulated([0.5, 1.0, 1.75], [0.2, 0.9, 0.3])
+    b = Tabulated([0.5, 1.0, 1.75], [0.2, 0.9, 0.3])
+    assert a != b and not (a == b)
+    assert a == a and b == b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+    assert LorentzDrude(1.0, 0.25) == LorentzDrude(1.0, 0.25)
+    assert hash(LorentzDrude(1.0, 0.25)) == hash(LorentzDrude(1.0, 0.25))
+    assert LorentzDrude(1.0, 0.25) != LorentzDrude(1.0, 0.5)
+
+
 def test_cutoff_scale_per_family():
     assert LorentzDrude(1.0, 0.3).cutoff == 0.3
     assert OhmicHardCutoff(1.0, 2.5).cutoff == 2.5

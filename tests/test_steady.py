@@ -176,6 +176,26 @@ def test_f_index_arrays_match_scalar_calls():
         assert np.max(np.abs(many / one - 1.0)) < 1e-13
 
 
+def test_f_high_t_calls_dawson_at_most_twice(monkeypatch):
+    # Both Dawson arguments of all 12 pairs of a dim-4 system go to dawson
+    # together, in place of one scalar call per argument.
+    from meanforce import steady
+
+    shapes = []
+    dawson = steady.dawson
+
+    def counted(x):
+        shapes.append(np.shape(x))
+        return dawson(x)
+
+    monkeypatch.setattr(steady, "dawson", counted)
+    sys = random_system(np.random.default_rng(5), 4)
+    res = steady_state(sys, BathParams(beta=0.8, lam=1.2), LorentzDrude(1.0, 0.25), HIGH_T)
+    assert len(shapes) <= 2
+    assert sum(math.prod(s) for s in shapes) == 24
+    assert np.all(res.f_values[~np.eye(4, dtype=bool)] > 0)
+
+
 def test_exact_steady_state_one_kernel_call_per_panel_batch(monkeypatch):
     # All pairs are one vector-valued integrand: K(u) is evaluated once per
     # batch of GK15 panels (the 9 initial panels, then the two halves of each
