@@ -123,6 +123,11 @@ class SweepSpec:
             raise ValidationError("fock_cutoff must be at least 1")
 
 
+# The oracle discretizes J over [0, factor * cutoff]: Lorentz-Drude's J has a
+# tail far past omega_c, and every other family's J ends at its cutoff.
+_ORACLE_BAND = {"lorentz-drude": 12.0}
+
+
 def _spectral_density(name: str, omega_c: float) -> spectral.SpectralDensity:
     """Built-in families carry Q = 1 by construction."""
     if name == "lorentz-drude":
@@ -175,13 +180,10 @@ def _evaluate_point(
             elif m == "me":
                 state = me_state(sys_spec, me_steady_state(sys_spec, bath, sd, settings))
             elif m == "oracle":
-                bd = oracle.discretize(
-                    sd, spec.oracle_modes, 12.0 * sd.cutoff
+                band = _ORACLE_BAND.get(spec.spectral, 1.0) * sd.cutoff
+                bd = oracle.BathDiscretization(
+                    oracle.discretize(sd, spec.oracle_modes, band).modes, spec.fock_cutoff
                 )
-                if spec.fock_cutoff is not None:
-                    bd = oracle.BathDiscretization(
-                        bd.modes, spec.fock_cutoff, source=bd.source
-                    )
                 state = oracle.exact_mean_force_state(
                     sys_spec, bd, bath, spec.convention
                 ).state

@@ -64,9 +64,10 @@ class HermitianMatrix:
 
     entries: np.ndarray
     _exactly_hermitian: bool = field(repr=False)
+    _what = "matrix"  # names the matrix in validation errors
 
     def __init__(self, entries):
-        m, exact = _hermitian_array(entries, "matrix")
+        m, exact = _hermitian_array(entries, self._what)
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "_exactly_hermitian", exact)
@@ -80,7 +81,7 @@ class HermitianMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(HermitianMatrix):
     """A density matrix: Hermitian, unit trace, positive semidefinite.
 
     check_positive=False skips the PSD validation (min eigenvalue >= -1e-9)
@@ -89,12 +90,12 @@ class DensityMatrix:
     repaired or rejected.
     """
 
-    entries: np.ndarray
     min_eigenvalue: float
-    _exactly_hermitian: bool = field(repr=False)
+    _what = "density matrix"
 
     def __init__(self, entries, check_positive: bool = True):
-        m, exact = _hermitian_array(entries, "density matrix")
+        super().__init__(entries)
+        m = self.entries
         tr = m.trace()
         if abs(tr - 1.0) > _TRACE_TOL:
             raise ValidationError(f"density matrix trace {tr} is not 1 within 1e-10")
@@ -103,17 +104,7 @@ class DensityMatrix:
             raise ValidationError(
                 f"density matrix has eigenvalue {lo} below the PSD tolerance {_PSD_TOL}"
             )
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
         object.__setattr__(self, "min_eigenvalue", lo)
-        object.__setattr__(self, "_exactly_hermitian", exact)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.entries, dtype=dtype)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,13 +118,13 @@ class EigenDecomposition:
 def eigh(m) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix (ascending eigenvalues).
 
-    Accepts a HermitianMatrix or DensityMatrix, already validated when it was
-    built, or a plain array, which is validated here. An exactly Hermitian
-    matrix goes to the solver as it is; one that is Hermitian only within
-    tolerance is symmetrized (m + m^H)/2 first, so the solver always sees an
-    exactly Hermitian input.
+    Accepts a HermitianMatrix (a DensityMatrix is one), already validated
+    when it was built, or a plain array, which is validated here. An exactly
+    Hermitian matrix goes to the solver as it is; one that is Hermitian only
+    within tolerance is symmetrized (m + m^H)/2 first, so the solver always
+    sees an exactly Hermitian input.
     """
-    if isinstance(m, (HermitianMatrix, DensityMatrix)):
+    if isinstance(m, HermitianMatrix):
         a, exact = m.entries, m._exactly_hermitian
     else:
         a, exact = _hermitian_array(m, "eigh input")

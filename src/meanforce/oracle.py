@@ -35,44 +35,35 @@ _CONVERGENCE_TOL = 1e-6
 _TRUNCATION_RECHECK_TOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class BathDiscretization:
-    """Explicit bath modes (g_k, omega_k) with a shared Fock cutoff.
+@dataclass(frozen=True)
+class BathDiscretization(DiscreteModes):
+    """Discrete bath modes (g_k, omega_k) with a Fock cutoff shared by every mode.
 
-    fock_cutoff None means automatic: at least 25, raised when the estimated
-    displaced-plus-thermal occupancy approaches the truncation.
+    It is a DiscreteModes density, so the perturbative routes take the
+    oracle's bath as it is; equality is by value, as for DiscreteModes.
+    fock_cutoff None means automatic in exact_mean_force_state: at least 25,
+    raised when the estimated displaced-plus-thermal occupancy approaches the
+    truncation.
     """
 
-    modes: tuple
     fock_cutoff: int | None = None
-    source: str = "explicit"
 
-    def __post_init__(self):
-        modes = tuple((float(g), float(w)) for g, w in self.modes)
-        if not modes:
-            raise ValidationError("at least one bath mode required")
-        for g, w in modes:
-            if not (np.isfinite(g) and np.isfinite(w)):
-                raise ValidationError("bath mode parameters must be finite")
-            if w <= 0:
-                raise ValidationError(f"mode frequency {w} must be positive")
-        object.__setattr__(self, "modes", modes)
-        if self.fock_cutoff is not None:
-            c = int(self.fock_cutoff)
-            if c < 1:
-                raise ValidationError(f"fock_cutoff {c} must be at least 1")
-            object.__setattr__(self, "fock_cutoff", c)
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.modes)
+    def __init__(self, modes, fock_cutoff: int | None = None):
+        super().__init__(modes)
+        if fock_cutoff is not None:
+            fock_cutoff = int(fock_cutoff)
+            if fock_cutoff < 1:
+                raise ValidationError(f"fock_cutoff {fock_cutoff} must be at least 1")
+        object.__setattr__(self, "fock_cutoff", fock_cutoff)
 
 
 def discretize(sd: SpectralDensity, n: int, omega_max: float) -> BathDiscretization:
-    """Midpoint rule on n equal bins of [0, omega_max].
+    """Midpoint rule on n equal bins of [0, omega_max], with the automatic cutoff.
 
     omega_k = (k - 1/2) omega_max / n and g_k^2 = J(omega_k) omega_max / n,
     so sum g_k^2/omega_k converges to the reorganization energy as n grows.
+    Raises ValidationError when J is 0 at every midpoint: that bath cannot
+    couple.
     """
     n = int(n)
     if n < 1:
@@ -82,10 +73,11 @@ def discretize(sd: SpectralDensity, n: int, omega_max: float) -> BathDiscretizat
     k = np.arange(1, n + 1)
     w = (k - 0.5) * omega_max / n
     g = np.sqrt(j_of_omega(sd, w) * omega_max / n)
-    return BathDiscretization(
-        modes=tuple(zip(g, w)),
-        source=f"midpoint({type(sd).__name__}, n={n}, omega_max={omega_max:g})",
-    )
+    if not np.any(g > 0):
+        raise ValidationError(
+            f"J is 0 at all {n} midpoints of [0, {omega_max:g}], so no mode couples"
+        )
+    return BathDiscretization(tuple(zip(g, w)))
 
 
 def _ladder(cutoff: int) -> np.ndarray:
@@ -111,13 +103,9 @@ def _bath_operators(bd: BathDiscretization, cutoff: int) -> tuple[np.ndarray, np
     return h_b, b
 
 
-def _effective_cutoff(bd: BathDiscretization) -> int:
-    return bd.fock_cutoff if bd.fock_cutoff is not None else _DEFAULT_FOCK_CUTOFF
-
-
 def reorganization_sum(bd: BathDiscretization) -> float:
     """Q of the discretized bath: sum g_k^2 / omega_k."""
-    return float(sum(g**2 / w for g, w in bd.modes))
+    return bd.reorganization_energy()
 
 
 def build_total_hamiltonian(
@@ -127,8 +115,13 @@ def build_total_hamiltonian(
     conv: RenormalizationConvention = RenormalizationConvention.RENORMALIZED,
     fock_cutoff: int | None = None,
 ) -> HermitianMatrix:
-    """H_S x I + lam A x B + I x H_B, plus lam^2 Q A^2 x I when Renormalized."""
-    cutoff = fock_cutoff if fock_cutoff is not None else _effective_cutoff(bd)
+    """H_S x I + lam A x B + I x H_B, plus lam^2 Q A^2 x I when Renormalized.
+
+    The Fock cutoff is fock_cutoff if given, else bd.fock_cutoff.
+    """
+    cutoff = bd.fock_cutoff if fock_cutoff is None else fock_cutoff
+    if cutoff is None:
+        raise ValidationError("no Fock cutoff: pass fock_cutoff or give the bath one")
     bath_dim = (cutoff + 1) ** bd.n_modes
     total = sys.dim * bath_dim
     if total > _ORACLE_DIMENSION_CAP:
@@ -140,7 +133,7 @@ def build_total_hamiltonian(
     a = sys.a.entries
     h_s = sys.h_s.entries
     if conv is RenormalizationConvention.RENORMALIZED:
-        h_s = h_s + lam**2 * reorganization_sum(bd) * (a @ a)
+        h_s = h_s + lam**2 * bd.reorganization_energy() * (a @ a)
     # Block (i, j) is h_s[i, j] I + lam a[i, j] B, plus H_B on the diagonal
     # blocks: the Kronecker sum, entry by entry in the same floating order.
     h = np.empty((total, total), dtype=np.result_type(h_s, a, b))
@@ -275,7 +268,8 @@ def verify_trace_identity(
     H_{B,l} = H_B + lam a_l B + lam^2 a_l^2 g^2/omega is the displaced bath
     Hamiltonian (ground energy 0 before truncation). The closed form is
     Z_B e^{-lam^2 (a_{l'} - a_l)^2 K(u)} with the single-mode kernel and the
-    same truncated Z_B. Returns (matrix trace, closed form); callers compare.
+    same truncated Z_B, both at bd.fock_cutoff, which must be set. Returns
+    (matrix trace, closed form); callers compare.
     """
     if bd.n_modes != 1:
         raise ValidationError(
@@ -283,8 +277,10 @@ def verify_trace_identity(
         )
     if not 0 <= u <= beta:
         raise ValidationError(f"u = {u} must lie in [0, beta = {beta}]")
+    cutoff = bd.fock_cutoff
+    if cutoff is None:
+        raise ValidationError("no Fock cutoff: give the bath one")
     g, w = bd.modes[0]
-    cutoff = _effective_cutoff(bd)
 
     def lhs_at(c: int) -> float:
         h_b = w * np.diag(np.arange(c + 1, dtype=float))
@@ -307,7 +303,7 @@ def verify_trace_identity(
             f"{abs(recheck / lhs - 1.0):.3g} at cutoff+10",
             stacklevel=2,
         )
-    k_u = overlap_kernel(DiscreteModes([(g, w)]), beta, u)
+    k_u = overlap_kernel(bd, beta, u)
     rhs = truncated_bath_partition(bd, beta, cutoff) * math.exp(
         -(lam**2) * (a_l2 - a_l) ** 2 * k_u
     )

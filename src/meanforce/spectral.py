@@ -144,7 +144,8 @@ class OhmicHardCutoff(SpectralDensity):
 class DiscreteModes(SpectralDensity):
     """J(w) = sum_k g_k^2 delta(w - w_k); modes is a sequence of (g_k, w_k).
 
-    The integrals are exact finite sums over the modes.
+    The integrals are exact finite sums over the modes. Every g_k and w_k must
+    be finite, and every w_k positive.
     """
 
     modes: tuple
@@ -153,9 +154,15 @@ class DiscreteModes(SpectralDensity):
         modes = tuple((float(g), float(w)) for g, w in modes)
         if not modes:
             raise ValidationError("DiscreteModes requires at least one mode")
+        if not all(math.isfinite(g) and math.isfinite(w) for g, w in modes):
+            raise ValidationError("bath mode parameters must be finite")
         if any(w <= 0 for _, w in modes):
             raise ValidationError("all mode frequencies must be positive")
         object.__setattr__(self, "modes", modes)
+
+    @property
+    def n_modes(self) -> int:
+        return len(self.modes)
 
     @property
     def couplings(self) -> np.ndarray:

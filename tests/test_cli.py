@@ -131,6 +131,38 @@ def test_oracle_over_cap_yields_na_cells(tmp_path):
     assert "," not in row[-1]
 
 
+@pytest.mark.parametrize("spectral", ["ohmic", "tabulated"])
+def test_oracle_couples_to_a_compactly_supported_density(spectral, tmp_path, capsys):
+    # The oracle's modes lie inside the support [0, 1], so its cells move
+    # with the coupling instead of staying at the uncoupled spin's state.
+    table = tmp_path / "j.txt"
+    table.write_text("0.0 0.0\n0.5 0.5\n1.0 1.0\n")
+    name = "ohmic" if spectral == "ohmic" else f"tabulated:{table}"
+    rc = run_main([
+        "sweep", "--spectral", name, "--omega-c", "1", "--sweep", "lambda2Q",
+        "--from", "1", "--to", "2", "--points", "2", "--methods", "oracle",
+        "--oracle-modes", "2", "--fock-cutoff", "8",
+    ])
+    assert rc == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+    assert "NA" not in rows[0] + rows[1]
+    assert rows[0][1:6] != rows[1][1:6]
+
+
+def test_oracle_bath_that_cannot_couple_is_na_with_note(tmp_path, capsys):
+    table = tmp_path / "j.txt"  # J lives on [5, 6]; one mode sits at 3
+    table.write_text("5.0 0.0\n5.5 1.0\n6.0 0.0\n")
+    rc = run_main([
+        "sweep", "--spectral", f"tabulated:{table}", "--sweep", "lambda2Q",
+        "--from", "1", "--to", "2", "--points", "2", "--methods", "oracle",
+        "--oracle-modes", "1", "--fock-cutoff", "8",
+    ])
+    assert rc == 0
+    row = capsys.readouterr().out.strip().split("\n")[1].split(",")
+    assert row[1:6] == ["NA"] * 5
+    assert "no mode couples" in row[-1]
+
+
 def test_presets_run_and_differ(tmp_path):
     files = {}
     for name in sorted(cli.PRESETS):

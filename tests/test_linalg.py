@@ -35,8 +35,11 @@ def test_density_matrix_validations():
         DensityMatrix([[0.6, 0.0], [0.0, 0.6]])  # trace 1.2
     with pytest.raises(ValidationError):
         DensityMatrix([[1.5, 0.0], [0.0, -0.5]])  # negative eigenvalue
+    with pytest.raises(ValidationError, match="density matrix is not Hermitian"):
+        DensityMatrix([[0.5, 0.2], [0.1, 0.5]])
     rho = DensityMatrix([[0.5, 0.2], [0.2, 0.5]])
     assert rho.min_eigenvalue == pytest.approx(0.3, abs=1e-12)
+    assert isinstance(rho, HermitianMatrix) and rho.dim == 2
 
 
 def test_density_matrix_unchecked_records_min_eigenvalue():

@@ -16,14 +16,21 @@ from meanforce.oracle import (
     truncated_bath_partition,
     verify_trace_identity,
 )
-from meanforce.spectral import BathParams, LorentzDrude
+from meanforce.spectral import BathParams, DiscreteModes, LorentzDrude, OhmicHardCutoff
 from meanforce.spinboson import SpinBosonParams, build_system
-from meanforce.steady import RenormalizationConvention, SystemSpec
+from meanforce.steady import (
+    CorrectionMethod,
+    RenormalizationConvention,
+    SystemSpec,
+    steady_state,
+    zeroth_order_state,
+)
 
 
 def test_discretize_midpoint_rule():
     sd = LorentzDrude(1.0, 0.25)
     bd = discretize(sd, 4, 2.0)
+    assert isinstance(bd, DiscreteModes) and bd.fock_cutoff is None
     assert bd.n_modes == 4
     freqs = [w for _, w in bd.modes]
     assert freqs == pytest.approx([0.25, 0.75, 1.25, 1.75])
@@ -46,6 +53,38 @@ def test_discretize_validations():
         BathDiscretization(modes=((0.5, -1.0),))
     with pytest.raises(ValidationError):
         BathDiscretization(modes=((0.5, 1.0),), fock_cutoff=0)
+    # The midpoints 2, 6 and 10 lie past the hard cutoff 1: no mode couples.
+    with pytest.raises(ValidationError, match="no mode couples"):
+        discretize(OhmicHardCutoff(1.0, 1.0), 3, 12.0)
+
+
+def test_oracle_bath_is_a_discrete_modes_density():
+    sys = build_system(SpinBosonParams(epsilon=1.0, delta=0.7))
+    bath = BathParams(beta=1.0, lam=1.3)
+    bd = BathDiscretization(discretize(LorentzDrude(1.0, 0.25), 3, 3.0).modes, fock_cutoff=5)
+    dm = DiscreteModes(bd.modes)
+    for method in CorrectionMethod:
+        assert np.array_equal(
+            steady_state(sys, bath, bd, method).state.entries,
+            steady_state(sys, bath, dm, method).state.entries,
+        )
+    assert np.array_equal(
+        zeroth_order_state(sys, bath, sd=bd).entries, zeroth_order_state(sys, bath, sd=dm).entries
+    )
+    assert reorganization_sum(bd) == bd.reorganization_energy() == dm.reorganization_energy()
+    # Equality is by value, as for DiscreteModes, and the cutoff is part of it.
+    assert bd == BathDiscretization(bd.modes, 5) and hash(bd) == hash(BathDiscretization(bd.modes, 5))
+    assert bd != BathDiscretization(bd.modes, 6)
+
+
+def test_no_fock_cutoff_is_refused_where_no_automatic_rule_applies():
+    sys = build_system(SpinBosonParams(epsilon=1.0, delta=0.7))
+    bd = BathDiscretization(modes=((0.5, 1.0),))
+    with pytest.raises(ValidationError, match="no Fock cutoff"):
+        build_total_hamiltonian(sys, bd, lam=0.5)
+    with pytest.raises(ValidationError, match="no Fock cutoff"):
+        verify_trace_identity(bd, 1.0, -1.0, lam=0.5, beta=1.0, u=0.4)
+    assert build_total_hamiltonian(sys, bd, lam=0.5, fock_cutoff=3).dim == 8
 
 
 def test_reorganization_sum_converges_to_q():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meanforce.errors import NumericsError, ValidationError
+from meanforce.oracle import BathDiscretization
 from meanforce.special import QuadratureSettings
 from meanforce.spectral import (
     BathParams,
@@ -51,6 +52,11 @@ def test_density_constructors_validate():
         DiscreteModes([])
     with pytest.raises(ValidationError):
         DiscreteModes([(0.5, -1.0)])
+    # The oracle's bath is a DiscreteModes and shares its one mode check.
+    for modes_type in (DiscreteModes, BathDiscretization):
+        for bad in ((math.nan, 1.0), (1.0, math.inf), (-math.inf, 1.0), (0.5, math.nan)):
+            with pytest.raises(ValidationError, match="finite"):
+                modes_type([(0.5, 1.0), bad])
     with pytest.raises(ValidationError):
         Tabulated([0.0, 1.0], [0.5, 0.0])  # J(0) != 0
     with pytest.raises(ValidationError):
