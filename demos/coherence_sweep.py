@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from meanforce.comparator import me_state, me_steady_state
+from meanforce.comparator import me_steady_state
 from meanforce.spectral import BathParams, LorentzDrude
 from meanforce.spinboson import SpinBosonParams, build_system, observables
 from meanforce.steady import CorrectionMethod, steady_state
@@ -25,7 +25,7 @@ for lam2q in grid:
     bath = BathParams(beta=1.0, lam=math.sqrt(float(lam2q)))
     ht = steady_state(system, bath, sd, method=CorrectionMethod.HIGH_TEMPERATURE_DAWSON)
     se = steady_state(system, bath, sd, method=CorrectionMethod.ULTRASTRONG_SERIES)
-    me = me_state(system, me_steady_state(system, bath, sd))
+    me = me_steady_state(system, bath, sd).state
     curves["high-t"].append(observables(ht.state, params).c_ss.real)
     curves["series"].append(observables(se.state, params).c_ss.real)
     curves["me"].append(observables(me, params).c_ss.real)

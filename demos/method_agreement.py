@@ -7,7 +7,7 @@ internal consistency check the package has.
 
 import math
 
-from meanforce.comparator import me_state, me_steady_state
+from meanforce.comparator import me_steady_state
 from meanforce.spectral import BathParams, LorentzDrude
 from meanforce.spinboson import SpinBosonParams, build_system, observables
 from meanforce.steady import CorrectionMethod, steady_state
@@ -25,7 +25,7 @@ for omega_c in (0.1, 0.25, 0.5):
         for m in CorrectionMethod:
             res = steady_state(system, bath, sd, method=m)
             values[m.value] = observables(res.state, params).c_ss.real
-        me = me_state(system, me_steady_state(system, bath, sd))
+        me = me_steady_state(system, bath, sd).state
         values["me"] = observables(me, params).c_ss.real
         gap = abs(values["me"] / values["exact"] - 1.0)
         print(f"{omega_c:8.2f} {lam2q:6.1f} {values['exact']:12.8f} "

@@ -39,7 +39,6 @@ from .spinboson import SpinBosonParams, SpinObservables, build_system, observabl
 from .steady import (
     CorrectionMethod,
     CorrectionResult,
-    RegimeThresholds,
     RenormalizationConvention,
     SystemSpec,
     f_exact,
@@ -69,7 +68,6 @@ __all__ = [
     "QuadratureError",
     "QuadratureResult",
     "QuadratureSettings",
-    "RegimeThresholds",
     "RenormalizationConvention",
     "SpectralDensity",
     "SpinBosonParams",

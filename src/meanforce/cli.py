@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import oracle, special, spectral, steady
-from .comparator import me_state, me_steady_state
+from .comparator import me_steady_state
 from .errors import MeanForceError, NumericsError, ValidationError
 from .spinboson import SpinBosonParams, build_system, observables
 from .steady import CorrectionMethod, RenormalizationConvention
@@ -29,8 +29,43 @@ from .svg import render_line_plot
 __all__ = ["SweepSpec", "run_sweep", "run_verify", "main", "PRESETS"]
 
 SWEPT_NAMES = ("lambda2Q", "beta", "omega_c")
-METHOD_NAMES = ("exact", "high-t", "series", "me", "zeroth", "oracle")
 _CELLS = ("c_ss_real", "c_ss_imag", "c_eg_real", "c_eg_imag", "p_plus")
+# The CSV flag columns, by the regime_diagnostics key each one reports.
+_FLAGS = {
+    "flag_strong_coupling": "strong_coupling",
+    "flag_series": "series_regime",
+    "flag_high_t": "high_t_regime",
+}
+
+# The oracle discretizes J over [0, factor * cutoff]: Lorentz-Drude's J has a
+# tail far past omega_c, and every other family's J ends at its cutoff.
+_ORACLE_BAND = {"lorentz-drude": 12.0}
+
+
+def _correction(method: CorrectionMethod):
+    return lambda spec, sys, bath, sd, q: steady.steady_state(
+        sys, bath, sd, method, spec.convention, q
+    ).state
+
+
+def _oracle(spec, sys, bath, sd, q):
+    band = _ORACLE_BAND.get(spec.spectral, 1.0) * sd.cutoff
+    bd = oracle.BathDiscretization(oracle.discretize(sd, spec.oracle_modes, band).modes, spec.fock_cutoff)
+    return oracle.exact_mean_force_state(sys, bd, bath, spec.convention).state
+
+
+# Each method's route from (spec, system, bath, density, quadrature settings)
+# to its state. Routes look the library up when they run, so a rebound module
+# attribute (a tracer's wrapper, a test's counter) is the one called.
+_ROUTES = {
+    "exact": _correction(CorrectionMethod.EXACT_QUADRATURE),
+    "high-t": _correction(CorrectionMethod.HIGH_TEMPERATURE_DAWSON),
+    "series": _correction(CorrectionMethod.ULTRASTRONG_SERIES),
+    "me": lambda spec, sys, bath, sd, q: me_steady_state(sys, bath, sd, q).state,
+    "zeroth": lambda spec, sys, bath, sd, q: steady.zeroth_order_state(sys, bath, spec.convention, sd),
+    "oracle": _oracle,
+}
+METHOD_NAMES = tuple(_ROUTES)
 
 PRESETS = {
     "fig1a": {
@@ -123,11 +158,6 @@ class SweepSpec:
             raise ValidationError("fock_cutoff must be at least 1")
 
 
-# The oracle discretizes J over [0, factor * cutoff]: Lorentz-Drude's J has a
-# tail far past omega_c, and every other family's J ends at its cutoff.
-_ORACLE_BAND = {"lorentz-drude": 12.0}
-
-
 def _spectral_density(name: str, omega_c: float) -> spectral.SpectralDensity:
     """Built-in families carry Q = 1 by construction."""
     if name == "lorentz-drude":
@@ -175,33 +205,13 @@ def _evaluate_point(
     notes: list = []
     for m in spec.methods:
         try:
-            if m == "zeroth":
-                state = steady.zeroth_order_state(sys_spec, bath, spec.convention, sd)
-            elif m == "me":
-                state = me_state(sys_spec, me_steady_state(sys_spec, bath, sd, settings))
-            elif m == "oracle":
-                band = _ORACLE_BAND.get(spec.spectral, 1.0) * sd.cutoff
-                bd = oracle.BathDiscretization(
-                    oracle.discretize(sd, spec.oracle_modes, band).modes, spec.fock_cutoff
-                )
-                state = oracle.exact_mean_force_state(
-                    sys_spec, bd, bath, spec.convention
-                ).state
-            else:
-                state = steady.steady_state(
-                    sys_spec, bath, sd, CorrectionMethod(m), spec.convention, settings
-                ).state
-            cells[m] = _obs_cells(state, params)
+            cells[m] = _obs_cells(_ROUTES[m](spec, sys_spec, bath, sd, settings), params)
         except MeanForceError as exc:
             cells[m] = {c: None for c in _CELLS}
             notes.append(f"{m}: {exc}")
 
     regime = steady.regime_diagnostics(sys_spec, lambda2q, beta, sd)
-    flags = {
-        "flag_strong_coupling": int(regime["strong_coupling"]),
-        "flag_series": int(regime["series_regime"]),
-        "flag_high_t": int(regime["high_t_regime"]),
-    }
+    flags = {col: int(regime[key]) for col, key in _FLAGS.items()}
     return cells, flags, notes
 
 
@@ -223,17 +233,14 @@ def run_sweep(spec: SweepSpec) -> str:
     for m in spec.methods:
         prefix = m.replace("-", "_")
         header += [f"{prefix}_{c}" for c in _CELLS]
-    header += ["flag_strong_coupling", "flag_series", "flag_high_t", "note"]
+    header += [*_FLAGS, "note"]
 
     lines = [",".join(header)]
     for value, (cells, flags, notes) in zip(values, results):
         row = [f"{value:.17g}"]
         for m in spec.methods:
             row += [_fmt_cell(cells[m][c]) for c in _CELLS]
-        row += [
-            str(flags[k])
-            for k in ("flag_strong_coupling", "flag_series", "flag_high_t")
-        ]
+        row += [str(flags[col]) for col in _FLAGS]
         row.append("; ".join(n.replace(",", ";").replace("\n", " ") for n in notes))
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

@@ -52,6 +52,7 @@ _MAX_WINDOWS = 100_000
 class MEResult:
     """Master-equation coherences (A eigenbasis, zero diagonal) and populations.
 
+    state is the two assembled in the original basis (PSD not enforced).
     truncation_tau is the shared cut tau* every transform is integrated to;
     per-pair quadrature errors and tail bounds live in diagnostics.
     Hermiticity of the coherence matrix is exact here because the lower
@@ -61,6 +62,7 @@ class MEResult:
 
     coherences: np.ndarray
     populations: np.ndarray
+    state: DensityMatrix
     truncation_tau: float
     diagnostics: dict
 
@@ -226,7 +228,7 @@ def me_steady_state(
 
     The table is reused across consecutive calls with the same density
     object, beta, grid end tau_max and quadrature settings, as along a
-    lambda^2 Q sweep; diagnostics["g_spline_reused"] reports it. The reused
+    lambda^2 Q sweep; diagnostics["table_reused"] reports it. The reused
     table is the one a fresh build would give, bit for bit.
 
     Raises NumericsError when lam^2 (a_l - a_l')^2 overflows.
@@ -297,17 +299,18 @@ def me_steady_state(
     diagnostics = {
         "per_pair": per_pair,
         "tau_grid_nodes": nodes,
-        "spline_error": table_err,
+        "table_error": table_err,
         "tau_max": tau_max,
-        "g_spline_reused": reused,
+        "table_reused": reused,
     }
+    v = sys.a_eigenvectors
+    state = DensityMatrix(v @ (np.diag(p).astype(complex) + coh) @ v.conj().T, check_positive=False)
     return MEResult(
-        coherences=coh, populations=p, truncation_tau=tau_star, diagnostics=diagnostics
+        coherences=coh, populations=p, state=state, truncation_tau=tau_star,
+        diagnostics=diagnostics,
     )
 
 
 def me_state(sys: SystemSpec, result: MEResult) -> DensityMatrix:
-    """Assemble the full state in the original basis (PSD not enforced)."""
-    rho_a = np.diag(result.populations).astype(complex) + result.coherences
-    v = sys.a_eigenvectors
-    return DensityMatrix(v @ rho_a @ v.conj().T, check_positive=False)
+    """result.state, the full state in the original basis (PSD not enforced)."""
+    return result.state

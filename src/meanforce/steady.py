@@ -31,7 +31,6 @@ __all__ = [
     "SystemSpec",
     "CorrectionMethod",
     "RenormalizationConvention",
-    "RegimeThresholds",
     "CorrectionResult",
     "zeroth_order_state",
     "f_exact",
@@ -43,6 +42,10 @@ __all__ = [
 
 _MIN_GAP_REL = 1e-9
 _COMMUTATOR_TOL = 1e-12
+# Regime markers, reported in diagnostics and never enforced.
+_STRONG_COUPLING = 1.0  # lambda^2 Q / max|h_l| at or above this is ultrastrong
+_SERIES_REGIME = 3.0  # lambda^2 Q beta at or above this supports the series method
+_HIGH_T_REGIME = 0.5  # omega_c beta at or below this supports the Dawson method
 
 
 class CorrectionMethod(Enum):
@@ -54,20 +57,6 @@ class CorrectionMethod(Enum):
 class RenormalizationConvention(Enum):
     RENORMALIZED = "renormalized"
     NATURAL = "natural"
-
-
-@dataclass(frozen=True)
-class RegimeThresholds:
-    """Validity markers reported in diagnostics (never enforced).
-
-    strong_coupling: lambda^2 Q / max|h_l| at or above this is ultrastrong;
-    series: lambda^2 Q beta at or above this supports the series method;
-    high_t: omega_c beta at or below this supports the Dawson method.
-    """
-
-    strong_coupling: float = 1.0
-    series: float = 3.0
-    high_t: float = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,10 +330,8 @@ def regime_diagnostics(
     lam2q: float,
     beta: float,
     sd: SpectralDensity,
-    th: RegimeThresholds | None = None,
 ) -> dict:
-    """The regime markers, with the ratios they compare to the thresholds."""
-    th = th or RegimeThresholds()
+    """The regime markers, with the ratios they compare to the module's thresholds."""
     h_scale = float(np.max(np.abs(sys.pseudo_energies)))
     coupling_ratio = lam2q / h_scale if h_scale > 0 else np.inf
     omega_c_beta = sd.cutoff * beta
@@ -352,9 +339,9 @@ def regime_diagnostics(
         "lambda2_q_beta": lam2q * beta,
         "omega_c_beta": omega_c_beta,
         "coupling_ratio": coupling_ratio,
-        "strong_coupling": bool(coupling_ratio >= th.strong_coupling),
-        "series_regime": bool(lam2q * beta >= th.series),
-        "high_t_regime": bool(omega_c_beta <= th.high_t),
+        "strong_coupling": bool(coupling_ratio >= _STRONG_COUPLING),
+        "series_regime": bool(lam2q * beta >= _SERIES_REGIME),
+        "high_t_regime": bool(omega_c_beta <= _HIGH_T_REGIME),
     }
 
 
@@ -363,16 +350,15 @@ class CorrectionResult:
     """First-order mean force state with its ingredients and diagnostics.
 
     f_values has zeros on the diagonal. diagnostics carries the quadrature
-    error estimate and evaluation count per entry (for exact, each pair's own
-    estimate and the one count that all pairs share), the regime markers, and
-    the PSD report (negative eigenvalues are flagged, never repaired).
+    error estimate per entry (for exact, each pair's own estimate), the
+    evaluation count all pairs share (0 for the closed forms), the regime
+    markers, and the PSD report (negative eigenvalues are flagged, never
+    repaired).
     """
 
     populations: np.ndarray
     f_values: np.ndarray
     state: DensityMatrix
-    method: CorrectionMethod
-    convention: RenormalizationConvention
     diagnostics: dict
 
 
@@ -383,7 +369,6 @@ def steady_state(
     method: CorrectionMethod = CorrectionMethod.EXACT_QUADRATURE,
     conv: RenormalizationConvention = RenormalizationConvention.RENORMALIZED,
     q: QuadratureSettings | None = None,
-    thresholds: RegimeThresholds | None = None,
 ) -> CorrectionResult:
     """Assemble the mean force state to first order in the inverse coupling.
 
@@ -394,7 +379,6 @@ def steady_state(
     trace is carried by the populations alone.
     """
     s = q or QuadratureSettings()
-    th = thresholds or RegimeThresholds()
     beta, lam = bath.beta, bath.lam
     energies = _effective_energies(sys, bath, conv, sd)
     p = _populations(energies, beta)
@@ -403,12 +387,12 @@ def steady_state(
     l, l2 = np.nonzero(~np.eye(dim, dtype=bool))
     f = np.zeros((dim, dim))
     f_err = np.zeros((dim, dim))
-    f_evals = np.zeros((dim, dim), dtype=int)
+    evaluations = 0
     if method is CorrectionMethod.EXACT_QUADRATURE:
         r = f_exact(sys, bath, sd, l, l2, s, conv)
         f[l, l2] = r.value
         f_err[l, l2] = r.component_errors
-        f_evals[l, l2] = r.evaluations
+        evaluations = r.evaluations
     elif method is CorrectionMethod.HIGH_TEMPERATURE_DAWSON:
         f[l, l2] = f_high_t(sys, bath, sd, l, l2, conv)
     else:
@@ -427,10 +411,9 @@ def steady_state(
     lam2q = lam**2 * sd.reorganization_energy()
     diagnostics = {
         "f_error_estimates": f_err,
-        "f_evaluations": f_evals,
-        **regime_diagnostics(sys, lam2q, beta, sd, th),
+        "evaluations": evaluations,
+        **regime_diagnostics(sys, lam2q, beta, sd),
         "min_eigenvalue": state.min_eigenvalue,
         "psd_ok": bool(state.min_eigenvalue >= -1e-9),
-        "psd_warning": bool(state.min_eigenvalue < -1e-3),
     }
-    return CorrectionResult(p, f, state, method, conv, diagnostics)
+    return CorrectionResult(p, f, state, diagnostics)

@@ -80,6 +80,34 @@ def test_sweep_stdout_and_determinism(tmp_path, capsys):
     assert first.startswith("beta,high_t_c_ss_real")
 
 
+def test_every_route_looks_the_library_up_when_it_runs(monkeypatch):
+    # The benchmark's tracer rebinds module attributes; a route table holding
+    # the functions captured at import would call past the rebound ones.
+    from meanforce import oracle, steady
+
+    calls = {}
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(cli, "me_steady_state")
+    count(steady, "steady_state")
+    count(steady, "zeroth_order_state")
+    count(oracle, "exact_mean_force_state")
+    spec = cli.SweepSpec(swept="lambda2Q", lo=1.0, hi=2.0, methods=cli.METHOD_NAMES,
+                         oracle_modes=1, fock_cutoff=4)
+    cells, _, notes = cli._evaluate_point(spec, 1.0, LorentzDrude(1.0, 0.25))
+    assert notes == [] and set(cells) == set(cli.METHOD_NAMES)
+    assert calls == {"me_steady_state": 1, "steady_state": 3,
+                     "zeroth_order_state": 1, "exact_mean_force_state": 1}
+
+
 def test_lambda_sweep_bytes_do_not_depend_on_spline_reuse(monkeypatch):
     # Along a lambda^2 Q sweep the ME route reuses one G spline. A sweep that
     # builds it at every point, one that builds it at the first point only,

@@ -91,7 +91,7 @@ def test_me_diagnostics_and_truncation():
     me = me_steady_state(SPIN, bath, LD)
     d = me.diagnostics
     assert d["tau_grid_nodes"] >= 65
-    assert d["spline_error"] <= comparator._SPLINE_TOL
+    assert d["table_error"] <= comparator._SPLINE_TOL
     assert me.truncation_tau > 0.0
     assert me.truncation_tau <= d["tau_max"]
     pair = d["per_pair"][(0, 1)]
@@ -199,11 +199,11 @@ def test_g_spline_reused_across_couplings(monkeypatch, cold_memo):
     builds = _counting_builds(monkeypatch)
     warm = [me_steady_state(SPIN, bath, LD) for bath in baths]
     assert len(builds) == 1
-    assert [r.diagnostics["g_spline_reused"] for r in warm] == [False, True]
+    assert [r.diagnostics["table_reused"] for r in warm] == [False, True]
     assert warm[0].diagnostics["tau_max"] == warm[1].diagnostics["tau_max"]
     for c, w in zip(cold, warm):
         assert np.array_equal(w.coherences, c.coherences)
-        assert w.diagnostics["spline_error"] == c.diagnostics["spline_error"]
+        assert w.diagnostics["table_error"] == c.diagnostics["table_error"]
     grid, table = comparator._last_spline[2][:2]
     assert table.grid is grid
     assert not (grid.flags.writeable or table.y.flags.writeable)
@@ -225,7 +225,7 @@ def test_g_spline_key_change_misses(monkeypatch, cold_memo, change):
     args = {**base, **change}
     res = me_steady_state(SPIN, args["bath"], args["sd"], args["q"])
     assert len(builds) == 2
-    assert res.diagnostics["g_spline_reused"] is False
+    assert res.diagnostics["table_reused"] is False
 
 
 def test_g_fault_surfaces_after_memo_filled(monkeypatch, cold_memo):
@@ -404,15 +404,15 @@ def test_me_one_integrate_finite_call_per_window(monkeypatch):
 def test_me_state_assembly():
     bath = BathParams(beta=1.0, lam=math.sqrt(5.0))
     me = me_steady_state(SPIN, bath, LD)
-    rho = me_state(SPIN, me)
-    assert rho.dim == 2
-    assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(rho.entries, rho.entries.conj().T, atol=1e-15)
     ht = steady_state(SPIN, bath, LD, method=CorrectionMethod.HIGH_TEMPERATURE_DAWSON)
-    # same populations, nearby coherences
-    assert np.allclose(
-        np.diag(rho.entries).real, np.diag(ht.state.entries).real, atol=1e-3
-    )
+    for rho in (me_state(SPIN, me), me.state):
+        assert rho.dim == 2
+        assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(rho.entries, rho.entries.conj().T, atol=1e-15)
+        # same populations, nearby coherences
+        assert np.allclose(
+            np.diag(rho.entries).real, np.diag(ht.state.entries).real, atol=1e-3
+        )
 
 
 def test_me_rejects_lambda_zero():
