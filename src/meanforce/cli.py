@@ -58,38 +58,30 @@ def _oracle(spec, sys, bath, sd, q):
 # to its state. Routes look the library up when they run, so a rebound module
 # attribute (a tracer's wrapper, a test's counter) is the one called.
 _ROUTES = {
-    "exact": _correction(CorrectionMethod.EXACT_QUADRATURE),
-    "high-t": _correction(CorrectionMethod.HIGH_TEMPERATURE_DAWSON),
-    "series": _correction(CorrectionMethod.ULTRASTRONG_SERIES),
+    **{m.value: _correction(m) for m in CorrectionMethod},
     "me": lambda spec, sys, bath, sd, q: me_steady_state(sys, bath, sd, q).state,
     "zeroth": lambda spec, sys, bath, sd, q: steady.zeroth_order_state(sys, bath, spec.convention, sd),
     "oracle": _oracle,
 }
 METHOD_NAMES = tuple(_ROUTES)
 
+_FIG1A = {
+    "swept": "lambda2Q", "lo": 0.2, "hi": 10.0, "points": 50,
+    "delta": 0.7, "beta": 1.0, "omega_c": 0.25, "spectral": "lorentz-drude",
+    "methods": ("high-t", "series", "me"), "plot": "c_ss_real",
+}
+_FIG2 = {
+    "swept": "beta", "lo": 0.05, "hi": 3.0, "points": 60,
+    "delta": 0.7, "lambda2q": 5.0, "omega_c": 0.5, "spectral": "lorentz-drude",
+    "methods": ("high-t", "me"), "plot": "c_ss_real",
+}
 PRESETS = {
-    "fig1a": {
-        "swept": "lambda2Q", "lo": 0.2, "hi": 10.0, "points": 50,
-        "delta": 0.7, "beta": 1.0, "omega_c": 0.25, "spectral": "lorentz-drude",
-        "methods": ("high-t", "series", "me"), "plot": "c_ss_real",
-    },
+    "fig1a": _FIG1A,
     # Same sweep; the plot column is the energy-basis coherence instead.
-    "fig1b": {
-        "swept": "lambda2Q", "lo": 0.2, "hi": 10.0, "points": 50,
-        "delta": 0.7, "beta": 1.0, "omega_c": 0.25, "spectral": "lorentz-drude",
-        "methods": ("high-t", "series", "me"), "plot": "c_eg_real",
-    },
-    "fig2": {
-        "swept": "beta", "lo": 0.05, "hi": 3.0, "points": 60,
-        "delta": 0.7, "lambda2q": 5.0, "omega_c": 0.5, "spectral": "lorentz-drude",
-        "methods": ("high-t", "me"), "plot": "c_ss_real",
-    },
+    "fig1b": {**_FIG1A, "plot": "c_eg_real"},
+    "fig2": _FIG2,
     # fig2 variant with the slower cutoff omega_c = 0.1.
-    "fig2-text": {
-        "swept": "beta", "lo": 0.05, "hi": 3.0, "points": 60,
-        "delta": 0.7, "lambda2q": 5.0, "omega_c": 0.1, "spectral": "lorentz-drude",
-        "methods": ("high-t", "me"), "plot": "c_ss_real",
-    },
+    "fig2-text": {**_FIG2, "omega_c": 0.1},
     "fig3": {
         "swept": "omega_c", "lo": 0.05, "hi": 2.0, "points": 50,
         "delta": 0.7, "beta": 1.0, "lambda2q": 5.0, "spectral": "lorentz-drude",
@@ -116,7 +108,7 @@ class SweepSpec:
     methods: tuple = ("high-t",)
     convention: RenormalizationConvention = RenormalizationConvention.RENORMALIZED
     log: bool = False
-    rel_tol: float = 1e-10
+    rel_tol: float = special.QuadratureSettings.rel_tol
     oracle_modes: int = 3
     fock_cutoff: int | None = None
     plot: str = "c_ss_real"

@@ -10,6 +10,7 @@ single-mode displaced-trace identity, not continuum values.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -35,6 +36,14 @@ _CONVERGENCE_TOL = 1e-6
 _TRUNCATION_RECHECK_TOL = 1e-8
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; a float or a string is refused, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class BathDiscretization(DiscreteModes):
     """Discrete bath modes (g_k, omega_k) with a Fock cutoff shared by every mode.
@@ -51,7 +60,7 @@ class BathDiscretization(DiscreteModes):
     def __init__(self, modes, fock_cutoff: int | None = None):
         super().__init__(modes)
         if fock_cutoff is not None:
-            fock_cutoff = int(fock_cutoff)
+            fock_cutoff = _integer(fock_cutoff, "fock_cutoff")
             if fock_cutoff < 1:
                 raise ValidationError(f"fock_cutoff {fock_cutoff} must be at least 1")
         object.__setattr__(self, "fock_cutoff", fock_cutoff)
@@ -65,7 +74,7 @@ def discretize(sd: SpectralDensity, n: int, omega_max: float) -> BathDiscretizat
     Raises ValidationError when J is 0 at every midpoint: that bath cannot
     couple.
     """
-    n = int(n)
+    n = _integer(n, "the number of bins")
     if n < 1:
         raise ValidationError(f"need at least one bin, got {n}")
     if not omega_max > 0:
@@ -80,19 +89,12 @@ def discretize(sd: SpectralDensity, n: int, omega_max: float) -> BathDiscretizat
     return BathDiscretization(tuple(zip(g, w)))
 
 
-def _ladder(cutoff: int) -> np.ndarray:
-    """Annihilation operator on the (cutoff+1)-dimensional Fock space."""
-    a = np.zeros((cutoff + 1, cutoff + 1))
-    ns = np.arange(1, cutoff + 1)
-    a[ns - 1, ns] = np.sqrt(ns)
-    return a
-
-
 def _bath_operators(bd: BathDiscretization, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """(diagonal of H_B, B) on the tensor product of truncated Fock spaces."""
     d1 = cutoff + 1
-    x = _ladder(cutoff)
-    x = x + x.T
+    ns = np.arange(1, d1)
+    x = np.zeros((d1, d1))  # a + a^dagger on one mode's Fock space
+    x[ns - 1, ns] = x[ns, ns - 1] = np.sqrt(ns)
     n_modes = bd.n_modes
     levels = np.indices((d1,) * n_modes).reshape(n_modes, -1)
     h_b = np.zeros(d1**n_modes)
@@ -113,20 +115,20 @@ def build_total_hamiltonian(
     bd: BathDiscretization,
     lam: float,
     conv: RenormalizationConvention = RenormalizationConvention.RENORMALIZED,
-    fock_cutoff: int | None = None,
 ) -> HermitianMatrix:
     """H_S x I + lam A x B + I x H_B, plus lam^2 Q A^2 x I when Renormalized.
 
-    The Fock cutoff is fock_cutoff if given, else bd.fock_cutoff.
+    The Fock cutoff is bd.fock_cutoff, which must be set.
     """
-    cutoff = bd.fock_cutoff if fock_cutoff is None else fock_cutoff
+    cutoff = bd.fock_cutoff
     if cutoff is None:
-        raise ValidationError("no Fock cutoff: pass fock_cutoff or give the bath one")
+        raise ValidationError("no Fock cutoff: give the bath one")
     bath_dim = (cutoff + 1) ** bd.n_modes
     total = sys.dim * bath_dim
     if total > _ORACLE_DIMENSION_CAP:
         raise ValidationError(
-            f"total Hilbert dimension {total} exceeds the cap {_ORACLE_DIMENSION_CAP}; "
+            f"total Hilbert dimension {total} ({sys.dim} x {cutoff + 1}^{bd.n_modes}, "
+            f"Fock cutoff {cutoff}) exceeds the cap {_ORACLE_DIMENSION_CAP}; "
             "reduce modes or the Fock cutoff"
         )
     h_b, b = _bath_operators(bd, cutoff)
@@ -187,7 +189,7 @@ def _reduced_thermal_state(
     conv: RenormalizationConvention, cutoff: int,
 ) -> tuple[np.ndarray, float]:
     """(rho_S, Z_SB) at one Fock cutoff, from one eigendecomposition of H."""
-    h = build_total_hamiltonian(sys, bd, bath.lam, conv, cutoff)
+    h = build_total_hamiltonian(sys, BathDiscretization(bd.modes, cutoff), bath.lam, conv)
     dec = eigh(h)
     # Boltzmann weights relative to the ground state stay in range; the shift
     # cancels in the normalized state and is restored in Z_SB.
@@ -283,10 +285,8 @@ def verify_trace_identity(
     g, w = bd.modes[0]
 
     def lhs_at(c: int) -> float:
-        h_b = w * np.diag(np.arange(c + 1, dtype=float))
-        a_op = _ladder(c)
-        b = g * (a_op + a_op.T)
-        eye = np.eye(c + 1)
+        h_b, b = _bath_operators(bd, c)
+        h_b, eye = np.diag(h_b), np.eye(c + 1)
 
         def displaced(al: float) -> HermitianMatrix:
             return HermitianMatrix(h_b + lam * al * b + lam**2 * al**2 * g**2 / w * eye)

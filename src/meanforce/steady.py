@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NumericsError, UnsupportedOperationError, ValidationError
-from .linalg import DensityMatrix, HermitianMatrix, eigh
+from .linalg import _PSD_TOL, DensityMatrix, HermitianMatrix, eigh
 from .special import QuadratureResult, QuadratureSettings, dawson, integrate_finite
 from .spectral import BathParams, SpectralDensity, _overlap_kernel_batch
 
@@ -414,6 +414,6 @@ def steady_state(
         "evaluations": evaluations,
         **regime_diagnostics(sys, lam2q, beta, sd),
         "min_eigenvalue": state.min_eigenvalue,
-        "psd_ok": bool(state.min_eigenvalue >= -1e-9),
+        "psd_ok": bool(state.min_eigenvalue >= _PSD_TOL),
     }
     return CorrectionResult(p, f, state, diagnostics)

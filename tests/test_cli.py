@@ -145,18 +145,21 @@ def test_lambda_sweep_bytes_do_not_depend_on_spline_reuse(monkeypatch):
 
 
 def test_oracle_over_cap_yields_na_cells(tmp_path):
+    # An explicit cutoff, and the automatic one (at least 25) that no
+    # 3-mode bath fits under the cap; the note names the cutoff either way.
     out = tmp_path / "na.csv"
-    rc = run_main([
-        "sweep", "--sweep", "lambda2Q", "--from", "1.0", "--to", "2.0",
-        "--points", "2", "--methods", "oracle",
-        "--oracle-modes", "3", "--fock-cutoff", "20", "--out", str(out),
-    ])
-    assert rc == 0  # per-point failures degrade to NA, not a crash
-    lines = out.read_text().strip().split("\n")
-    row = lines[1].split(",")
-    assert row[1] == "NA"
-    assert "exceeds the cap" in row[-1]
-    assert "," not in row[-1]
+    for cutoff_flags, cutoff in ((["--fock-cutoff", "20"], 20), ([], 25)):
+        rc = run_main([
+            "sweep", "--sweep", "lambda2Q", "--from", "1.0", "--to", "2.0",
+            "--points", "2", "--methods", "oracle",
+            "--oracle-modes", "3", *cutoff_flags, "--out", str(out),
+        ])
+        assert rc == 0  # per-point failures degrade to NA, not a crash
+        lines = out.read_text().strip().split("\n")
+        row = lines[1].split(",")
+        assert row[1] == "NA"
+        assert f"Fock cutoff {cutoff}) exceeds the cap" in row[-1]
+        assert "," not in row[-1]
 
 
 @pytest.mark.parametrize("spectral", ["ohmic", "tabulated"])

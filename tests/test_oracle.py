@@ -56,6 +56,15 @@ def test_discretize_validations():
     # The midpoints 2, 6 and 10 lie past the hard cutoff 1: no mode couples.
     with pytest.raises(ValidationError, match="no mode couples"):
         discretize(OhmicHardCutoff(1.0, 1.0), 3, 12.0)
+    # Sizes are refused, not truncated, unless integral; numpy integers pass.
+    for cutoff in (2.7, "5"):
+        with pytest.raises(ValidationError, match="fock_cutoff must be an integer"):
+            BathDiscretization(modes=((0.5, 1.0),), fock_cutoff=cutoff)
+    with pytest.raises(ValidationError, match="number of bins must be an integer"):
+        discretize(sd, 2.9, 3.0)
+    bd = BathDiscretization(modes=((0.5, 1.0),), fock_cutoff=np.int64(5))
+    assert bd.fock_cutoff == 5 and type(bd.fock_cutoff) is int
+    assert discretize(sd, np.int64(3), 3.0).n_modes == 3
 
 
 def test_oracle_bath_is_a_discrete_modes_density():
@@ -84,7 +93,22 @@ def test_no_fock_cutoff_is_refused_where_no_automatic_rule_applies():
         build_total_hamiltonian(sys, bd, lam=0.5)
     with pytest.raises(ValidationError, match="no Fock cutoff"):
         verify_trace_identity(bd, 1.0, -1.0, lam=0.5, beta=1.0, u=0.4)
-    assert build_total_hamiltonian(sys, bd, lam=0.5, fock_cutoff=3).dim == 8
+
+
+def test_trace_identity_runs_on_the_solve_operator_builder(monkeypatch):
+    import meanforce.oracle as oracle_module
+
+    built = []
+    build = oracle_module._bath_operators
+
+    def counting(bd, cutoff):
+        built.append(cutoff)
+        return build(bd, cutoff)
+
+    monkeypatch.setattr(oracle_module, "_bath_operators", counting)
+    bd = BathDiscretization(modes=((0.5, 1.0),), fock_cutoff=30)
+    verify_trace_identity(bd, 1.0, -1.0, lam=0.5, beta=1.0, u=0.4)
+    assert built == [30, 40]  # the cutoff and its +10 recheck
 
 
 def test_reorganization_sum_converges_to_q():
@@ -113,8 +137,8 @@ def test_total_hamiltonian_shape_and_renormalization():
 def test_dimension_cap_enforced():
     sys = build_system(SpinBosonParams(epsilon=1.0, delta=0.7))
     bd = BathDiscretization(modes=((0.5, 1.0),) * 3, fock_cutoff=20)
-    with pytest.raises(ValidationError, match="exceeds the cap"):
-        build_total_hamiltonian(sys, bd, lam=0.5)  # 2 * 21^3 = 18522 > 6000
+    with pytest.raises(ValidationError, match=r"18522 \(2 x 21\^3, Fock cutoff 20\) exceeds the cap"):
+        build_total_hamiltonian(sys, bd, lam=0.5)
     bath = BathParams(beta=1.0, lam=0.5)
     with pytest.raises(ValidationError, match="exceeds the cap"):
         exact_mean_force_state(sys, bd, bath)
