@@ -15,7 +15,7 @@ from .errors import (
     UnsupportedOperationError,
     ValidationError,
 )
-from .linalg import DensityMatrix, EigenDecomposition, HermitianMatrix, eigh, matrix_exp_hermitian
+from .linalg import DensityMatrix, HermitianMatrix, eigh, matrix_exp_hermitian
 from .oracle import (
     BathDiscretization,
     OracleResult,
@@ -57,7 +57,6 @@ __all__ = [
     "CorrectionResult",
     "DensityMatrix",
     "DiscreteModes",
-    "EigenDecomposition",
     "HermitianMatrix",
     "LorentzDrude",
     "MEResult",

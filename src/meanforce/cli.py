@@ -296,11 +296,10 @@ def _check_hermiticity() -> tuple[float, float, str]:
         sys_spec = steady.SystemSpec(h, a)
         for method in CorrectionMethod:
             res = steady.steady_state(sys_spec, bath, sd, method)
-            p, f = res.populations, res.f_values
-            for l in range(dim):
-                for l2 in range(l + 1, dim):
-                    lhs, rhs = p[l] * f[l, l2], p[l2] * f[l2, l]
-                    worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-300))
+            pf = res.populations[:, None] * res.f_values  # p_l f_(l,l')
+            upper = np.triu_indices(dim, 1)
+            lhs, rhs = pf[upper], pf.T[upper]
+            worst = max(worst, np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-300)))
     return worst, 1e-9, "p_l f_(l,l') = p_(l') f_(l',l), dims 2-4, all methods"
 
 

@@ -52,9 +52,9 @@ _MAX_WINDOWS = 100_000
 class MEResult:
     """Master-equation coherences (A eigenbasis, zero diagonal) and populations.
 
-    state is the two assembled in the original basis (PSD not enforced).
-    truncation_tau is the shared cut tau* every transform is integrated to;
-    per-pair quadrature errors and tail bounds live in diagnostics.
+    state is the two assembled in the original basis (PSD not enforced; the
+    state reports it). diagnostics holds the shared cut tau* every transform
+    is integrated to, and the per-pair quadrature errors and tail bounds.
     Hermiticity of the coherence matrix is exact here because the lower
     triangle is the conjugate of the upper by the same algebra that makes the
     two integrals swap roles.
@@ -63,7 +63,6 @@ class MEResult:
     coherences: np.ndarray
     populations: np.ndarray
     state: DensityMatrix
-    truncation_tau: float
     diagnostics: dict
 
 
@@ -111,15 +110,14 @@ def _finite_g(sd: SpectralDensity, beta: float, tau: np.ndarray, settings: Quadr
 
 
 def _find_tau_max(
-    sd: SpectralDensity, beta: float, s_min: float, cutoff_exp: float,
-    settings: QuadratureSettings,
+    sd: SpectralDensity, beta: float, s_min: float, settings: QuadratureSettings
 ) -> float:
     """Smallest grid end with s_min * Re G beyond the tail cutoff."""
     tau = max(beta, 4.0 / sd.cutoff)
     prev = float(np.real(_finite_g(sd, beta, np.array([tau]), settings)[0]))
     strikes = 0
     for _ in range(_GROWTH_LIMIT):
-        if s_min * prev > cutoff_exp:
+        if s_min * prev > _TAIL_CUTOFF_EXPONENT:
             return tau
         tau *= _GROWTH_FACTOR
         cur = float(np.real(_finite_g(sd, beta, np.array([tau]), settings)[0]))
@@ -223,8 +221,9 @@ def me_steady_state(
     once per tau node.
     It runs out to one cut tau*, where the weakest pair's lam^2 a^2 Re G
     passes the tail cutoff, in windows short enough to track the fastest
-    e^{-i wbar tau}. Per-pair diagnostics give the shared tau* and
-    evaluation count, and the pair's own error estimate and tail bound.
+    e^{-i wbar tau}. diagnostics["tau_star"] is that cut. Per-pair
+    diagnostics give the shared evaluation count, the pair's own error
+    estimate, and its tail bound e^{-lam^2 a^2 Re G(tau*)} tau*.
 
     The table is reused across consecutive calls with the same density
     object, beta, grid end tau_max and quadrature settings, as along a
@@ -244,19 +243,19 @@ def me_steady_state(
     # SystemSpec rejects a vanishing [H_S, A], so at least one pair is active.
     l, l2 = np.nonzero(np.triu(sys.h_elements != 0, 1))
     with np.errstate(over="ignore"):
-        s_pair = lam**2 * sys.a_diffs[l2, l] ** 2
+        s_pair = lam**2 * (sys.a_eigenvalues[l2] - sys.a_eigenvalues[l]) ** 2
     if not np.isfinite(s_pair).all():
         raise NumericsError(
             f"coupling lambda^2 (a_l - a_l')^2 overflows at lambda = {lam:.6g}"
         )
     wbar = energies[l] - energies[l2]
     s_min = float(np.min(s_pair))
-    tau_max = _find_tau_max(sd, beta, s_min, _TAIL_CUTOFF_EXPONENT, s)
+    tau_max = _find_tau_max(sd, beta, s_min, s)
     (grid, table, nodes, table_err), reused = _g_splines(sd, beta, tau_max, s)
     re_g = table.y[0]
     # shared cut: first grid point past the weakest pair's tail threshold
-    idx = np.searchsorted(s_min * re_g, _TAIL_CUTOFF_EXPONENT)
-    tau_star = float(grid[min(idx, len(grid) - 1)])
+    idx = min(np.searchsorted(s_min * re_g, _TAIL_CUTOFF_EXPONENT), len(grid) - 1)
+    tau_star = float(grid[idx])
 
     # components: I1 of every pair, then conj(I2), the transform at -wbar
     s_c = np.concatenate([s_pair, s_pair])
@@ -290,10 +289,10 @@ def me_steady_state(
     coh = np.zeros((sys.dim, sys.dim), dtype=complex)
     coh[l, l2] = val
     coh[l2, l] = np.conj(val)
-    tail = np.exp(-s_pair * re_g[-1]) * tau_star
+    tail = np.exp(-s_pair * re_g[idx]) * tau_star
     per_pair = {
-        (int(a), int(b)): {"tau_star": tau_star, "error_estimate": float(e),
-                           "evaluations": evals, "tail_bound": float(t)}
+        (int(a), int(b)): {"error_estimate": float(e), "evaluations": evals,
+                           "tail_bound": float(t)}
         for a, b, e, t in zip(l, l2, err[:n] + err[n:], tail)
     }
     diagnostics = {
@@ -301,14 +300,12 @@ def me_steady_state(
         "tau_grid_nodes": nodes,
         "table_error": table_err,
         "tau_max": tau_max,
+        "tau_star": tau_star,
         "table_reused": reused,
     }
     v = sys.a_eigenvectors
     state = DensityMatrix(v @ (np.diag(p).astype(complex) + coh) @ v.conj().T, check_positive=False)
-    return MEResult(
-        coherences=coh, populations=p, state=state, truncation_tau=tau_star,
-        diagnostics=diagnostics,
-    )
+    return MEResult(coherences=coh, populations=p, state=state, diagnostics=diagnostics)
 
 
 def me_state(sys: SystemSpec, result: MEResult) -> DensityMatrix:

@@ -25,7 +25,6 @@ from .errors import NumericsError, ValidationError
 __all__ = [
     "HermitianMatrix",
     "DensityMatrix",
-    "EigenDecomposition",
     "eigh",
     "matrix_exp_hermitian",
 ]
@@ -87,7 +86,7 @@ class DensityMatrix(HermitianMatrix):
     check_positive=False skips the PSD validation (min eigenvalue >= -1e-9)
     while still recording min_eigenvalue: perturbative constructions can dip
     below zero outside their validity regime, and that is reported rather than
-    repaired or rejected.
+    repaired or rejected; psd_ok says whether it passes that validation.
     """
 
     min_eigenvalue: float
@@ -106,17 +105,15 @@ class DensityMatrix(HermitianMatrix):
             )
         object.__setattr__(self, "min_eigenvalue", lo)
 
-
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    """Eigenvalues ascending; eigenvectors as orthonormal columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    @property
+    def psd_ok(self) -> bool:
+        """Whether min_eigenvalue passes the PSD tolerance check_positive applies."""
+        return self.min_eigenvalue >= _PSD_TOL
 
 
-def eigh(m) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix (ascending eigenvalues).
+def eigh(m):
+    """np.linalg.eigh of a Hermitian matrix: unpacks as (w, v), eigenvalues
+    ascending and eigenvectors as orthonormal columns.
 
     Accepts a HermitianMatrix (a DensityMatrix is one), already validated
     when it was built, or a plain array, which is validated here. An exactly
@@ -131,8 +128,7 @@ def eigh(m) -> EigenDecomposition:
     if not exact:
         a = a + a.conj().T
         a *= 0.5
-    w, v = np.linalg.eigh(a)
-    return EigenDecomposition(w, v)
+    return np.linalg.eigh(a)
 
 
 def matrix_exp_hermitian(m, scale: float) -> HermitianMatrix:
@@ -143,15 +139,14 @@ def matrix_exp_hermitian(m, scale: float) -> HermitianMatrix:
     partition-function ratio).
     """
     scale = float(scale)
-    dec = eigh(m)
-    exponents = scale * dec.eigenvalues
+    w, v = eigh(m)
+    exponents = scale * w
     top = float(np.max(exponents))
     if top > math.log(np.finfo(float).max):
         raise NumericsError(
             f"matrix exponential overflows: max exponent {top:.6g}; "
             "shift the spectrum before exponentiating"
         )
-    v = dec.eigenvectors
     out = (v * np.exp(exponents)) @ v.conj().T
     out = 0.5 * (out + out.conj().T)
     return HermitianMatrix(out)

@@ -190,16 +190,15 @@ def _reduced_thermal_state(
 ) -> tuple[np.ndarray, float]:
     """(rho_S, Z_SB) at one Fock cutoff, from one eigendecomposition of H."""
     h = build_total_hamiltonian(sys, BathDiscretization(bd.modes, cutoff), bath.lam, conv)
-    dec = eigh(h)
+    w, v = eigh(h)
     # Boltzmann weights relative to the ground state stay in range; the shift
     # cancels in the normalized state and is restored in Z_SB.
-    e0 = float(dec.eigenvalues[0])
-    weights = np.exp(-bath.beta * (dec.eigenvalues - e0))
+    e0 = float(w[0])
+    weights = np.exp(-bath.beta * (w - e0))
     z_shift = float(np.sum(weights))
     # rho_S[i, j] = sum over bath states b and eigenstates n of
     # w_n V[(i, b), n] conj(V[(j, b), n]): scale V by sqrt(w_n) in place,
     # reshape it to (dim_S, bath_dim * D) and multiply by its adjoint.
-    v = dec.eigenvectors
     v *= np.sqrt(weights)
     v = v.reshape(sys.dim, -1)
     rho = (v @ v.conj().T) / z_shift

@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NumericsError, UnsupportedOperationError, ValidationError
-from .linalg import _PSD_TOL, DensityMatrix, HermitianMatrix, eigh
+from .linalg import DensityMatrix, HermitianMatrix, eigh
 from .special import QuadratureResult, QuadratureSettings, dawson, integrate_finite
 from .spectral import BathParams, SpectralDensity, _overlap_kernel_batch
 
@@ -64,9 +64,8 @@ class SystemSpec:
     """System Hamiltonian H_S and coupling observable A, prediagonalized.
 
     Derived on construction: the ascending eigenvalues a_l of A and their
-    eigenvectors, the matrix elements h_{l,l'} = <a_l|H_S|a_l'> (pseudo
-    energies on the diagonal), the gaps h_l - h_{l'}, and the eigenvalue
-    differences a_l - a_{l'}.
+    eigenvectors, and the matrix elements h_{l,l'} = <a_l|H_S|a_l'> (pseudo
+    energies on the diagonal).
 
     A must have nondegenerate eigenvalues (the displaced-bath derivation
     divides by a_l - a_{l'}) and [H_S, A] must not vanish (otherwise there is
@@ -79,8 +78,6 @@ class SystemSpec:
     a_eigenvalues: np.ndarray
     a_eigenvectors: np.ndarray
     h_elements: np.ndarray
-    gaps: np.ndarray
-    a_diffs: np.ndarray
 
     def __init__(self, h_s, a):
         h_s = h_s if isinstance(h_s, HermitianMatrix) else HermitianMatrix(h_s)
@@ -96,25 +93,21 @@ class SystemSpec:
             raise ValidationError(
                 "[H_S, A] vanishes; the coupling eigenbasis is already stationary"
             )
-        dec = eigh(a)
-        vals = dec.eigenvalues
+        vals, vecs = eigh(a)
         spread = float(vals[-1] - vals[0])
         if spread <= 0 or np.min(np.diff(vals)) <= _MIN_GAP_REL * spread:
             raise ValidationError(
                 "coupling observable has (near-)degenerate eigenvalues; "
                 f"minimum relative gap {_MIN_GAP_REL} required"
             )
-        h_el = dec.eigenvectors.conj().T @ h_s.entries @ dec.eigenvectors
-        h_diag = np.real(np.diag(h_el))
-        for arr in (vals, dec.eigenvectors, h_el):
+        h_el = vecs.conj().T @ h_s.entries @ vecs
+        for arr in (vals, vecs, h_el):
             arr.flags.writeable = False
         object.__setattr__(self, "h_s", h_s)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "a_eigenvalues", vals)
-        object.__setattr__(self, "a_eigenvectors", dec.eigenvectors)
+        object.__setattr__(self, "a_eigenvectors", vecs)
         object.__setattr__(self, "h_elements", h_el)
-        object.__setattr__(self, "gaps", h_diag[:, None] - h_diag[None, :])
-        object.__setattr__(self, "a_diffs", vals[:, None] - vals[None, :])
 
     @property
     def dim(self) -> int:
@@ -189,7 +182,8 @@ def _pair_terms(sys, bath, conv, sd, l, l2) -> tuple[np.ndarray, np.ndarray]:
             "coherence integral overflows double precision: "
             f"beta*gap = {top:.6g} exceeds {_EXP_CAP}"
         )
-    return omega, sys.a_diffs[l2, l] ** 2
+    a = sys.a_eigenvalues
+    return omega, (a[l2] - a[l]) ** 2
 
 
 def _scalar_or_array(x):
@@ -307,7 +301,8 @@ def f_series(
     omega_r, a2 = _pair_terms(sys, bath, conv, sd, l, l2)
     q = sd.reorganization_energy()
     beta = bath.beta
-    omega = sys.gaps[l, l2]
+    h = sys.pseudo_energies
+    omega = h[l] - h[l2]
     e = np.exp(omega_r * beta)
     if conv is RenormalizationConvention.RENORMALIZED:
         c = lam**2 * a2 * q
@@ -351,9 +346,9 @@ class CorrectionResult:
 
     f_values has zeros on the diagonal. diagnostics carries the quadrature
     error estimate per entry (for exact, each pair's own estimate), the
-    evaluation count all pairs share (0 for the closed forms), the regime
-    markers, and the PSD report (negative eigenvalues are flagged, never
-    repaired).
+    evaluation count all pairs share (0 for the closed forms) and the regime
+    markers. The PSD report is the state's own min_eigenvalue and psd_ok
+    (negative eigenvalues are flagged, never repaired).
     """
 
     populations: np.ndarray
@@ -413,7 +408,5 @@ def steady_state(
         "f_error_estimates": f_err,
         "evaluations": evaluations,
         **regime_diagnostics(sys, lam2q, beta, sd),
-        "min_eigenvalue": state.min_eigenvalue,
-        "psd_ok": bool(state.min_eigenvalue >= _PSD_TOL),
     }
     return CorrectionResult(p, f, state, diagnostics)

@@ -11,6 +11,7 @@ import pytest
 
 from meanforce import cli, comparator
 from meanforce.errors import NumericsError, ValidationError
+from meanforce.special import QuadratureSettings
 from meanforce.spectral import BathParams, LorentzDrude
 from meanforce.spinboson import SpinBosonParams, build_system
 from meanforce.steady import CorrectionMethod, RenormalizationConvention, steady_state
@@ -106,6 +107,21 @@ def test_every_route_looks_the_library_up_when_it_runs(monkeypatch):
     assert notes == [] and set(cells) == set(cli.METHOD_NAMES)
     assert calls == {"me_steady_state": 1, "steady_state": 3,
                      "zeroth_order_state": 1, "exact_mean_force_state": 1}
+
+
+def test_every_route_reports_psd_on_its_state():
+    # At lambda^2 Q = 0.05 the series state is far from PSD and the others
+    # are not: every route's state says so through the same psd_ok.
+    spec = cli.SweepSpec(swept="lambda2Q", lo=1.0, hi=2.0, methods=cli.METHOD_NAMES,
+                         oracle_modes=2, fock_cutoff=6)
+    sys_spec = build_system(SpinBosonParams(1.0, 0.7))
+    bath = BathParams(1.0, math.sqrt(0.05))
+    psd = {}
+    for m in cli.METHOD_NAMES:
+        state = cli._ROUTES[m](spec, sys_spec, bath, LorentzDrude(1.0, 0.25), QuadratureSettings())
+        assert state.psd_ok == (state.min_eigenvalue >= -1e-9), m
+        psd[m] = state.psd_ok
+    assert psd == {m: m != "series" for m in cli.METHOD_NAMES}
 
 
 def test_lambda_sweep_bytes_do_not_depend_on_spline_reuse(monkeypatch):

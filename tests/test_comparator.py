@@ -92,13 +92,28 @@ def test_me_diagnostics_and_truncation():
     d = me.diagnostics
     assert d["tau_grid_nodes"] >= 65
     assert d["table_error"] <= comparator._SPLINE_TOL
-    assert me.truncation_tau > 0.0
-    assert me.truncation_tau <= d["tau_max"]
+    assert d["tau_star"] > 0.0
+    assert d["tau_star"] <= d["tau_max"]
     pair = d["per_pair"][(0, 1)]
-    assert pair["tau_star"] == me.truncation_tau
+    assert "tau_star" not in pair
     assert pair["error_estimate"] < 1e-8
     assert pair["evaluations"] > 0
-    assert pair["tail_bound"] < 1e-20
+    # the cut guarantees s Re G(tau*) >= the tail cutoff exponent
+    assert 0.0 < pair["tail_bound"] <= math.exp(-comparator._TAIL_CUTOFF_EXPONENT) * d["tau_star"]
+
+
+@pytest.mark.parametrize("lam2q", [0.2, 1.0, 10.0])
+def test_me_tail_bound_is_taken_at_the_cut(lam2q):
+    # At fig1a's point the bound is e^{-s Re G(tau*)} tau*, with
+    # s = lam^2 (a_1 - a_0)^2 and G from its own evaluation at tau*, not at
+    # the table end tau_max.
+    bath = BathParams(beta=1.0, lam=math.sqrt(lam2q / LD.reorganization_energy()))
+    d = me_steady_state(SPIN, bath, LD).diagnostics
+    tau_star = d["tau_star"]
+    re_g = float(np.real(LD.g(bath.beta, np.array([tau_star]), QuadratureSettings())[0]))
+    s = bath.lam**2 * (SPIN.a_eigenvalues[1] - SPIN.a_eigenvalues[0]) ** 2
+    expected = math.exp(-s * re_g) * tau_star
+    assert d["per_pair"][(0, 1)]["tail_bound"] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def _table(values, n=65, tau_max=16.0):
@@ -251,12 +266,13 @@ def _me_coherences_pair_loop(sys, bath, sd, s):
     p = comparator._populations(energies, bath.beta)
     q_reorg = sd.reorganization_energy()
     pairs = [(l, l2) for l in range(sys.dim) for l2 in range(sys.dim) if l < l2]
-    s_values = {(l, l2): bath.lam**2 * float(sys.a_diffs[l2, l]) ** 2 for l, l2 in pairs}
+    a = sys.a_eigenvalues
+    s_values = {(l, l2): bath.lam**2 * float(a[l2] - a[l]) ** 2 for l, l2 in pairs}
     active = [pr for pr in pairs if sys.h_elements[pr] != 0]
     coh = np.zeros((sys.dim, sys.dim), dtype=complex)
     s_min = min(s_values[pr] for pr in active)
     tail = comparator._TAIL_CUTOFF_EXPONENT
-    tau_max = comparator._find_tau_max(sd, bath.beta, s_min, tail, s)
+    tau_max = comparator._find_tau_max(sd, bath.beta, s_min, s)
     grid, table = comparator._build_g_splines(sd, bath.beta, tau_max, s)[:2]
     re_g = table.y[0]
     for l, l2 in active:
@@ -396,8 +412,8 @@ def test_me_one_integrate_finite_call_per_window(monkeypatch):
     assert np.shape(calls[0].value) == (12,)
     d = me.diagnostics
     assert len(d["per_pair"]) == 6
+    assert d["tau_star"] > 0.0
     for pair in d["per_pair"].values():
-        assert pair["tau_star"] == me.truncation_tau
         assert pair["evaluations"] == calls[0].evaluations
 
 

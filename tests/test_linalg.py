@@ -48,6 +48,7 @@ def test_density_matrix_unchecked_records_min_eigenvalue():
     lo = float(np.linalg.eigvalsh(m)[0])
     assert lo < -1e-3  # this matrix is genuinely indefinite
     assert rho.min_eigenvalue == pytest.approx(lo, abs=1e-12)
+    assert rho.psd_ok is False
     with pytest.raises(ValidationError):
         DensityMatrix(m)  # and the checked constructor refuses it
 
@@ -55,11 +56,10 @@ def test_density_matrix_unchecked_records_min_eigenvalue():
 def test_eigh_ascending_and_orthonormal():
     rng = np.random.default_rng(7)
     m = random_hermitian(rng, 5)
-    dec = eigh(m)
-    assert np.all(np.diff(dec.eigenvalues) >= 0)
-    v = dec.eigenvectors
+    w, v = eigh(m)
+    assert np.all(np.diff(w) >= 0)
     assert np.allclose(v.conj().T @ v, np.eye(5), atol=1e-12)
-    rebuilt = (v * dec.eigenvalues) @ v.conj().T
+    rebuilt = (v * w) @ v.conj().T
     assert np.allclose(rebuilt, m, atol=1e-12)
 
 
@@ -94,9 +94,9 @@ def test_eigh_symmetrizes_a_nearly_hermitian_matrix_as_before():
     a *= 0.5
     w_ref, v_ref = np.linalg.eigh(a)
     for given_m in (hm, m):
-        dec = eigh(given_m)
-        assert np.array_equal(dec.eigenvalues, w_ref)
-        assert np.array_equal(dec.eigenvectors, v_ref)
+        w, v = eigh(given_m)
+        assert np.array_equal(w, w_ref)
+        assert np.array_equal(v, v_ref)
 
 
 def test_eigh_rejects_nonhermitian():

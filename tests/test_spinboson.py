@@ -26,7 +26,7 @@ def test_build_system_structure():
     # ascending eigenvalues: index 0 is sigma_z = -1
     assert np.allclose(sys.a_eigenvalues, [-1.0, 1.0])
     assert np.allclose(sys.pseudo_energies, [-0.5, 0.5])
-    assert sys.gaps[1, 0] == pytest.approx(1.0)
+    assert sys.pseudo_energies[1] - sys.pseudo_energies[0] == pytest.approx(1.0)
     assert abs(sys.h_elements[0, 1]) == pytest.approx(0.35)
 
 

@@ -47,8 +47,8 @@ def test_system_spec_derived_quantities():
     # ascending a eigenvalues: index 0 is a=-1, pseudo energy -eps/2
     assert np.allclose(sys.a_eigenvalues, [-1.0, 1.0])
     assert np.allclose(sys.pseudo_energies, [-0.5, 0.5])
-    assert sys.gaps[1, 0] == pytest.approx(1.0)
-    assert sys.a_diffs[1, 0] == pytest.approx(2.0)
+    assert sys.pseudo_energies[1] - sys.pseudo_energies[0] == pytest.approx(1.0)
+    assert sys.a_eigenvalues[1] - sys.a_eigenvalues[0] == pytest.approx(2.0)
     assert sys.h_elements[0, 1] == pytest.approx(0.35)
 
 
@@ -69,7 +69,7 @@ def test_f_exact_lambda_zero_closed_form():
     bath = BathParams(beta=1.3, lam=0.0)
     sd = LorentzDrude(1.0, 0.25)
     for l, l2 in ((1, 0), (0, 1)):
-        w = float(sys.gaps[l, l2])
+        w = float(sys.pseudo_energies[l] - sys.pseudo_energies[l2])
         ref = math.expm1(bath.beta * w) / w
         assert f_exact(sys, bath, sd, l, l2).value == pytest.approx(ref, rel=1e-11)
 
@@ -412,7 +412,7 @@ def test_steady_state_structure_and_diagnostics():
     assert d["strong_coupling"] is True  # 5/0.5 = 10 >= 1
     assert d["series_regime"] is True  # 5 >= 3
     assert d["high_t_regime"] is True  # 0.25 <= 0.5
-    assert isinstance(d["psd_ok"], bool)
+    assert isinstance(res.state.psd_ok, bool)
     assert d["evaluations"] == 0  # a closed form
 
 
