@@ -67,9 +67,9 @@ class BathDiscretization(DiscreteModes):
 
 
 def discretize(sd: SpectralDensity, n: int, omega_max: float) -> BathDiscretization:
-    """Midpoint rule on n equal bins of [0, omega_max], with the automatic cutoff.
+    """Midpoint rule on n equal bins of [w0, omega_max], w0 = sd.lower_edge.
 
-    omega_k = (k - 1/2) omega_max / n and g_k^2 = J(omega_k) omega_max / n,
+    omega_k = w0 + (k - 1/2) d and g_k^2 = J(omega_k) d, d = (omega_max - w0)/n,
     so sum g_k^2/omega_k converges to the reorganization energy as n grows.
     Raises ValidationError when J is 0 at every midpoint: that bath cannot
     couple.
@@ -77,14 +77,15 @@ def discretize(sd: SpectralDensity, n: int, omega_max: float) -> BathDiscretizat
     n = _integer(n, "the number of bins")
     if n < 1:
         raise ValidationError(f"need at least one bin, got {n}")
-    if not omega_max > 0:
-        raise ValidationError(f"omega_max {omega_max} must be positive")
+    lo = sd.lower_edge
+    if not omega_max > lo:
+        raise ValidationError(f"omega_max {omega_max} must be above the band's lower edge {lo:g}")
     k = np.arange(1, n + 1)
-    w = (k - 0.5) * omega_max / n
-    g = np.sqrt(j_of_omega(sd, w) * omega_max / n)
+    w = lo + (k - 0.5) * (omega_max - lo) / n
+    g = np.sqrt(j_of_omega(sd, w) * (omega_max - lo) / n)
     if not np.any(g > 0):
         raise ValidationError(
-            f"J is 0 at all {n} midpoints of [0, {omega_max:g}], so no mode couples"
+            f"J is 0 at all {n} midpoints of [{lo:g}, {omega_max:g}], so no mode couples"
         )
     return BathDiscretization(tuple(zip(g, w)))
 

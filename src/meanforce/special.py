@@ -7,7 +7,6 @@ function is one sampled-exponential sum at every x, on scalars or arrays.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -164,78 +163,49 @@ def _eval_nodes(f, x: np.ndarray) -> np.ndarray:
     return y
 
 
-class _Segment:
-    __slots__ = ("a", "b", "value", "resabs", "err_vec", "err")
+def _gk15(lo: np.ndarray, hi: np.ndarray, y: np.ndarray):
+    """Gauss-Kronrod 7/15 sums of the panels [lo[i], hi[i]] from their node
+    values, with the QUADPACK-style error estimate.
 
-    def __init__(self, a, b, value, resabs, err_vec, err):
-        self.a = a
-        self.b = b
-        self.value = value
-        self.resabs = resabs
-        self.err_vec = err_vec
-        self.err = err
-
-
-def _node_sum(w: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum_k w[k] y[k] over the node axis of y, as one matrix product.
-
-    np.tensordot(w, y, axes=(0, 0)) makes this same product after axis
-    bookkeeping that costs more than the product on a 15-node panel.
+    y holds 15 rows per panel, panel after panel, and any trailing axes. It
+    is read as one (panels, 15, components) stack, and each of the four
+    weighted node sums is one stacked product over it, which gives every
+    panel the bits np.tensordot gives it alone, whatever the stack's size.
+    Returns value, resabs and the error vector, each (panels, components).
     """
-    return np.dot(w[None, :], y.reshape(y.shape[0], -1)).reshape(y.shape[1:])
-
-
-def _gk15(a: float, b: float, y: np.ndarray) -> _Segment:
-    """One Gauss-Kronrod 7/15 panel from its 15 node values, with the
-    QUADPACK-style error estimate.
-
-    The four weighted node sums go through _node_sum, the same matrix
-    product np.tensordot would make, so the panel's bits are tensordot's.
-    """
-    h = 0.5 * (b - a)
-    resk = h * _node_sum(_WGK, y)
-    resg = h * _node_sum(_WG, y)
-    resabs = h * _node_sum(_WGK, np.abs(y))
-    mean = resk / (b - a)
-    asc = h * _node_sum(_WGK, np.abs(y - mean))
+    y = y.reshape(len(lo), 15, -1)
+    h = 0.5 * (hi - lo)[:, None]
+    resk = h * (_WGK @ y)
+    resg = h * (_WG @ y)
+    resabs = h * (_WGK @ np.abs(y))
+    mean = resk / (hi - lo)[:, None]
+    asc = h * (_WGK @ np.abs(y - mean[:, None, :]))
     raw = np.abs(resk - resg)
-    asc = np.asarray(asc, dtype=float)
-    raw = np.asarray(raw, dtype=float)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ratio = np.minimum(1.0, 200.0 * raw / np.maximum(asc, 1e-300))
     scaled = np.where(asc > 0.0, asc * ratio**1.5, raw)
-    err_vec = np.maximum(scaled, 50.0 * np.finfo(float).eps * np.asarray(resabs, dtype=float))
-    return _Segment(a, b, resk, resabs, err_vec, float(np.max(err_vec)))
+    return resk, resabs, np.maximum(scaled, 50.0 * np.finfo(float).eps * resabs)
 
 
-def _gk15_panels(f, edges: list[float]) -> list[_Segment]:
-    """GK15 panels on [edges[i], edges[i+1]], all from one integrand call.
+def _gk15_panels(f, lo: np.ndarray, hi: np.ndarray):
+    """GK15 sums of the panels [lo[i], hi[i]], all from one integrand call.
 
-    The nodes go to f panel after panel, 15 each, and every panel's sums come
-    from its own 15 rows of the result; a panel's nodes are the ones a call
-    of its own would get, bit for bit.
+    The nodes go to f panel after panel, 15 each; a panel's nodes are the
+    ones a call of its own would get, bit for bit. Returns the shape of one
+    integrand value, then _gk15's value, resabs and error vector.
     """
-    lo = np.array(edges[:-1])
-    hi = np.array(edges[1:])
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     y = _eval_nodes(f, (c[:, None] + h[:, None] * _XGK).ravel())
-    return [
-        _gk15(a, b, y[15 * i:15 * i + 15])
-        for i, (a, b) in enumerate(zip(edges[:-1], edges[1:]))
-    ]
+    return (y.shape[1:],) + _gk15(lo, hi, y)
 
 
-_EDGE_LAYERS = (1e-4, 1e-3, 1e-2, 1e-1)
+_EDGE_LAYERS = np.array([1e-4, 1e-3, 1e-2, 1e-1])
 
 
-def _initial_breakpoints(a: float, b: float) -> list[float]:
-    span = b - a
-    pts = [a]
-    pts += [a + span * t for t in _EDGE_LAYERS]
-    pts += [b - span * t for t in reversed(_EDGE_LAYERS)]
-    pts.append(b)
-    return pts
+def _initial_breakpoints(a: float, b: float) -> np.ndarray:
+    layers = (b - a) * _EDGE_LAYERS
+    return np.concatenate(([a], a + layers, b - layers[::-1], [b]))
 
 
 def integrate_finite(f, a: float, b: float, settings: QuadratureSettings | None = None) -> QuadratureResult:
@@ -248,17 +218,24 @@ def integrate_finite(f, a: float, b: float, settings: QuadratureSettings | None 
 
     The initial subdivision places breakpoints at fractions 1e-4..1e-1 of the
     span from each endpoint, so thin boundary layers are seen before the
-    adaptive pass begins. Worst-error-first bisection, deterministic order.
+    adaptive pass begins. Refinement then goes in rounds: sort the live
+    panels by error, largest first (a stable sort), and bisect the shortest
+    prefix whose errors sum to at least total error - tolerance, at least one
+    panel and no more than max_subdivisions (a budget of bisected panels,
+    not of rounds) has left. f is called once on the 9 initial panels (135
+    nodes) and once per round on all of its halves (30 nodes per bisected
+    panel); evaluations counts 15 per panel. One stacked GK15 reduction gives
+    every panel of a call its value and error, in bits that do not depend on
+    the rest of the batch, so an integrand that is pointwise in its nodes
+    gets every bit of one call per panel under the same rule; one whose rows
+    depend on the whole batch, as f_exact's does through the shared stopping
+    rule of its inner K quadrature, moves by rounding.
 
-    f is called once per batch of panels: once on the 9 initial panels (135
-    nodes), then once per bisection on both halves (30 nodes), so 1 +
-    n_bisections calls in all; evaluations still counts 15 per panel. The
-    nodes come panel after panel, 15 each, and every panel's GK15 sums are
-    taken from its own 15 rows of the result. So for an integrand that is
-    pointwise in its nodes (row i depends on x[i] alone) the panels, the
-    counts and every bit of the result are those of one call per panel. An
-    integrand whose rows depend on the whole batch, as f_exact's does through
-    the shared stopping rule of its inner K quadrature, moves by rounding.
+    Refinement stops at the tolerance, at the noise floor (100 eps of the
+    integral of |f| over the initial panels), or once the error of the
+    panels retired at minimal width (1e-14 of the span's scale) is ten times
+    the rest or more; past the budget, QuadratureError carries the best
+    estimate.
     """
     s = settings or QuadratureSettings()
     a = float(a)
@@ -273,26 +250,19 @@ def integrate_finite(f, a: float, b: float, settings: QuadratureSettings | None 
             return QuadratureResult(zero.item(), 0.0, 1)
         return QuadratureResult(zero, 0.0, 1, np.zeros(zero.shape))
 
-    segs = _gk15_panels(f, _initial_breakpoints(a, b))
-    evals = 15 * len(segs)
-
-    total = sum(seg.value for seg in segs)
-    total_resabs = float(np.max(sum(np.asarray(seg.resabs, dtype=float) for seg in segs)))
-    heap: list[tuple[float, int, _Segment]] = []
-    counter = 0
-    for seg in segs:
-        heapq.heappush(heap, (-seg.err, counter, seg))
-        counter += 1
-    # Error is tracked per component (trailing axes) and reported in max norm.
-    err_vec = sum(seg.err_vec for seg in segs)
-    total_err = float(np.max(err_vec))
-
+    edges = _initial_breakpoints(a, b)
+    lo, hi = edges[:-1], edges[1:]
+    shape, value, resabs, err = _gk15_panels(f, lo, hi)
+    total_resabs = float(np.max(np.sum(resabs, axis=0)))
     min_width = 1e-14 * max(abs(a), abs(b), b - a)
     n_bisections = 0
     noise_floor = 100.0 * np.finfo(float).eps
-    dead_err = 0.0  # segments at minimal width: counted, no longer refinable
     while True:
-        tol = max(s.abs_tol, s.rel_tol * float(np.max(np.abs(total))))
+        # Error is tracked per component (trailing axes) and reported in max norm.
+        total = value.sum(axis=0).reshape(shape)[()]
+        err_vec = err.sum(axis=0)
+        total_err = float(err_vec.max())
+        tol = max(s.abs_tol, s.rel_tol * float(np.abs(total).max()))
         if total_err <= tol:
             break
         if total_err <= noise_floor * total_resabs:
@@ -304,29 +274,29 @@ def integrate_finite(f, a: float, b: float, settings: QuadratureSettings | None 
                 best_estimate=total,
                 error_estimate=total_err,
             )
-        # Retire segments at minimal width; their error stays in the total but
-        # cannot be reduced any further (endpoint singularities end up here).
-        while heap and (heap[0][2].b - heap[0][2].a) <= min_width:
-            _, _, dead = heapq.heappop(heap)
-            dead_err += dead.err
-        if not heap:
+        # Panels at minimal width are retired: their error stays in the total
+        # but cannot be reduced any further (endpoint singularities end up here).
+        panel_err = err.max(axis=1)
+        live = hi - lo > min_width
+        dead_err = float(panel_err[~live].sum())
+        if not live.any():
             break
         if dead_err > 0 and total_err - dead_err <= 0.1 * dead_err:
             break  # irreducible error dominates; report it honestly
-        _, _, seg = heapq.heappop(heap)
-        left, right = _gk15_panels(f, [seg.a, 0.5 * (seg.a + seg.b), seg.b])
-        evals += 30
-        n_bisections += 1
-        total = total - seg.value + left.value + right.value
-        err_vec = err_vec - seg.err_vec + left.err_vec + right.err_vec
-        total_err = float(np.max(err_vec))
-        for child in (left, right):
-            heapq.heappush(heap, (-child.err, counter, child))
-            counter += 1
+        order = np.flatnonzero(live)
+        order = order[np.argsort(-panel_err[order], kind="stable")]
+        k = int(np.searchsorted(np.cumsum(panel_err[order]), total_err - tol)) + 1
+        pick = order[:min(k, s.max_subdivisions - n_bisections)]
+        mid = 0.5 * (lo[pick] + hi[pick])
+        halves_lo = np.column_stack((lo[pick], mid)).ravel()
+        halves_hi = np.column_stack((mid, hi[pick])).ravel()
+        _, halves_value, _, halves_err = _gk15_panels(f, halves_lo, halves_hi)
+        n_bisections += len(pick)
+        keep = np.ones(len(lo), dtype=bool)
+        keep[pick] = False
+        lo = np.concatenate((lo[keep], halves_lo))
+        hi = np.concatenate((hi[keep], halves_hi))
+        value = np.concatenate((value[keep], halves_value))
+        err = np.concatenate((err[keep], halves_err))
 
-    value = total
-    if isinstance(value, np.ndarray) and value.ndim == 0:
-        value = value.item()
-    errors = float(err_vec) if np.ndim(err_vec) == 0 else err_vec
-    return QuadratureResult(value, float(total_err), evals, errors)
-
+    return QuadratureResult(total, total_err, 15 * (9 + 2 * n_bisections), err_vec.reshape(shape)[()])

@@ -10,6 +10,7 @@ Families with a closed form or an unbounded support override them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,14 +38,17 @@ class SpectralDensity:
     A density defines __call__(w), J on an array of frequencies w >= 0;
     reorganization_energy(), Q = int_0^inf J(w)/w dw; and cutoff, the
     characteristic bath frequency (for a compactly supported J, the end of
-    its support). kernel and g integrate J over [0, cutoff]; a density whose J
-    extends past its cutoff must override both.
+    its support). lower_edge is where J's support starts: 0 unless J is 0
+    below some frequency, as for a table whose grid starts above 0. kernel
+    and g integrate J over [0, cutoff]; a density whose J extends past its
+    cutoff must override both.
 
     Densities are immutable (every built-in one is a frozen dataclass): the
     master-equation comparator reuses G built for the same density object.
     """
 
     cutoff: float
+    lower_edge = 0.0
 
     def __call__(self, w):
         raise NotImplementedError
@@ -69,6 +73,11 @@ class SpectralDensity:
 
         res = integrate_finite(integrand, 0.0, self.cutoff, settings)
         return np.atleast_1d(np.asarray(res.value))
+
+
+# Lorentz-Drude K(u) stays within 1e-10 relative of 30-digit mpmath up to
+# omega_c beta = 10^10.2 (u/beta = 0.5, 0.25, 0.1, 0.01); it is refused past this.
+_KERNEL_WCB_MAX = 1e10
 
 
 @dataclass(frozen=True)
@@ -100,7 +109,12 @@ class LorentzDrude(SpectralDensity):
 
     def kernel(self, beta, u, settings):
         # w = omega_c t/(1 - t) maps the half-line onto [0, 1). J/w^2 decays
-        # as w^-3, so the mapped integrand is smooth and falls to 0 at t = 1.
+        # as w^-3, so the mapped integrand is smooth and falls to 0 at t = 1,
+        # but its mass reaches down to t ~ 1/(omega_c beta), hence the bound.
+        if not self.omega_c * beta <= _KERNEL_WCB_MAX:
+            raise NumericsError(f"Lorentz-Drude K(u) is refused at omega_c beta = "
+                                f"{self.omega_c * beta:.3g}, past {_KERNEL_WCB_MAX:g}")
+
         def integrand(t):
             w = self.omega_c * t / (1.0 - t)
             # At an extreme omega_c, w^2 or omega_c^2 leaves the double range;
@@ -223,6 +237,7 @@ class Tabulated(SpectralDensity):
         j.flags.writeable = False
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "j", j)
+        object.__setattr__(self, "lower_edge", float(omega[0]))
 
     @classmethod
     def from_file(cls, path) -> "Tabulated":
@@ -399,30 +414,17 @@ def _mu_exp(kappa: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lorentz_drude_g(q: float, wc: float, beta: float, tau: np.ndarray) -> np.ndarray:
-    """G(tau) of Lorentz-Drude in closed form, with no truncated sum.
-
-    With c = 2 pi/beta, a = w_c/c, x = c tau and mu_k = mu(k c, tau), the
-    Matsubara expansion is Im G = -Q w_c mu(w_c, tau) and Re G = Q w_c cot(pi a)
-    mu(w_c, tau) + (4 Q w_c/beta) sum_{k>=1} k c mu_k/(k^2 c^2 - w_c^2). For n
-    the integer nearest a, the cot pole and the k = n term cancel; together
-    they are Q w_c rho(pi (a - n)) mu(w_c, tau) + (2 Q w_c/beta) B, with
-    rho(y) = cot y - 1/y and B = [mu(w_c) - mu_n]/(w_c - n c) + mu_n/(n c + w_c).
-    The other terms sum to (4 Q w_c/beta) F(x)/c^3, where up to s = min(2, 1/a)
-    a^2 F = -(cosh(ax) - 1) ln x + sum_{m=2}^{40} r_m x^m, from the Bernoulli
-    expansion of the Lerch transcendents sum_k e^{-kx}/(k +- a) (DLMF 25.11.14,
-    25.14), split into even and odd parts in a so that no r_m cancels like
-    1/a^2 (its terms stay below about e^2 times its sum), and past s
-    F = sum_{k <= 40/s} e^{-kx}/(k (k^2 - a^2)) - H0 + x H1, H1 in closed form
-    and H0 matched to the series at s. B is a series below s too.
-    """
+@functools.lru_cache(maxsize=4)
+def _lorentz_drude_g_setup(wc: float, beta: float) -> tuple:
+    """The tau-independent part of _lorentz_drude_g, built once per (w_c, beta)
+    for a G table and the single-tau probes before it: series coefficients,
+    exponential-sum weights (in read-only arrays) and matched constants."""
     c = 2.0 * math.pi / beta
-    a, x = wc / c, c * tau
+    a = wc / c
     if not a <= _A_MAX:
         raise NumericsError(f"beta w_c/2pi = {a:.6g} is past {_A_MAX:g}, where G would need {_EXP_CUT * a:.3g} terms")
     n = round(a)
     eps, s = a - n, min(2.0, 1.0 / a)
-    small, big = x <= s, x > s
     rho = _cot_minus_inverse(math.pi * eps)
 
     # Power series in y = x/s: coefficient m is scaled by s^m.
@@ -463,6 +465,31 @@ def _lorentz_drude_g(q: float, wc: float, beta: float, tau: np.ndarray) -> np.nd
     b = 1.0 / (k * (k * k - a * a))
     h0 = float(b @ np.exp(-k * s) + s * h1 - np.sum(r) + np.sum(cosh_m1) * math.log(s))
 
+    for arr in (m, cosh_m1, poly, k, b):
+        arr.flags.writeable = False
+    return c, a, n, eps, s, rho, m, cosh_m1, poly, h1, k, b, h0
+
+
+def _lorentz_drude_g(q: float, wc: float, beta: float, tau: np.ndarray) -> np.ndarray:
+    """G(tau) of Lorentz-Drude in closed form, with no truncated sum.
+
+    With c = 2 pi/beta, a = w_c/c, x = c tau and mu_k = mu(k c, tau), the
+    Matsubara expansion is Im G = -Q w_c mu(w_c, tau) and Re G = Q w_c cot(pi a)
+    mu(w_c, tau) + (4 Q w_c/beta) sum_{k>=1} k c mu_k/(k^2 c^2 - w_c^2). For n
+    the integer nearest a, the cot pole and the k = n term cancel; together
+    they are Q w_c rho(pi (a - n)) mu(w_c, tau) + (2 Q w_c/beta) B, with
+    rho(y) = cot y - 1/y and B = [mu(w_c) - mu_n]/(w_c - n c) + mu_n/(n c + w_c).
+    The other terms sum to (4 Q w_c/beta) F(x)/c^3, where up to s = min(2, 1/a)
+    a^2 F = -(cosh(ax) - 1) ln x + sum_{m=2}^{40} r_m x^m, from the Bernoulli
+    expansion of the Lerch transcendents sum_k e^{-kx}/(k +- a) (DLMF 25.11.14,
+    25.14), split into even and odd parts in a so that no r_m cancels like
+    1/a^2 (its terms stay below about e^2 times its sum), and past s
+    F = sum_{k <= 40/s} e^{-kx}/(k (k^2 - a^2)) - H0 + x H1, H1 in closed form
+    and H0 matched to the series at s. B is a series below s too.
+    """
+    c, a, n, eps, s, rho, m, cosh_m1, poly, h1, k, b, h0 = _lorentz_drude_g_setup(wc, beta)
+    x = c * tau
+    small, big = x <= s, x > s
     mu_w = _mu_exp(np.array([wc]), tau)[0]
     half = np.empty_like(tau)  # B + 2 F/c^3
     xs, nu = x[small], n * c

@@ -197,8 +197,8 @@ def test_oracle_couples_to_a_compactly_supported_density(spectral, tmp_path, cap
 
 
 def test_oracle_bath_that_cannot_couple_is_na_with_note(tmp_path, capsys):
-    table = tmp_path / "j.txt"  # J lives on [5, 6]; one mode sits at 3
-    table.write_text("5.0 0.0\n5.5 1.0\n6.0 0.0\n")
+    table = tmp_path / "j.txt"  # J lives on [5, 5.4]; one mode sits at 5.5
+    table.write_text("5.0 0.0\n5.2 1.0\n5.4 0.0\n6.0 0.0\n")
     rc = run_main([
         "sweep", "--spectral", f"tabulated:{table}", "--sweep", "lambda2Q",
         "--from", "1", "--to", "2", "--points", "2", "--methods", "oracle",
@@ -208,6 +208,23 @@ def test_oracle_bath_that_cannot_couple_is_na_with_note(tmp_path, capsys):
     row = capsys.readouterr().out.strip().split("\n")[1].split(",")
     assert row[1:6] == ["NA"] * 5
     assert "no mode couples" in row[-1]
+
+
+def test_oracle_bins_a_table_from_its_first_frequency(tmp_path, capsys):
+    # J lives on (5, 6) only: binning [0, 6] would put the 3 midpoints at 1, 3
+    # and 5, where J is 0; binning [5, 6] puts all three inside the support.
+    table = tmp_path / "j.txt"
+    table.write_text("5.0 0.0\n5.5 1.0\n6.0 0.0\n")
+    rc = run_main([
+        "sweep", "--spectral", f"tabulated:{table}", "--sweep", "lambda2Q",
+        "--from", "1", "--to", "2", "--points", "2", "--methods", "oracle,exact",
+        "--fock-cutoff", "8",
+    ])
+    assert rc == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+    for row in rows:
+        assert "NA" not in row and row[-1] == ""
+    assert rows[0][1:6] != rows[1][1:6]
 
 
 def test_presets_run_and_differ(tmp_path):
@@ -488,18 +505,25 @@ def test_me_non_finite_g_is_na_with_note(capsys):
     assert captured.err == ""
 
 
-def test_exact_at_huge_omega_c_gives_finite_cells(capsys):
-    # K(u) is one integral over the mapped half-line w = w_c t/(1 - t), so no
-    # frequency scan can overflow, however large omega_c is.
-    rc = run_main(["sweep", "--sweep", "lambda2Q", "--from", "1", "--to", "2",
-                   "--points", "2", "--omega-c", "1e146", "--methods", "exact"])
-    assert rc == 0
-    captured = capsys.readouterr()
-    assert "Traceback" not in captured.err
-    for row in captured.out.strip().split("\n")[1:]:
-        cells = row.split(",")
-        assert all(math.isfinite(float(c)) for c in cells[1:6])
-        assert cells[-1] == ""
+def test_exact_at_huge_omega_c_is_na_with_note(capsys):
+    # Lorentz-Drude K(u) is refused past omega_c beta = 1e10, where its
+    # quadrature drifts (0.95 relative at 1e146 when it was not refused): the
+    # cells are NA plus a note, and the run still exits 0. At 1e9 they are
+    # numbers.
+    for wc, refused in (("1e9", False), ("1e146", True)):
+        rc = run_main(["sweep", "--sweep", "lambda2Q", "--from", "1", "--to", "2",
+                       "--points", "2", "--omega-c", wc, "--methods", "exact"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        for row in captured.out.strip().split("\n")[1:]:
+            cells = row.split(",")
+            if refused:
+                assert cells[1:6] == ["NA"] * 5
+                assert cells[-1].startswith("exact: ") and "refused at omega_c beta" in cells[-1]
+            else:
+                assert all(math.isfinite(float(c)) for c in cells[1:6])
+                assert cells[-1] == ""
 
 
 def test_exact_at_tiny_omega_c_is_na_with_note(capsys):

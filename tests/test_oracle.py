@@ -16,7 +16,7 @@ from meanforce.oracle import (
     truncated_bath_partition,
     verify_trace_identity,
 )
-from meanforce.spectral import BathParams, DiscreteModes, LorentzDrude, OhmicHardCutoff
+from meanforce.spectral import BathParams, DiscreteModes, LorentzDrude, OhmicHardCutoff, Tabulated
 from meanforce.spinboson import SpinBosonParams, build_system
 from meanforce.steady import (
     CorrectionMethod,
@@ -39,6 +39,26 @@ def test_discretize_midpoint_rule():
 
     for g, w in bd.modes:
         assert g**2 == pytest.approx(float(j_of_omega(sd, np.array([w]))[0]) * 0.5)
+
+
+def test_discretize_bins_from_the_density_lower_edge():
+    # A table that starts at 5 is binned over [5, 6], so every midpoint lies
+    # in its support; a table that starts at 0 bins exactly as before.
+    late = Tabulated([5.0, 5.5, 6.0], [0.0, 1.0, 0.0])
+    bd = discretize(late, 3, late.cutoff)
+    g, w = np.array(bd.modes).T
+    assert np.allclose(w, [5.0 + 1.0 / 6.0, 5.5, 6.0 - 1.0 / 6.0], rtol=1e-15)
+    assert np.all(g > 0)
+    assert g**2 == pytest.approx(late(w) / 3.0, rel=1e-15)
+    early = Tabulated([0.0, 0.5, 1.0, 2.0], [0.0, 0.5, 1.0, 0.3])
+    assert LorentzDrude(1.0, 0.25).lower_edge == early.lower_edge == 0.0
+    for sd, omega_max in ((early, 2.0), (LorentzDrude(1.0, 0.25), 3.0)):
+        k = np.arange(1, 6)
+        w = (k - 0.5) * omega_max / 5
+        g = np.sqrt(sd(w) * omega_max / 5)
+        assert discretize(sd, 5, omega_max).modes == tuple(zip(g, w))
+    with pytest.raises(ValidationError, match="lower edge"):
+        discretize(late, 3, 5.0)
 
 
 def test_discretize_validations():

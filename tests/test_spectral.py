@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meanforce.errors import NumericsError, ValidationError
+from meanforce import spectral
 from meanforce.oracle import BathDiscretization
 from meanforce.special import QuadratureSettings
 from meanforce.spectral import (
@@ -154,9 +155,10 @@ def test_overlap_kernel_frozen_reference():
         assert val == pytest.approx(ref, rel=1e-9)
 
 
-def _kernel_mpmath(q, wc, beta, u):
+def _kernel_mpmath(q, wc, beta, u, points=None):
     """K(u) of Lorentz-Drude by mpmath.quad of its w-integral, which does not
-    oscillate and decays as w^-3. Evaluate inside mpmath.workdps."""
+    oscillate and decays as w^-3, split at [0, wc, 10 wc, inf] or at the given
+    finite points. Evaluate inside mpmath.workdps."""
     q, wc, beta, u = (mpmath.mpf(v) for v in (q, wc, beta, u))
 
     def integrand(w):
@@ -164,7 +166,9 @@ def _kernel_mpmath(q, wc, beta, u):
         r = -mpmath.expm1(-w * u) * mpmath.expm1(w * (u - beta)) / mpmath.expm1(-w * beta)
         return j / w**2 * r
 
-    return mpmath.quad(integrand, [0, wc, 10 * wc, mpmath.inf])
+    if points is None:
+        return mpmath.quad(integrand, [0, wc, 10 * wc, mpmath.inf])
+    return mpmath.quad(integrand, [0, *(mpmath.mpf(float(p)) for p in points), mpmath.inf])
 
 
 @pytest.mark.parametrize("wc, beta", [(0.05, 0.5), (0.25, 1.0), (2.0, 12.0)])
@@ -174,6 +178,23 @@ def test_lorentz_drude_kernel_against_mpmath(wc, beta):
     with mpmath.workdps(30):
         ref = np.array([float(_kernel_mpmath(1.0, wc, beta, ui)) for ui in u])
     assert np.max(np.abs(k / ref - 1.0)) <= 1e-13
+
+
+def test_lorentz_drude_kernel_refused_past_its_measured_range():
+    # Against 30 digits at beta = 1, u = 0.5, K(u) holds 1e-10 relative up to
+    # about omega_c beta = 1e10 and drifts past it (4.8e-10 at 1e12, 0.64 at
+    # 1e20 when it was not refused), so past 1e10 it raises instead.
+    k = overlap_kernel(LorentzDrude(1.0, 1e9), 1.0, 0.5)
+    with mpmath.workdps(30):
+        ref = float(_kernel_mpmath(1.0, 1e9, 1.0, 0.5, np.geomspace(1e-6, 1e15, 43)))
+    assert abs(k / ref - 1.0) <= 1e-10
+    for wc in (1e12, 1e50, 1e146):
+        with pytest.raises(NumericsError, match="refused at omega_c beta"):
+            overlap_kernel(LorentzDrude(1.0, wc), 1.0, 0.5)
+    # The bound is on omega_c beta, not on omega_c alone.
+    assert overlap_kernel(LorentzDrude(1.0, 4e9), 2.0, 1.0) > 0.0
+    with pytest.raises(NumericsError):
+        overlap_kernel(LorentzDrude(1.0, 6e9), 2.0, 1.0)
 
 
 def test_lorentz_drude_kernel_parabola_limit_at_tiny_cutoff():
@@ -430,6 +451,25 @@ def test_g_refused_past_its_term_budget():
     # a = 1e4 (here 1.6e4) G is refused with NumericsError, not summed.
     with pytest.raises(NumericsError, match="past 10000"):
         g_double_integral(LorentzDrude(1.0, 1e3), 100.0, 1.0)
+
+
+@pytest.mark.parametrize("wc, beta", [(0.25, 1.0), (1.0, 2 * math.pi), (3.0, 7.0), (50.0, 3.0)])
+def test_g_same_bits_from_a_cold_and_a_warm_setup(wc, beta):
+    # The tau-independent set-up is built once per (omega_c, beta) and kept;
+    # G on a tau array, and at a single tau, has the same bits either way.
+    tau = np.concatenate([[0.0], np.geomspace(1e-8, 1e3, 257)])
+    sd = LorentzDrude(1.3, wc)
+    spectral._lorentz_drude_g_setup.cache_clear()
+    cold = sd.g(beta, tau, QuadratureSettings())
+    one_cold = sd.g(beta, tau[100:101], QuadratureSettings())
+    spectral._lorentz_drude_g_setup.cache_clear()
+    one_first = sd.g(beta, tau[100:101], QuadratureSettings())
+    warm = sd.g(beta, tau, QuadratureSettings())
+    assert spectral._lorentz_drude_g_setup.cache_info().hits >= 1
+    assert np.array_equal(cold, warm)
+    assert np.array_equal(one_cold, one_first)
+    c = spectral._lorentz_drude_g_setup(wc, beta)
+    assert not any(v.flags.writeable for v in c if isinstance(v, np.ndarray))
 
 
 def test_g_imag_part_closed_form():

@@ -197,8 +197,9 @@ def test_f_high_t_calls_dawson_at_most_twice(monkeypatch):
 
 def test_exact_steady_state_one_kernel_call_per_panel_batch(monkeypatch):
     # All pairs are one vector-valued integrand: K(u) is evaluated once per
-    # batch of GK15 panels (the 9 initial panels, then the two halves of each
-    # bisection) for every pair together, and the pairs share the count.
+    # batch of GK15 panels (the 9 initial panels, then the halves of every
+    # panel a round bisects, here 2, 2, 2 and 1) for every pair together, and
+    # the pairs share the count.
     from meanforce import steady
 
     u_nodes = []
@@ -212,8 +213,7 @@ def test_exact_steady_state_one_kernel_call_per_panel_batch(monkeypatch):
     sys = random_system(np.random.default_rng(11), 4)
     res = steady_state(sys, BathParams(beta=1.2, lam=1.3), LorentzDrude(1.0, 0.25), EXACT, NATURAL)
     evals = res.diagnostics["evaluations"]
-    assert len(u_nodes) == 1 + (evals // 15 - 9) // 2
-    assert u_nodes[0] == 135 and set(u_nodes[1:]) <= {30}
+    assert u_nodes == [135, 60, 60, 60, 30]
     assert sum(u_nodes) == evals
 
 
