@@ -26,7 +26,7 @@ from .errors import NumericsError, ValidationError
 from .linalg import DensityMatrix
 from .special import QuadratureSettings, integrate_finite
 from .spectral import BathParams, SpectralDensity, _g_batch
-from .steady import RenormalizationConvention, SystemSpec, _effective_energies, _populations
+from .steady import RenormalizationConvention, SystemSpec, _coupling, _effective_energies, _populations
 
 __all__ = ["MEResult", "me_steady_state", "me_state"]
 
@@ -100,27 +100,18 @@ class _GTable:
         return np.einsum("rnk,kn->rn", self._stencils[:, j], w)
 
 
-def _finite_g(sd: SpectralDensity, beta: float, tau: np.ndarray, settings: QuadratureSettings):
-    """_g_batch, or NumericsError where G is not finite (it overflows at huge tau)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = _g_batch(sd, beta, tau, settings)
-    if np.isfinite(g).all():
-        return g
-    raise NumericsError(f"G(tau) is not finite for tau up to {np.max(tau):.6g}")
-
-
 def _find_tau_max(
     sd: SpectralDensity, beta: float, s_min: float, settings: QuadratureSettings
 ) -> float:
     """Smallest grid end with s_min * Re G beyond the tail cutoff."""
     tau = max(beta, 4.0 / sd.cutoff)
-    prev = float(np.real(_finite_g(sd, beta, np.array([tau]), settings)[0]))
+    prev = float(np.real(_g_batch(sd, beta, np.array([tau]), settings)[0]))
     strikes = 0
     for _ in range(_GROWTH_LIMIT):
         if s_min * prev > _TAIL_CUTOFF_EXPONENT:
             return tau
         tau *= _GROWTH_FACTOR
-        cur = float(np.real(_finite_g(sd, beta, np.array([tau]), settings)[0]))
+        cur = float(np.real(_g_batch(sd, beta, np.array([tau]), settings)[0]))
         if cur < prev * _STALL_RATIO:
             strikes += 1
             if strikes >= _STALL_STRIKES:
@@ -154,7 +145,7 @@ def _build_g_splines(
     q_reorg = sd.reorganization_energy()
     n = _GRID_START_NODES
     grid = tau_max * np.linspace(0.0, 1.0, n) ** 3
-    g = _finite_g(sd, beta, grid, settings)
+    g = _g_batch(sd, beta, grid, settings)
     g[0] = 0.0  # G(0) = 0 exactly
     while True:
         re, im = np.real(g), np.imag(g)
@@ -165,7 +156,7 @@ def _build_g_splines(
         # reproduce this grid bit for bit and the odd ones are the probes.
         doubled = tau_max * np.linspace(0.0, 1.0, 2 * n - 1) ** 3
         mid = doubled[1::2]
-        probe = _finite_g(sd, beta, mid, settings)
+        probe = _g_batch(sd, beta, mid, settings)
         at_mid = table(mid)
         err = float(
             np.max(np.abs(at_mid[0] - np.real(probe)) + np.abs(at_mid[1] - np.imag(probe)))
@@ -236,18 +227,12 @@ def me_steady_state(
     if not bath.lam > 0:
         raise ValidationError("the master-equation form needs lambda > 0")
     beta, lam = bath.beta, bath.lam
+    # SystemSpec rejects a vanishing [H_S, A], so at least one pair is active.
+    l, l2 = np.nonzero(np.triu(sys.h_elements != 0, 1))
+    s_pair = _coupling(sys, lam, l, l2)  # first: the Natural energies square lambda too
     energies = _effective_energies(sys, bath, RenormalizationConvention.NATURAL, sd)
     p = _populations(energies, beta)
     q_reorg = sd.reorganization_energy()
-
-    # SystemSpec rejects a vanishing [H_S, A], so at least one pair is active.
-    l, l2 = np.nonzero(np.triu(sys.h_elements != 0, 1))
-    with np.errstate(over="ignore"):
-        s_pair = lam**2 * (sys.a_eigenvalues[l2] - sys.a_eigenvalues[l]) ** 2
-    if not np.isfinite(s_pair).all():
-        raise NumericsError(
-            f"coupling lambda^2 (a_l - a_l')^2 overflows at lambda = {lam:.6g}"
-        )
     wbar = energies[l] - energies[l2]
     s_min = float(np.min(s_pair))
     tau_max = _find_tau_max(sd, beta, s_min, s)

@@ -5,18 +5,16 @@ Matrices stay small (system dimension times a truncated Fock space); dense
 numpy is the whole story here. Real-symmetric inputs keep real dtype
 throughout, which matters for the large exact-diagonalization runs.
 
-eigh copies its input only when it must. Validation records whether a matrix
-is exactly Hermitian (conj(m) == m^T entry for entry). Such a matrix goes to
-LAPACK as it is: the solver reads one triangle, and (m + m^H)/2 would give back
-the same matrix. A matrix that is Hermitian only within the 1e-12 tolerance is
-symmetrized first, into one new D x D array. numpy's eigh still makes its own
-working copy for LAPACK either way.
+Every HermitianMatrix holds exactly Hermitian entries (conj(m) == m^T entry
+for entry): validation keeps such an input as it is and replaces one that is
+Hermitian only within 1e-12 by (m + m^H)/2. eigh hands a HermitianMatrix's
+entries to LAPACK uncopied (numpy's eigh makes its own working copy).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +32,9 @@ _TRACE_TOL = 1e-10
 _PSD_TOL = -1e-9
 
 
-def _hermitian_array(entries, what: str) -> tuple[np.ndarray, bool]:
+def _hermitian_array(entries, what: str) -> np.ndarray:
     """A finite square copy of entries, Hermitian within _HERM_TOL absolute,
-    and whether it is Hermitian exactly."""
+    made exactly Hermitian: as it is if it already is, else (m + m^H)/2."""
     m = np.asarray(entries)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
@@ -54,22 +52,27 @@ def _hermitian_array(entries, what: str) -> tuple[np.ndarray, bool]:
     deviation = d.real.max()
     if deviation > _HERM_TOL:
         raise ValidationError(f"{what} is not Hermitian within {_HERM_TOL} absolute")
-    return m, bool(deviation == 0.0)
+    if deviation == 0.0:
+        return m
+    # (m + m^H)/2 in d's buffer, so no third D x D array is made; the sum's
+    # operands commute, so these are the bits of m + m.conj().T, halved.
+    np.conjugate(m.T, out=d)
+    d += m
+    d *= 0.5
+    return d
 
 
 @dataclass(frozen=True, eq=False)
 class HermitianMatrix:
-    """A validated Hermitian matrix. entries is read-only after construction."""
+    """A validated, exactly Hermitian matrix; entries is read-only."""
 
     entries: np.ndarray
-    _exactly_hermitian: bool = field(repr=False)
     _what = "matrix"  # names the matrix in validation errors
 
     def __init__(self, entries):
-        m, exact = _hermitian_array(entries, self._what)
+        m = _hermitian_array(entries, self._what)
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "_exactly_hermitian", exact)
 
     @property
     def dim(self) -> int:
@@ -115,19 +118,10 @@ def eigh(m):
     """np.linalg.eigh of a Hermitian matrix: unpacks as (w, v), eigenvalues
     ascending and eigenvectors as orthonormal columns.
 
-    Accepts a HermitianMatrix (a DensityMatrix is one), already validated
-    when it was built, or a plain array, which is validated here. An exactly
-    Hermitian matrix goes to the solver as it is; one that is Hermitian only
-    within tolerance is symmetrized (m + m^H)/2 first, so the solver always
-    sees an exactly Hermitian input.
+    Accepts a HermitianMatrix (a DensityMatrix is one), whose entries go to
+    the solver as they are, or a plain array, validated here as one would be.
     """
-    if isinstance(m, HermitianMatrix):
-        a, exact = m.entries, m._exactly_hermitian
-    else:
-        a, exact = _hermitian_array(m, "eigh input")
-    if not exact:
-        a = a + a.conj().T
-        a *= 0.5
+    a = m.entries if isinstance(m, HermitianMatrix) else _hermitian_array(m, "eigh input")
     return np.linalg.eigh(a)
 
 

@@ -279,10 +279,8 @@ def integrate_finite(f, a: float, b: float, settings: QuadratureSettings | None 
         panel_err = err.max(axis=1)
         live = hi - lo > min_width
         dead_err = float(panel_err[~live].sum())
-        if not live.any():
-            break
         if dead_err > 0 and total_err - dead_err <= 0.1 * dead_err:
-            break  # irreducible error dominates; report it honestly
+            break  # irreducible error dominates (so once all are retired); report it honestly
         order = np.flatnonzero(live)
         order = order[np.argsort(-panel_err[order], kind="stable")]
         k = int(np.searchsorted(np.cumsum(panel_err[order]), total_err - tol)) + 1

@@ -322,9 +322,7 @@ def _overlap_kernel_batch(
     return sd.kernel(beta, np.asarray(u, dtype=float), settings)
 
 
-def overlap_kernel(
-    sd: SpectralDensity, beta: float, u: float, settings: QuadratureSettings | None = None
-) -> float:
+def overlap_kernel(sd: SpectralDensity, beta: float, u: float) -> float:
     """K(u) = int_0^inf dw J(w)/w^2 * r(w; u, beta), for 0 <= u <= beta.
 
     Vanishes at u=0 and u=beta, symmetric about beta/2, nonnegative, and
@@ -338,8 +336,7 @@ def overlap_kernel(
         raise ValidationError(f"u={u} outside [0, beta={beta}]")
     if u == 0.0 or u == beta:
         return 0.0
-    s = settings or QuadratureSettings()
-    return float(_overlap_kernel_batch(sd, beta, np.array([u]), s)[0])
+    return float(_overlap_kernel_batch(sd, beta, np.array([u]), QuadratureSettings())[0])
 
 
 # ----------------------------------------------------------------------------
@@ -517,16 +514,21 @@ def _lorentz_drude_g(q: float, wc: float, beta: float, tau: np.ndarray) -> np.nd
 
 
 def _g_batch(sd: SpectralDensity, beta: float, tau: np.ndarray, settings: QuadratureSettings) -> np.ndarray:
-    """G(tau) for a batch of tau >= 0."""
-    return sd.g(beta, np.asarray(tau, dtype=float), settings)
+    """G(tau) for a batch of tau >= 0, or NumericsError where it is not
+    finite (it overflows at huge tau)."""
+    tau = np.asarray(tau, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = sd.g(beta, tau, settings)
+    if not np.isfinite(g).all():
+        raise NumericsError(f"G(tau) is not finite for tau up to {np.max(tau):.6g}")
+    return g
 
 
-def g_double_integral(
-    sd: SpectralDensity, beta: float, tau: float, settings: QuadratureSettings | None = None
-) -> complex:
+def g_double_integral(sd: SpectralDensity, beta: float, tau: float) -> complex:
     """G(tau) = int_0^tau (tau - s) c_B(s) ds, reduced to a single w-integral.
 
     G(0) = 0; Re G is nondecreasing; Im G -> -Q*tau + const for large tau.
+    Raises NumericsError where G is not finite.
     """
     beta = float(beta)
     tau = float(tau)
@@ -536,6 +538,5 @@ def g_double_integral(
         raise ValidationError("tau must be nonnegative")
     if tau == 0.0:
         return 0j
-    s = settings or QuadratureSettings()
-    return complex(_g_batch(sd, beta, np.array([tau]), s)[0])
+    return complex(_g_batch(sd, beta, np.array([tau]), QuadratureSettings())[0])
 

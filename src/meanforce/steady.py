@@ -80,8 +80,7 @@ class SystemSpec:
     h_elements: np.ndarray
 
     def __init__(self, h_s, a):
-        h_s = h_s if isinstance(h_s, HermitianMatrix) else HermitianMatrix(h_s)
-        a = a if isinstance(a, HermitianMatrix) else HermitianMatrix(a)
+        h_s, a = HermitianMatrix(h_s), HermitianMatrix(a)
         if h_s.dim != a.dim:
             raise ValidationError(
                 f"H_S and A dimensions differ: {h_s.dim} vs {a.dim}"
@@ -157,10 +156,27 @@ def zeroth_order_state(
 
 
 _EXP_CAP = 700.0  # just under log(realmax); e^{beta*gap} appears in every method
+# f_exact's integrand has a layer of width beta/x at u = 0, x = lambda^2
+# (a_l - a_l')^2 Q beta, as K'(0) = Q. The spin-boson (beta = 1, 3; Lorentz-Drude
+# w_c = 0.25, 2; ohmic) tracks high-t to 2e-6 up to x = 4.5e7 and is 100 % off
+# from 4.8e7, where the layer slips inside the first node, 4.3e-7 beta. The
+# largest pair's x is held to a quarter of that.
+_EXACT_X_MAX = 1e7
+
+
+def _coupling(sys: SystemSpec, lam: float, l, l2) -> np.ndarray:
+    """lambda^2 (a_l - a_l')^2 for index pairs, or NumericsError where it overflows."""
+    a = sys.a_eigenvalues
+    with np.errstate(over="ignore"):  # np.float64: a float's ** raises past 1.3e154
+        s = np.float64(lam) ** 2 * (a[l2] - a[l]) ** 2
+    if not np.isfinite(s).all():
+        raise NumericsError(f"coupling lambda^2 (a_l - a_l')^2 overflows at lambda = {lam:.6g}")
+    return s
 
 
 def _pair_terms(sys, bath, conv, sd, l, l2) -> tuple[np.ndarray, np.ndarray]:
-    """Convention-matched gaps e_l - e_{l'} and a_{l',l}^2 for index pairs.
+    """Convention-matched gaps e_l - e_{l'} and couplings lambda^2 a_{l',l}^2
+    for index pairs.
 
     l and l2 are ints or matching integer arrays; both results take their
     shape. The gap is the plain h_l - h_{l'} or its renormalized version.
@@ -182,8 +198,7 @@ def _pair_terms(sys, bath, conv, sd, l, l2) -> tuple[np.ndarray, np.ndarray]:
             "coherence integral overflows double precision: "
             f"beta*gap = {top:.6g} exceeds {_EXP_CAP}"
         )
-    a = sys.a_eigenvalues
-    return omega, (a[l2] - a[l]) ** 2
+    return omega, _coupling(sys, bath.lam, l, l2)
 
 
 def _scalar_or_array(x):
@@ -212,12 +227,16 @@ def f_exact(
     batch for all of them, and the value is an array of their shape. The
     pairs share the evaluation count; component_errors holds each pair's own
     error estimate, in the value's shape, and error_estimate is the largest.
+    Refused with NumericsError where the largest pair's x passes _EXACT_X_MAX.
     """
-    omega, a2 = _pair_terms(sys, bath, conv, sd, l, l2)
+    omega, scale = _pair_terms(sys, bath, conv, sd, l, l2)
     s = q or QuadratureSettings()
     beta = bath.beta
-    scale = bath.lam**2 * a2
     top = float(np.max(scale))
+    x = top * sd.reorganization_energy() * beta
+    if not x <= _EXACT_X_MAX:
+        raise NumericsError(f"f_exact is refused at lambda^2 (a_l - a_l')^2 Q beta = {x:.3g}, "
+                            f"past {_EXACT_X_MAX:g}")
     inner = None  # lambda = 0: the kernel drops out
     if top > 0.0:
         # An absolute kernel error dK perturbs the integrand by the relative
@@ -239,7 +258,7 @@ def f_exact(
     bound = np.exp(shift)
     value = res.value * bound
     if not np.all(value > 0):
-        raise ValidationError(f"f_exact produced a nonpositive value {value}")
+        raise NumericsError(f"f_exact produced a nonpositive value {value}")
     errors = res.component_errors * bound
     return QuadratureResult(
         _scalar_or_array(value), float(np.max(errors)), res.evaluations,
@@ -266,13 +285,13 @@ def f_high_t(
         raise UnsupportedOperationError(
             "the Dawson form is singular at lambda=0; use f_exact"
         )
-    omega, a2 = _pair_terms(sys, bath, conv, sd, l, l2)
+    omega, scale = _pair_terms(sys, bath, conv, sd, l, l2)
     q = sd.reorganization_energy()
     beta = bath.beta
-    aa = np.sqrt(a2)  # |a_{l'} - a_l|, exactly: sqrt(x*x) = |x| in binary floating point
+    aa = np.abs(sys.a_eigenvalues[l2] - sys.a_eigenvalues[l])
     root = np.sqrt(beta / q)
     pref = root / (lam * aa)
-    c = lam**2 * a2 * q
+    c = scale * q
     d1, d2 = dawson((root / (2.0 * lam * aa)) * np.stack([c - omega, c + omega]))
     return _scalar_or_array(pref * (d1 + np.exp(beta * omega) * d2))
 
@@ -298,14 +317,14 @@ def f_series(
         raise UnsupportedOperationError(
             "the inverse-coupling series is singular at lambda=0; use f_exact"
         )
-    omega_r, a2 = _pair_terms(sys, bath, conv, sd, l, l2)
+    omega_r, scale = _pair_terms(sys, bath, conv, sd, l, l2)
     q = sd.reorganization_energy()
     beta = bath.beta
     h = sys.pseudo_energies
     omega = h[l] - h[l2]
     e = np.exp(omega_r * beta)
     if conv is RenormalizationConvention.RENORMALIZED:
-        c = lam**2 * a2 * q
+        c = scale * q
         return _scalar_or_array((1.0 + e) / c + omega * (1.0 - e) / c**2)
     a_l = sys.a_eigenvalues[l]
     a_l2 = sys.a_eigenvalues[l2]

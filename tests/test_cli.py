@@ -425,6 +425,30 @@ def test_negative_or_nonfinite_sweep_input_exit_1(argv, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        ({"swept": "delta"}, "swept parameter"),
+        ({"points": 1}, "at least 2"),
+        ({"log": True, "lo": 0.0}, "log grid"),
+        ({"methods": ()}, "at least one method"),
+        ({"methods": ("high-t", "high-t")}, "more than once"),
+        ({"plot": "p_minus"}, "plot column"),
+        ({"oracle_modes": 0}, "oracle_modes"),
+    ],
+    ids=["swept", "points", "log", "no-methods", "repeated-method", "plot", "oracle-modes"],
+)
+def test_sweep_spec_refusals(change, match):
+    with pytest.raises(ValidationError, match=match):
+        cli.SweepSpec(**{"swept": "beta", "lo": 0.5, "hi": 1.0, **change})
+
+
+def test_unknown_spectral_family_is_refused():
+    spec = cli.SweepSpec(swept="beta", lo=0.5, hi=1.0, points=2, spectral="debye")
+    with pytest.raises(ValidationError, match="unknown spectral family"):
+        cli.run_sweep(spec)
+
+
 def test_tabulated_density_with_zero_q_exit_1(tmp_path, capsys):
     table = tmp_path / "j.txt"
     table.write_text("0.0 0.0\n1.0 0.0\n2.0 0.0\n")
@@ -476,6 +500,30 @@ def test_me_coupling_overflow_is_na_with_note(capsys):
     last = capsys.readouterr().out.strip().split("\n")[-1].split(",")
     assert last[1:6] == ["NA"] * 5
     assert last[-1].startswith("me: ") and "overflows" in last[-1]
+
+
+def test_coupling_overflow_is_one_note_for_every_route(capsys):
+    # lambda^2 (a_l - a_l')^2 is formed, and refused where it overflows, in
+    # one place that every coupling route goes through.
+    rc = run_main(["sweep", "--sweep", "beta", "--from", "1", "--to", "2", "--points", "2",
+                   "--lambda2q", "1e308", "--methods", "exact,high-t,series,me"])
+    assert rc == 0
+    for row in capsys.readouterr().out.strip().split("\n")[1:]:
+        cells = row.split(",")
+        assert cells[1:21] == ["NA"] * 20
+        note = "coupling lambda^2 (a_l - a_l')^2 overflows at lambda = 1e+154"
+        assert cells[-1] == "; ".join(f"{m}: {note}" for m in ("exact", "high-t", "series", "me"))
+
+
+def test_exact_past_its_coupling_bound_is_na_with_note(capsys):
+    # x = lambda^2 (a_l - a_l')^2 Q beta = 4e6 is inside the bound and 4e8 past it.
+    rc = run_main(["sweep", "--sweep", "lambda2Q", "--from", "1e6", "--to", "1e8",
+                   "--points", "2", "--methods", "exact"])
+    assert rc == 0
+    inside, past = (r.split(",") for r in capsys.readouterr().out.strip().split("\n")[1:])
+    assert all(math.isfinite(float(c)) for c in inside[1:6]) and inside[-1] == ""
+    assert past[1:6] == ["NA"] * 5
+    assert past[-1].startswith("exact: f_exact is refused at lambda^2")
 
 
 def test_me_window_count_past_its_bound_is_na_with_note(monkeypatch, capsys):
@@ -550,13 +598,13 @@ def test_numerics_failure_exit_3(tmp_path, monkeypatch, capsys):
 
 def test_verify_passes(tmp_path):
     out = tmp_path / "report.json"
-    rc = run_main(["verify", "dawson", "kernel-symmetry", "reorganization",
+    rc = run_main(["verify", "dawson", "kernel-symmetry", "reorganization", "hermiticity",
                    "--out", str(out)])
     assert rc == 0
     report = json.loads(out.read_text())
     assert report["all_passed"] is True
     names = [r["check"] for r in report["checks"]]
-    assert names == ["dawson", "kernel-symmetry", "reorganization"]
+    assert names == ["dawson", "kernel-symmetry", "reorganization", "hermiticity"]
     for r in report["checks"]:
         assert r["measured"] < r["tolerance"]
 

@@ -7,7 +7,7 @@ from meanforce import comparator
 from meanforce.comparator import me_state, me_steady_state
 from meanforce.errors import NumericsError, ValidationError
 from meanforce.special import QuadratureSettings
-from meanforce.spectral import BathParams, DiscreteModes, LorentzDrude
+from meanforce.spectral import BathParams, DiscreteModes, LorentzDrude, Tabulated
 from meanforce.spinboson import SpinBosonParams, build_system
 from meanforce.steady import (
     CorrectionMethod,
@@ -441,3 +441,23 @@ def test_me_rejects_purely_discrete_bath():
     sd = DiscreteModes([(0.5, 1.0), (0.3, 2.2)])
     with pytest.raises(NumericsError, match="stopped growing"):
         me_steady_state(SPIN, BathParams(beta=1.0, lam=1.0), sd)
+
+
+@pytest.mark.parametrize(
+    "sd, lam, match",
+    [
+        # s_min Re G stays below the tail cutoff through 200 growth steps of tau.
+        (LD, 1e-20, "growth budget"),
+        # tau_max is so far out that 4097 nodes cannot hold G to 1e-11 of Q.
+        (LD, 1e-10, "at 4097 nodes"),
+        # A peak at w = 5 on a low floor makes Re G oscillate in tau faster
+        # than it grows.
+        (Tabulated([0.0, 4.0, 5.0, 6.0], [0.0, 0.04, 10.0, 0.0]), 1.0, "not nondecreasing"),
+        # lambda^2 overflows; it is refused before anything squares lambda.
+        (LD, 2e154, "coupling .* overflows"),
+    ],
+    ids=["growth-budget", "table-node-cap", "non-monotone-re-g", "coupling-overflow"],
+)
+def test_me_refuses_what_it_cannot_compute(sd, lam, match):
+    with pytest.raises(NumericsError, match=match):
+        me_steady_state(SPIN, BathParams(beta=1.0, lam=lam), sd)

@@ -99,6 +99,18 @@ def test_eigh_symmetrizes_a_nearly_hermitian_matrix_as_before():
         assert np.array_equal(v, v_ref)
 
 
+def test_hermitian_matrix_holds_exactly_hermitian_entries():
+    rng = np.random.default_rng(5)
+    m = random_hermitian(rng, 5)
+    assert np.array_equal(HermitianMatrix(m).entries, m)  # already exact: kept as it is
+    m[1, 3] += 1e-13
+    entries = HermitianMatrix(m).entries
+    expected = m + m.conj().T
+    expected *= 0.5
+    assert np.array_equal(entries, expected)
+    assert np.array_equal(entries, entries.conj().T)
+
+
 def test_eigh_rejects_nonhermitian():
     with pytest.raises(ValidationError):
         eigh(np.array([[0.0, 1.0], [0.5, 0.0]]))
@@ -116,6 +128,16 @@ def test_matrix_exp_inverse_pair():
     a = matrix_exp_hermitian(m, 0.3).entries
     b = matrix_exp_hermitian(m, -0.3).entries
     assert np.allclose(a @ b, np.eye(4), atol=1e-12)
+
+
+def test_matrix_exp_with_large_entries_is_exactly_hermitian():
+    # Entries near 1e16: the spectral product is Hermitian only to about 1
+    # absolute, far past validation's 1e-12, so matrix_exp_hermitian
+    # symmetrizes it before it is validated.
+    m = random_hermitian(np.random.default_rng(0), 20)
+    out = matrix_exp_hermitian(m, 5.0).entries
+    assert np.max(np.abs(out)) > 1e15
+    assert np.array_equal(out, out.conj().T)
 
 
 def test_matrix_exp_overflow_guard():

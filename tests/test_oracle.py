@@ -307,7 +307,12 @@ def test_total_hamiltonian_equals_kronecker_construction(sys_name, conv):
     sys = _case_system(sys_name)
     h = build_total_hamiltonian(sys, _TWO_MODES, 0.9, conv)
     assert h.dim == sys.dim * 49
-    assert np.array_equal(h.entries, _kron_hamiltonian(sys, _TWO_MODES, 0.9, conv, 6))
+    # Validation makes the matrix exactly Hermitian: (K + K^H)/2, which is K
+    # bit for bit wherever K is exactly Hermitian already.
+    k = _kron_hamiltonian(sys, _TWO_MODES, 0.9, conv, 6)
+    expected = k + k.conj().T
+    expected *= 0.5
+    assert np.array_equal(h.entries, expected)
 
 
 @pytest.mark.parametrize("sys_name,conv", _SOLVE_CASES)

@@ -140,6 +140,12 @@ def test_integrate_finite_boundary_layer():
 def test_integrate_finite_oscillatory():
     r = integrate_finite(lambda x: np.sin(np.asarray(x)), 0.0, math.pi)
     assert r.value == pytest.approx(2.0, rel=1e-13)
+    # Over 50 periods the integral is 0, so the tolerance is abs_tol = 1e-14,
+    # below the rounding of sums of |sin| = 200: refinement stops at the
+    # noise floor, 100 eps of that, and reports the error it could not remove.
+    r = integrate_finite(np.sin, 0.0, 100.0 * math.pi)
+    assert 1e-14 < r.error_estimate <= 100.0 * np.finfo(float).eps * 200.0
+    assert abs(r.value) <= r.error_estimate
 
 
 def test_integrate_finite_vector_valued():

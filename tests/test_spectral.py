@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -451,6 +452,14 @@ def test_g_refused_past_its_term_budget():
     # a = 1e4 (here 1.6e4) G is refused with NumericsError, not summed.
     with pytest.raises(NumericsError, match="past 10000"):
         g_double_integral(LorentzDrude(1.0, 1e3), 100.0, 1.0)
+
+
+def test_g_not_finite_is_refused_without_warnings():
+    # Re G overflows at tau = 1e308: G is refused, and the overflow is silent.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="not finite"):
+            g_double_integral(LorentzDrude(1.0, 0.25), 1.0, 1e308)
 
 
 @pytest.mark.parametrize("wc, beta", [(0.25, 1.0), (1.0, 2 * math.pi), (3.0, 7.0), (50.0, 3.0)])

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from meanforce import steady
 from meanforce.errors import NumericsError, UnsupportedOperationError, ValidationError
-from meanforce.special import integrate_finite
+from meanforce.special import QuadratureResult, integrate_finite
 from meanforce.spectral import BathParams, DiscreteModes, LorentzDrude
 from meanforce.steady import (
     CorrectionMethod,
@@ -57,6 +58,10 @@ def test_system_spec_rejections():
         SystemSpec(np.diag([1.0, -1.0]), np.diag([1.0, -1.0]))  # [H, A] = 0
     with pytest.raises(ValidationError):
         SystemSpec(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))  # degenerate A
+    with pytest.raises(ValidationError, match="degenerate"):
+        # [H_S, A] does not vanish, so the degeneracy is what stops it.
+        SystemSpec(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+                   np.diag([1.0, 1.0, -1.0]))
     with pytest.raises(ValidationError):
         SystemSpec(np.zeros((2, 2)), np.diag([1.0, -1.0, 0.0]))  # dim mismatch
     with pytest.raises(ValidationError):
@@ -137,6 +142,28 @@ def test_f_methods_overflow_guard():
                lambda: f_series(sys, bath, sd, 1, 0)):
         with pytest.raises(NumericsError):
             fn()
+
+
+def test_f_exact_is_right_or_refused_at_large_coupling(monkeypatch):
+    # The integrand's boundary layer at u = 0 has width beta/x, x = lambda^2
+    # (a_l - a_l')^2 Q beta = 4 lambda^2 Q here. Up to x = 4.5e7 the first
+    # quadrature nodes see it; past it f_exact was 100 % off with a tiny error
+    # estimate, so past x = 1e7 it is refused.
+    sys = spin_system()
+    sd = LorentzDrude(1.0, 0.25)
+    l, l2 = np.array([1, 0]), np.array([0, 1])
+    for lam2q in (1e5, 1e6):  # measured 4.6e-6 and 5.5e-7
+        bath = BathParams(beta=1.0, lam=math.sqrt(lam2q))
+        ex = f_exact(sys, bath, sd, l, l2).value
+        assert np.max(np.abs(ex / f_high_t(sys, bath, sd, l, l2) - 1.0)) <= 1e-5
+    for lam2q in (1e8, 1e12):
+        with pytest.raises(NumericsError, match="refused at lambda"):
+            f_exact(sys, BathParams(beta=1.0, lam=math.sqrt(lam2q)), sd, l, l2)
+    # A value that comes out nonpositive is a numerical failure too.
+    monkeypatch.setattr(steady, "integrate_finite",
+                        lambda *a: QuadratureResult(np.zeros(2), 0.0, 135, np.zeros(2)))
+    with pytest.raises(NumericsError, match="nonpositive"):
+        f_exact(sys, BathParams(beta=1.0, lam=1.0), sd, l, l2)
 
 
 def test_f_pair_index_validation():
