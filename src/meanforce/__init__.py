@@ -31,7 +31,6 @@ from .spectral import (
     OhmicHardCutoff,
     SpectralDensity,
     Tabulated,
-    g_double_integral,
     j_of_omega,
     overlap_kernel,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "f_exact",
     "f_high_t",
     "f_series",
-    "g_double_integral",
     "integrate_finite",
     "j_of_omega",
     "matrix_exp_hermitian",

@@ -208,7 +208,9 @@ def _initial_breakpoints(a: float, b: float) -> np.ndarray:
     return np.concatenate(([a], a + layers, b - layers[::-1], [b]))
 
 
-def integrate_finite(f, a: float, b: float, settings: QuadratureSettings | None = None) -> QuadratureResult:
+def integrate_finite(
+    f, a: float, b: float, settings: QuadratureSettings | None = None, breakpoints=None
+) -> QuadratureResult:
     """Adaptive Gauss-Kronrod integration of f over [a, b].
 
     The integrand is called with a 1-D array of nodes; it may return either a
@@ -216,20 +218,23 @@ def integrate_finite(f, a: float, b: float, settings: QuadratureSettings | None 
     componentwise, error controlled in the max norm). Any other shape raises
     ValidationError. Integrands must be side-effect-free; a == b gives zeros.
 
-    The initial subdivision places breakpoints at fractions 1e-4..1e-1 of the
-    span from each endpoint, so thin boundary layers are seen before the
-    adaptive pass begins. Refinement then goes in rounds: sort the live
-    panels by error, largest first (a stable sort), and bisect the shortest
-    prefix whose errors sum to at least total error - tolerance, at least one
-    panel and no more than max_subdivisions (a budget of bisected panels,
-    not of rounds) has left. f is called once on the 9 initial panels (135
-    nodes) and once per round on all of its halves (30 nodes per bisected
-    panel); evaluations counts 15 per panel. One stacked GK15 reduction gives
-    every panel of a call its value and error, in bits that do not depend on
-    the rest of the batch, so an integrand that is pointwise in its nodes
-    gets every bit of one call per panel under the same rule; one whose rows
-    depend on the whole batch, as f_exact's does through the shared stopping
-    rule of its inner K quadrature, moves by rounding.
+    The initial panels run between breakpoints: the caller's, a strictly
+    increasing array of finite panel edges from a to b, placed where it
+    knows its integrand's scales; by default breakpoints at fractions
+    1e-4..1e-1 of the span from each endpoint, so thin boundary layers are
+    seen before the adaptive pass begins. Refinement then goes in rounds:
+    sort the live panels by error, largest first (a stable sort), and bisect
+    the shortest prefix whose errors sum to at least total error - tolerance,
+    at least one panel and no more than max_subdivisions (a budget of
+    bisected panels, not of rounds) has left. f is called once on the
+    initial panels (9 by default, 135 nodes) and once per round on all of
+    its halves (30 nodes per bisected panel); evaluations counts 15 per
+    panel. One stacked GK15 reduction gives every panel of a call its value
+    and error, in bits that do not depend on the rest of the batch, so an
+    integrand that is pointwise in its nodes gets every bit of one call per
+    panel under the same rule; one whose rows depend on the whole batch, as
+    f_exact's does through the shared stopping rule of its inner K
+    quadrature, moves by rounding.
 
     Refinement stops at the tolerance, at the noise floor (100 eps of the
     integral of |f| over the initial panels), or once the error of the
@@ -250,7 +255,16 @@ def integrate_finite(f, a: float, b: float, settings: QuadratureSettings | None 
             return QuadratureResult(zero.item(), 0.0, 1)
         return QuadratureResult(zero, 0.0, 1, np.zeros(zero.shape))
 
-    edges = _initial_breakpoints(a, b)
+    if breakpoints is None:
+        edges = _initial_breakpoints(a, b)
+    else:
+        edges = np.asarray(breakpoints, dtype=float)
+        if not (edges.ndim == 1 and edges.size >= 2 and np.isfinite(edges).all()
+                and edges[0] == a and edges[-1] == b and np.all(edges[1:] > edges[:-1])):
+            raise ValidationError(
+                f"breakpoints must be finite and strictly increasing from a={a} to b={b}, "
+                f"got {edges}"
+            )
     lo, hi = edges[:-1], edges[1:]
     shape, value, resabs, err = _gk15_panels(f, lo, hi)
     total_resabs = float(np.max(np.sum(resabs, axis=0)))
@@ -297,4 +311,5 @@ def integrate_finite(f, a: float, b: float, settings: QuadratureSettings | None 
         value = np.concatenate((value[keep], halves_value))
         err = np.concatenate((err[keep], halves_err))
 
-    return QuadratureResult(total, total_err, 15 * (9 + 2 * n_bisections), err_vec.reshape(shape)[()])
+    n_panels = len(edges) - 1 + 2 * n_bisections
+    return QuadratureResult(total, total_err, 15 * n_panels, err_vec.reshape(shape)[()])

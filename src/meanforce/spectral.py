@@ -28,7 +28,6 @@ __all__ = [
     "BathParams",
     "j_of_omega",
     "overlap_kernel",
-    "g_double_integral",
 ]
 
 
@@ -111,9 +110,21 @@ class LorentzDrude(SpectralDensity):
         # w = omega_c t/(1 - t) maps the half-line onto [0, 1). J/w^2 decays
         # as w^-3, so the mapped integrand is smooth and falls to 0 at t = 1,
         # but its mass reaches down to t ~ 1/(omega_c beta), hence the bound.
-        if not self.omega_c * beta <= _KERNEL_WCB_MAX:
+        # The factor r switches on at w ~ 1/u, at 1 - t ~ omega_c u: the first
+        # panels run in decades of t down to 0.1/(omega_c beta) and of 1 - t
+        # down to omega_c u_min/10, u_min the batch's closest approach to 0 or
+        # beta. 1 - t stays at least 1e-12, so no node reaches t = 1.
+        wcb = self.omega_c * beta
+        if not wcb <= _KERNEL_WCB_MAX:
             raise NumericsError(f"Lorentz-Drude K(u) is refused at omega_c beta = "
-                                f"{self.omega_c * beta:.3g}, past {_KERNEL_WCB_MAX:g}")
+                                f"{wcb:.3g}, past {_KERNEL_WCB_MAX:g}")
+        wcu = self.omega_c * float(np.min(np.minimum(u, beta - u), initial=beta))
+        n_low = min(max(math.ceil(math.log10(wcb)) + 1, 1), 15)
+        n_high = min(max(math.ceil(-math.log10(wcu)) + 1, 1), 12) if wcu > 0 else 12
+        decades = 10.0 ** -np.arange(1.0, max(n_low, n_high) + 1.0)
+        breakpoints = np.concatenate(
+            ([0.0], decades[n_low - 1::-1], [0.5], 1.0 - decades[:n_high], [1.0])
+        )
 
         def integrand(t):
             w = self.omega_c * t / (1.0 - t)
@@ -124,7 +135,7 @@ class LorentzDrude(SpectralDensity):
                 weight = self(w) / w**2 * self.omega_c / (1.0 - t) ** 2
                 return weight[:, None] * _kernel_factor(w, u, beta)
 
-        res = integrate_finite(integrand, 0.0, 1.0, settings)
+        res = integrate_finite(integrand, 0.0, 1.0, settings, breakpoints=breakpoints)
         return np.atleast_1d(np.asarray(res.value, dtype=float))
 
     def g(self, beta, tau, settings):
@@ -514,29 +525,16 @@ def _lorentz_drude_g(q: float, wc: float, beta: float, tau: np.ndarray) -> np.nd
 
 
 def _g_batch(sd: SpectralDensity, beta: float, tau: np.ndarray, settings: QuadratureSettings) -> np.ndarray:
-    """G(tau) for a batch of tau >= 0, or NumericsError where it is not
-    finite (it overflows at huge tau)."""
+    """G(tau) = int_0^tau (tau - s) c_B(s) ds for a batch of tau >= 0, reduced
+    to a single w-integral, or NumericsError where it is not finite (it
+    overflows at huge tau). G(0) = 0; Re G is nondecreasing; Im G -> -Q*tau +
+    const for large tau."""
     tau = np.asarray(tau, dtype=float)
+    if not np.all(tau >= 0.0):
+        raise ValidationError("G(tau) requires tau >= 0")
     with np.errstate(over="ignore", invalid="ignore"):
         g = sd.g(beta, tau, settings)
     if not np.isfinite(g).all():
         raise NumericsError(f"G(tau) is not finite for tau up to {np.max(tau):.6g}")
     return g
-
-
-def g_double_integral(sd: SpectralDensity, beta: float, tau: float) -> complex:
-    """G(tau) = int_0^tau (tau - s) c_B(s) ds, reduced to a single w-integral.
-
-    G(0) = 0; Re G is nondecreasing; Im G -> -Q*tau + const for large tau.
-    Raises NumericsError where G is not finite.
-    """
-    beta = float(beta)
-    tau = float(tau)
-    if not beta > 0:
-        raise ValidationError("beta must be positive")
-    if tau < 0:
-        raise ValidationError("tau must be nonnegative")
-    if tau == 0.0:
-        return 0j
-    return complex(_g_batch(sd, beta, np.array([tau]), QuadratureSettings())[0])
 

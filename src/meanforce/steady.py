@@ -131,7 +131,11 @@ def _effective_energies(
     if sd is None:
         raise ValidationError("Natural convention needs a spectral density for Q")
     q = sd.reorganization_energy()
-    return h - bath.lam**2 * sys.a_eigenvalues**2 * q
+    with np.errstate(over="ignore"):
+        shift = np.float64(bath.lam) ** 2 * sys.a_eigenvalues**2 * q
+    if not np.isfinite(shift).all():
+        raise _coupling_overflow(bath.lam)
+    return h - shift
 
 
 def _populations(energies: np.ndarray, beta: float) -> np.ndarray:
@@ -157,11 +161,33 @@ def zeroth_order_state(
 
 _EXP_CAP = 700.0  # just under log(realmax); e^{beta*gap} appears in every method
 # f_exact's integrand has a layer of width beta/x at u = 0, x = lambda^2
-# (a_l - a_l')^2 Q beta, as K'(0) = Q. The spin-boson (beta = 1, 3; Lorentz-Drude
-# w_c = 0.25, 2; ohmic) tracks high-t to 2e-6 up to x = 4.5e7 and is 100 % off
-# from 4.8e7, where the layer slips inside the first node, 4.3e-7 beta. The
-# largest pair's x is held to a quarter of that.
-_EXACT_X_MAX = 1e7
+# (a_l - a_l')^2 Q beta, as K'(0) = Q, and its first panels sit at that width.
+# The spin-boson at Lorentz-Drude w_c = 0.25, beta = 1 is within 6.2e-10,
+# 2.1e-8, 2.2e-9 and 3.5e-7 of 20-digit mpmath nested quadrature at x = 1e8,
+# 1e9, 4e9 and 4e10, and tracks high-t to 4e-6 up to x = 1.2e11 (also at
+# beta = 3, w_c = 2, and ohmic), each inside its error estimate. With the
+# generic first panels it was 100 % off from x = 4.8e7. The largest pair's x
+# is held to a quarter of the last point within 1e-7 of mpmath.
+_EXACT_X_MAX = 1e9
+
+
+_LAYER_RUNGS = np.array([0.1, 1.0, 10.0, 100.0])
+
+
+def _layer_breakpoints(beta: float, x: float) -> np.ndarray:
+    """f_exact's first panel edges on [0, beta]: rungs at (beta/x) * _LAYER_RUNGS
+    below beta/4 at each end, the width of f's boundary layers there (the
+    ladder reaches 100 layer widths, past which the layer holds e^-100 of its
+    mass), and 4 equal panels between the innermost rungs."""
+    rungs = (beta / x) * _LAYER_RUNGS
+    rungs = rungs[rungs < 0.25 * beta]
+    inner = rungs[-1] if rungs.size else 0.0
+    middle = inner + (beta - 2.0 * inner) * np.array([0.25, 0.5, 0.75])
+    return np.concatenate(([0.0], rungs, middle, beta - rungs[::-1], [beta]))
+
+
+def _coupling_overflow(lam: float) -> NumericsError:
+    return NumericsError(f"coupling lambda^2 (a_l - a_l')^2 overflows at lambda = {lam:.6g}")
 
 
 def _coupling(sys: SystemSpec, lam: float, l, l2) -> np.ndarray:
@@ -170,7 +196,7 @@ def _coupling(sys: SystemSpec, lam: float, l, l2) -> np.ndarray:
     with np.errstate(over="ignore"):  # np.float64: a float's ** raises past 1.3e154
         s = np.float64(lam) ** 2 * (a[l2] - a[l]) ** 2
     if not np.isfinite(s).all():
-        raise NumericsError(f"coupling lambda^2 (a_l - a_l')^2 overflows at lambda = {lam:.6g}")
+        raise _coupling_overflow(lam)
     return s
 
 
@@ -220,7 +246,10 @@ def f_exact(
     Nested quadrature: the kernel K is itself an omega-integral, evaluated
     batched over the u nodes of a whole panel batch (integrate_finite's call
     pattern) at 10x tighter tolerance. Under the Natural convention the gap
-    in the exponent is the renormalized one.
+    in the exponent is the renormalized one. The outer quadrature starts on
+    panels at the scale of the integrand's boundary layers, width beta/x at
+    each end (_layer_breakpoints, x the largest pair's), and at lambda = 0,
+    where there is no layer, on integrate_finite's generic ones.
 
     l and l2 may be matching integer arrays: every pair is then one component
     of a single vector-valued integrand, so K is evaluated once per panel
@@ -254,7 +283,8 @@ def f_exact(
         k = 0.0 if inner is None else _overlap_kernel_batch(sd, beta, u, inner)
         return np.exp(np.multiply.outer(u, omega) - np.multiply.outer(k, scale) - shift)
 
-    res = integrate_finite(integrand, 0.0, beta, s)
+    breakpoints = None if inner is None else _layer_breakpoints(beta, x)
+    res = integrate_finite(integrand, 0.0, beta, s, breakpoints=breakpoints)
     bound = np.exp(shift)
     value = res.value * bound
     if not np.all(value > 0):
@@ -323,9 +353,13 @@ def f_series(
     h = sys.pseudo_energies
     omega = h[l] - h[l2]
     e = np.exp(omega_r * beta)
+    # Each second term's denominator overflows to inf at a coupling (c past
+    # 1.3e154, lambda past 1e77) where the term is below the first's rounding:
+    # it then adds 0, the 1/c limit.
     if conv is RenormalizationConvention.RENORMALIZED:
         c = scale * q
-        return _scalar_or_array((1.0 + e) / c + omega * (1.0 - e) / c**2)
+        with np.errstate(over="ignore"):
+            return _scalar_or_array((1.0 + e) / c + omega * (1.0 - e) / c**2)
     a_l = sys.a_eigenvalues[l]
     a_l2 = sys.a_eigenvalues[l2]
     if np.any(a_l == 0.0) or np.any(a_l2 == 0.0):
@@ -334,8 +368,10 @@ def f_series(
             f"a_l={a_l}, a_l'={a_l2} must all be nonzero"
         )
     d = a_l - a_l2
+    lam = np.float64(lam)  # lambda^2 is finite here: _pair_terms has formed it
     first = (1.0 / a_l - e / a_l2) / (2.0 * lam**2 * q * d)
-    second = (omega / (4.0 * lam**4 * q**2 * d**2)) * (1.0 / a_l**2 - e / a_l2**2)
+    with np.errstate(over="ignore"):
+        second = (omega / (4.0 * lam**4 * q**2 * d**2)) * (1.0 / a_l**2 - e / a_l2**2)
     return _scalar_or_array(first + second)
 
 

@@ -515,9 +515,27 @@ def test_coupling_overflow_is_one_note_for_every_route(capsys):
         assert cells[-1] == "; ".join(f"{m}: {note}" for m in ("exact", "high-t", "series", "me"))
 
 
+def test_natural_coupling_overflow_is_na_with_the_same_note(tmp_path, capsys):
+    # Under Natural the pseudo energies carry lambda^2 a_l^2 Q. With Q = 0.01,
+    # lambda^2 Q = 1e308 puts lambda past the double range, and every route,
+    # zeroth included, gives the coupling note (zeroth gave a ValidationError).
+    table = tmp_path / "j.txt"
+    table.write_text("0 0\n1 0.01\n")
+    methods = ("exact", "high-t", "series", "me", "zeroth")
+    rc = run_main(["sweep", "--sweep", "beta", "--from", "1", "--to", "2", "--points", "2",
+                   "--lambda2q", "1e308", "--spectral", f"tabulated:{table}",
+                   "--convention", "natural", "--methods", ",".join(methods)])
+    assert rc == 0
+    note = "coupling lambda^2 (a_l - a_l')^2 overflows at lambda = inf"
+    for row in capsys.readouterr().out.strip().split("\n")[1:]:
+        cells = row.split(",")
+        assert cells[1:26] == ["NA"] * 25
+        assert cells[-1] == "; ".join(f"{m}: {note}" for m in methods)
+
+
 def test_exact_past_its_coupling_bound_is_na_with_note(capsys):
-    # x = lambda^2 (a_l - a_l')^2 Q beta = 4e6 is inside the bound and 4e8 past it.
-    rc = run_main(["sweep", "--sweep", "lambda2Q", "--from", "1e6", "--to", "1e8",
+    # x = lambda^2 (a_l - a_l')^2 Q beta = 4e6 is inside the bound and 4e10 past it.
+    rc = run_main(["sweep", "--sweep", "lambda2Q", "--from", "1e6", "--to", "1e10",
                    "--points", "2", "--methods", "exact"])
     assert rc == 0
     inside, past = (r.split(",") for r in capsys.readouterr().out.strip().split("\n")[1:])

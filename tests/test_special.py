@@ -312,12 +312,13 @@ def _gk15_one_call_per_panel(f, lo, hi):
     return (y.shape[1:],) + tuple(np.concatenate(part) for part in zip(*rows))
 
 
-def integrate_finite_per_panel(f, a, b, settings=None, rounds=None):
+def integrate_finite_per_panel(f, a, b, settings=None, rounds=None, breakpoints=None):
     """integrate_finite's round rule with one integrand call per GK15 panel:
-    the reference for the engine's one call per round (a < b only). The
-    number of panels bisected in each round is appended to rounds."""
+    the reference for the engine's one call per round (a < b only), from the
+    same initial panels. The number of panels bisected in each round is
+    appended to rounds."""
     s = settings or QuadratureSettings()
-    edges = np.array(_initial_breakpoints(a, b))
+    edges = np.array(_initial_breakpoints(a, b) if breakpoints is None else breakpoints)
     lo, hi = edges[:-1], edges[1:]
     shape, value, resabs, err = _gk15_one_call_per_panel(f, lo, hi)
     total_resabs = float(np.max(np.sum(resabs, axis=0)))
@@ -355,7 +356,8 @@ def integrate_finite_per_panel(f, a, b, settings=None, rounds=None):
         hi = np.concatenate((hi[keep], halves_hi))
         value = np.concatenate((value[keep], halves_value))
         err = np.concatenate((err[keep], halves_err))
-    return QuadratureResult(total, total_err, 15 * (9 + 2 * n_bisections), err_vec.reshape(shape)[()])
+    n_panels = len(edges) - 1 + 2 * n_bisections
+    return QuadratureResult(total, total_err, 15 * n_panels, err_vec.reshape(shape)[()])
 
 
 def integrate_finite_sequential(f, a, b, settings=None):
@@ -480,3 +482,49 @@ def test_batched_panels_keep_the_per_panel_best_estimate():
     # The last round takes only what is left of the budget: 20 bisections.
     assert sum(rounds) == 20
     assert calls == [(135,)] + [(30 * k,) for k in rounds]
+
+
+@pytest.mark.parametrize("name", sorted(_POINTWISE))
+def test_default_breakpoints_given_explicitly_keep_every_bit(name):
+    f, a, b = _POINTWISE[name]
+    r = integrate_finite(f, a, b)
+    given_ = integrate_finite(f, a, b, breakpoints=_initial_breakpoints(a, b))
+    assert type(given_.value) is type(r.value)
+    assert np.array_equal(given_.value, r.value)
+    assert given_.error_estimate == r.error_estimate
+    assert np.array_equal(given_.component_errors, r.component_errors)
+    assert given_.evaluations == r.evaluations
+
+
+def test_caller_breakpoints_set_the_first_panels():
+    # A layer e^{-1e6 x}: panels at its own width see it from the first call;
+    # the engine bisects from there under the same round rule, and evaluations
+    # still counts 15 per panel.
+    def f(x):
+        return np.exp(-1e6 * x)
+
+    edges = np.array([0.0, 1e-7, 1e-6, 1e-5, 1e-4, 0.5, 1.0])
+    g, calls = _logged(f)
+    r = integrate_finite(g, 0.0, 1.0, breakpoints=edges)
+    rounds = []
+    ref = integrate_finite_per_panel(f, 0.0, 1.0, rounds=rounds, breakpoints=edges)
+    assert r.value == ref.value and r.error_estimate == ref.error_estimate
+    assert calls == [(90,)] + [(30 * k,) for k in rounds]
+    assert r.evaluations == 90 + 30 * sum(rounds)
+    assert r.value == pytest.approx(1e-6 * -math.expm1(-1e6), rel=1e-12)
+
+
+@pytest.mark.parametrize("edges", [
+    [0.0, 0.5, 0.25, 1.0],  # unsorted
+    [0.0, 0.5, 0.5, 1.0],  # a repeated edge
+    [-0.1, 0.5, 1.0],  # starts outside [a, b]
+    [0.0, 0.5, 1.1],  # ends outside [a, b]
+    [0.1, 0.5, 1.0],  # does not start at a
+    [0.0, math.nan, 1.0],
+    [0.0, math.inf],
+    [1.0],
+    [[0.0, 1.0]],
+])
+def test_bad_breakpoints_are_refused(edges):
+    with pytest.raises(ValidationError, match="breakpoints"):
+        integrate_finite(np.sin, 0.0, 1.0, breakpoints=edges)

@@ -20,7 +20,6 @@ from meanforce.spectral import (
     Tabulated,
     _g_batch,
     _mu_exp,
-    g_double_integral,
     j_of_omega,
     overlap_kernel,
 )
@@ -141,7 +140,7 @@ def test_new_density_needs_only_the_protocol():
     for u in (0.2, 0.45):
         assert overlap_kernel(ramp, beta, u) == overlap_kernel(ohmic, beta, u)
     for tau in (0.3, 2.0):
-        assert g_double_integral(ramp, beta, tau) == g_double_integral(ohmic, beta, tau)
+        assert _g_at(ramp, beta, tau) == _g_at(ohmic, beta, tau)
     system = build_system(SpinBosonParams(1.0, 0.7))
     bath = BathParams(beta, 0.8)
     exact = CorrectionMethod.EXACT_QUADRATURE
@@ -179,6 +178,19 @@ def test_lorentz_drude_kernel_against_mpmath(wc, beta):
     with mpmath.workdps(30):
         ref = np.array([float(_kernel_mpmath(1.0, wc, beta, ui)) for ui in u])
     assert np.max(np.abs(k / ref - 1.0)) <= 1e-13
+
+
+def test_lorentz_drude_kernel_near_the_ends_against_mpmath():
+    # K's w-integrand switches on at w ~ 1/u, near t = 1 of the map w =
+    # omega_c t/(1 - t) for small u. In a batch with u = beta/2 the generic
+    # first panels left K(1e-6 beta) 7.8e-10 off; panels in decades of 1 - t
+    # down to omega_c u/10 give 1.0e-14.
+    beta, wc = 1.0, 0.25
+    u = np.array([1e-6, 0.5, 1.0 - 1e-5]) * beta
+    k = LorentzDrude(1.0, wc).kernel(beta, u, QuadratureSettings())
+    with mpmath.workdps(30):
+        ref = float(_kernel_mpmath(1.0, wc, beta, u[0], [1.0 / beta, wc, 1.0 / u[0]]))
+    assert abs(k[0] / ref - 1.0) <= 1e-13
 
 
 def test_lorentz_drude_kernel_refused_past_its_measured_range():
@@ -296,18 +308,23 @@ def test_mu_exp_bit_identical_to_select_form():
     assert np.all(got[0] == tau**2 / 2.0) and np.all(got[:, 0] == 0.0)
 
 
+def _g_at(sd, beta, tau):
+    """G at one tau, through _g_batch, the one G boundary."""
+    return complex(_g_batch(sd, beta, np.array([tau]), QuadratureSettings())[0])
+
+
 def test_g_zero_and_validation():
     sd = LorentzDrude(1.0, 0.5)
-    assert g_double_integral(sd, 1.9, 0.0) == 0j
+    assert _g_at(sd, 1.9, 0.0) == 0j
     with pytest.raises(ValidationError):
-        g_double_integral(sd, 1.0, -0.5)
-    with pytest.raises(ValidationError):
-        g_double_integral(sd, 0.0, 1.0)
+        _g_at(sd, 1.0, -0.5)
+    with pytest.raises(ValidationError):  # beta is checked where it is made
+        BathParams(0.0, 1.0)
 
 
 def test_g_real_part_frozen_reference():
     for (q, wc, beta, tau), ref in RE_G_REF:
-        g = g_double_integral(LorentzDrude(q, wc), beta, tau)
+        g = _g_at(LorentzDrude(q, wc), beta, tau)
         assert g.real == pytest.approx(ref, rel=1e-11)
 
 
@@ -451,7 +468,7 @@ def test_g_refused_past_its_term_budget():
     # a = beta w_c/2 pi sets the 40 a terms of the exponential sum; past
     # a = 1e4 (here 1.6e4) G is refused with NumericsError, not summed.
     with pytest.raises(NumericsError, match="past 10000"):
-        g_double_integral(LorentzDrude(1.0, 1e3), 100.0, 1.0)
+        _g_at(LorentzDrude(1.0, 1e3), 100.0, 1.0)
 
 
 def test_g_not_finite_is_refused_without_warnings():
@@ -459,7 +476,7 @@ def test_g_not_finite_is_refused_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericsError, match="not finite"):
-            g_double_integral(LorentzDrude(1.0, 0.25), 1.0, 1e308)
+            _g_at(LorentzDrude(1.0, 0.25), 1.0, 1e308)
 
 
 @pytest.mark.parametrize("wc, beta", [(0.25, 1.0), (1.0, 2 * math.pi), (3.0, 7.0), (50.0, 3.0)])
@@ -488,7 +505,7 @@ def test_g_imag_part_closed_form():
     for beta in (0.7, 1.9):
         for tau in (0.05, 1.0, 7.0, 40.0):
             ref = -q * tau + (q / wc) * (1.0 - math.exp(-wc * tau))
-            assert g_double_integral(sd, beta, tau).imag == pytest.approx(ref, rel=1e-12)
+            assert _g_at(sd, beta, tau).imag == pytest.approx(ref, rel=1e-12)
 
 
 def test_g_real_part_monotone_small_tau():
@@ -496,7 +513,7 @@ def test_g_real_part_monotone_small_tau():
     # increase from exactly 0.
     sd = LorentzDrude(1.0, 0.5)
     taus = np.linspace(0.0, 0.02, 9)
-    vals = [g_double_integral(sd, 1.9, float(t)).real for t in taus]
+    vals = [_g_at(sd, 1.9, float(t)).real for t in taus]
     assert vals[0] == 0.0
     assert np.all(np.diff(vals) > 0)
 
@@ -514,7 +531,7 @@ def test_g_matches_direct_integral_for_compact_support():
     ws = np.outer(s_grid, w)
     cb = (np.cos(ws) / np.tanh(0.5 * beta * w) - 1j * np.sin(ws)) @ (0.75 * wx * sd(w))
     ref = np.trapezoid((tau - s_grid) * cb, s_grid)
-    g = g_double_integral(sd, beta, tau)
+    g = _g_at(sd, beta, tau)
     assert g.real == pytest.approx(ref.real, rel=2e-6)
     assert g.imag == pytest.approx(ref.imag, rel=2e-6)
 

@@ -144,26 +144,102 @@ def test_f_methods_overflow_guard():
             fn()
 
 
+def test_natural_coupling_overflow_is_refused_with_the_coupling_note():
+    # Natural shifts each pseudo energy by lambda^2 a_l^2 Q: past lambda =
+    # 1.3e154 lambda^2 overflows, which is the coupling note, not a bare
+    # OverflowError.
+    sys = spin_system()
+    bath = BathParams(beta=1.0, lam=2e154)
+    sd = LorentzDrude(1.0, 0.25)
+    note = "coupling lambda\\^2 \\(a_l - a_l'\\)\\^2 overflows at lambda = 2e\\+154"
+    for method in (EXACT, HIGH_T, SERIES):
+        with pytest.raises(NumericsError, match=note):
+            steady_state(sys, bath, sd, method, NATURAL)
+    with pytest.raises(NumericsError, match=note):
+        zeroth_order_state(sys, bath, NATURAL, sd)
+
+
+def test_f_series_keeps_its_inverse_coupling_limit_past_lambda_1e77():
+    # c = lambda^2 (a_l - a_l')^2 Q: c^2 and lambda^4 overflow from lambda ~ 1e77,
+    # where the second-order term is below the first's rounding; the value is
+    # the leading term, with no warning (the suite makes warnings errors).
+    sys = spin_system()
+    sd = LorentzDrude(1.0, 0.25)
+    e = math.exp(1.0)
+    for lam in (1e77, 1e100, 1e150):
+        c = 4.0 * lam**2
+        renorm = f_series(sys, BathParams(beta=1.0, lam=lam), sd, 1, 0)
+        assert renorm == (1.0 + e) / c
+        natural = f_series(sys, BathParams(beta=1.0, lam=lam), sd, 1, 0, NATURAL)
+        assert natural == pytest.approx((1.0 + e) / c, rel=1e-15)
+    # Below the overflow the second term is still there.
+    lam = 1e76
+    small = f_series(sys, BathParams(beta=1.0, lam=lam), sd, 1, 0)
+    assert small == (1.0 + e) / (4.0 * lam**2) + (1.0 - e) / (4.0 * lam**2) ** 2
+
+
 def test_f_exact_is_right_or_refused_at_large_coupling(monkeypatch):
     # The integrand's boundary layer at u = 0 has width beta/x, x = lambda^2
-    # (a_l - a_l')^2 Q beta = 4 lambda^2 Q here. Up to x = 4.5e7 the first
-    # quadrature nodes see it; past it f_exact was 100 % off with a tiny error
-    # estimate, so past x = 1e7 it is refused.
+    # (a_l - a_l')^2 Q beta = 4 lambda^2 Q here. f_exact's first panels sit at
+    # that width, so it tracks high-t far past the 4.5e7 where the generic
+    # panels lost the layer; past x = 1e9 it is refused.
     sys = spin_system()
     sd = LorentzDrude(1.0, 0.25)
     l, l2 = np.array([1, 0]), np.array([0, 1])
-    for lam2q in (1e5, 1e6):  # measured 4.6e-6 and 5.5e-7
+    for lam2q, tol in ((1e5, 1e-5), (1e6, 1e-5), (1e8, 1e-7)):  # measured 4.6e-6, 5.5e-7, 6.0e-9
         bath = BathParams(beta=1.0, lam=math.sqrt(lam2q))
         ex = f_exact(sys, bath, sd, l, l2).value
-        assert np.max(np.abs(ex / f_high_t(sys, bath, sd, l, l2) - 1.0)) <= 1e-5
-    for lam2q in (1e8, 1e12):
+        assert np.max(np.abs(ex / f_high_t(sys, bath, sd, l, l2) - 1.0)) <= tol
+    for lam2q in (1e9, 1e12):
         with pytest.raises(NumericsError, match="refused at lambda"):
             f_exact(sys, BathParams(beta=1.0, lam=math.sqrt(lam2q)), sd, l, l2)
     # A value that comes out nonpositive is a numerical failure too.
     monkeypatch.setattr(steady, "integrate_finite",
-                        lambda *a: QuadratureResult(np.zeros(2), 0.0, 135, np.zeros(2)))
+                        lambda *a, **k: QuadratureResult(np.zeros(2), 0.0, 150, np.zeros(2)))
     with pytest.raises(NumericsError, match="nonpositive"):
         f_exact(sys, BathParams(beta=1.0, lam=1.0), sd, l, l2)
+
+
+# f_{1,0} and f_{0,1} of spin_system() under Lorentz-Drude (Q = 1, omega_c =
+# 0.25, beta = 1) at lambda = sqrt(x/4): 20-digit mpmath nested quadrature
+# (K(u) by mpmath.quad over w, f by Gauss-Legendre on rungs at 0.1 ... 1000
+# layer widths beta/x from each end), independent of the package's engine.
+F_EXACT_LARGE_X_REF = {
+    1e8: (3.7182819868155032605e-8, 1.3678794994275276044e-8),
+    1e9: (3.7182818456573201067e-9, 1.3678794474983340704e-9),
+}
+
+
+def test_f_exact_against_mpmath_at_large_coupling():
+    # Measured 6.2e-10 at x = 1e8 and 2.1e-8 at x = 1e9, each inside its
+    # error estimate (8.4e-8 and 3.5e-6 relative; abs_tol sets it there).
+    sys = spin_system()
+    sd = LorentzDrude(1.0, 0.25)
+    l, l2 = np.array([1, 0]), np.array([0, 1])
+    for x, ref in F_EXACT_LARGE_X_REF.items():
+        r = f_exact(sys, BathParams(beta=1.0, lam=math.sqrt(x / 4.0)), sd, l, l2)
+        assert np.max(np.abs(r.value / ref - 1.0)) <= 1e-7
+        assert np.all(np.abs(r.value - ref) <= r.component_errors)
+
+
+def test_f_exact_first_node_lies_inside_the_layer(monkeypatch):
+    # The first u nodes sit at a fraction of the layer width beta/x at every
+    # coupling up to the bound (the generic panels put them at 4.3e-7 beta).
+    kernel = steady._overlap_kernel_batch
+    first = []
+
+    def spy(sd, beta, u, settings):
+        first.append(float(np.min(u)))
+        return kernel(sd, beta, u, settings)
+
+    monkeypatch.setattr(steady, "_overlap_kernel_batch", spy)
+    sys = spin_system()
+    sd = LorentzDrude(1.0, 0.25)
+    for beta in (1.0, 3.0):
+        for x in (1.0, 1e3, 1e6, 1e9):
+            first.clear()
+            f_exact(sys, BathParams(beta=beta, lam=math.sqrt(x / (4.0 * beta))), sd, 1, 0)
+            assert 0.0 < x * first[0] / beta < 1.0
 
 
 def test_f_pair_index_validation():
@@ -224,9 +300,10 @@ def test_f_high_t_calls_dawson_at_most_twice(monkeypatch):
 
 def test_exact_steady_state_one_kernel_call_per_panel_batch(monkeypatch):
     # All pairs are one vector-valued integrand: K(u) is evaluated once per
-    # batch of GK15 panels (the 9 initial panels, then the halves of every
-    # panel a round bisects, here 2, 2, 2 and 1) for every pair together, and
-    # the pairs share the count.
+    # batch of GK15 panels (the 10 initial panels, rungs at 0.1, 1 and 10
+    # layer widths beta/x from each end (x = 48.5) and 4 between them, then
+    # the halves of every panel a round bisects, here 1 and 1) for every pair
+    # together, and the pairs share the count.
     from meanforce import steady
 
     u_nodes = []
@@ -240,7 +317,7 @@ def test_exact_steady_state_one_kernel_call_per_panel_batch(monkeypatch):
     sys = random_system(np.random.default_rng(11), 4)
     res = steady_state(sys, BathParams(beta=1.2, lam=1.3), LorentzDrude(1.0, 0.25), EXACT, NATURAL)
     evals = res.diagnostics["evaluations"]
-    assert u_nodes == [135, 60, 60, 60, 30]
+    assert u_nodes == [150, 30, 30]
     assert sum(u_nodes) == evals
 
 
@@ -306,8 +383,8 @@ def test_exact_error_estimate_per_entry(monkeypatch):
 
     captured = []
 
-    def spy(*args):
-        captured.append(integrate_finite(*args))
+    def spy(*args, **kwargs):
+        captured.append(integrate_finite(*args, **kwargs))
         return captured[-1]
 
     monkeypatch.setattr(steady, "integrate_finite", spy)
