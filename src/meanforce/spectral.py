@@ -530,8 +530,6 @@ def _g_batch(sd: SpectralDensity, beta: float, tau: np.ndarray, settings: Quadra
     overflows at huge tau). G(0) = 0; Re G is nondecreasing; Im G -> -Q*tau +
     const for large tau."""
     tau = np.asarray(tau, dtype=float)
-    if not np.all(tau >= 0.0):
-        raise ValidationError("G(tau) requires tau >= 0")
     with np.errstate(over="ignore", invalid="ignore"):
         g = sd.g(beta, tau, settings)
     if not np.isfinite(g).all():

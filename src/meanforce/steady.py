@@ -17,6 +17,7 @@ two give identical states.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -161,9 +162,9 @@ def zeroth_order_state(
 
 _EXP_CAP = 700.0  # just under log(realmax); e^{beta*gap} appears in every method
 # f_exact's integrand has a layer of width beta/x at u = 0, x = lambda^2
-# (a_l - a_l')^2 Q beta, as K'(0) = Q, and its first panels sit at that width.
-# The spin-boson at Lorentz-Drude w_c = 0.25, beta = 1 is within 6.2e-10,
-# 2.1e-8, 2.2e-9 and 3.5e-7 of 20-digit mpmath nested quadrature at x = 1e8,
+# (a_l - a_l')^2 Q beta, as K'(0) = Q, and its first panels start inside it.
+# The spin-boson at Lorentz-Drude w_c = 0.25, beta = 1 is within 2.8e-9,
+# 3.7e-8, 2.2e-9 and 3.5e-7 of 20-digit mpmath nested quadrature at x = 1e8,
 # 1e9, 4e9 and 4e10, and tracks high-t to 4e-6 up to x = 1.2e11 (also at
 # beta = 3, w_c = 2, and ohmic), each inside its error estimate. With the
 # generic first panels it was 100 % off from x = 4.8e7. The largest pair's x
@@ -171,17 +172,31 @@ _EXP_CAP = 700.0  # just under log(realmax); e^{beta*gap} appears in every metho
 _EXACT_X_MAX = 1e9
 
 
-_LAYER_RUNGS = np.array([0.1, 1.0, 10.0, 100.0])
+def _layer_breakpoints(beta: float, omega: np.ndarray, slope: np.ndarray) -> np.ndarray | None:
+    """f_exact's first panel edges on [0, beta], or None (the generic ones)
+    where no pair has a layer narrower than beta/4.
 
-
-def _layer_breakpoints(beta: float, x: float) -> np.ndarray:
-    """f_exact's first panel edges on [0, beta]: rungs at (beta/x) * _LAYER_RUNGS
-    below beta/4 at each end, the width of f's boundary layers there (the
-    ladder reaches 100 layer widths, past which the layer holds e^-100 of its
-    mass), and 4 equal panels between the innermost rungs."""
-    rungs = (beta / x) * _LAYER_RUNGS
-    rungs = rungs[rungs < 0.25 * beta]
-    inner = rungs[-1] if rungs.size else 0.0
+    As K'(0) = Q, pair s's integrand leaves u = 0 at the rate omega_s -
+    slope_s and u = beta at omega_s + slope_s (slope = lambda^2 (a_l - a_l')^2
+    Q = x/beta), a layer of width 1/|rate| at each end. Rungs go in decades
+    from a tenth of the narrowest width up to 100 of the widest (past which a
+    layer holds e^-100 of its mass), below beta/4 at each end, with 4 equal
+    panels between the innermost rungs. A rung too close to 0 to mirror at
+    beta is dropped.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        widths = 1.0 / np.abs(np.concatenate((omega - slope, omega + slope), axis=None))
+    widths = widths[(widths > 0.0) & (widths < np.inf)]
+    if widths.size == 0:
+        return None
+    lo = math.log10(widths.min()) - 1.0
+    hi = math.log10(min(100.0 * widths.max(), 0.25 * beta))
+    with np.errstate(over="ignore"):
+        rungs = 10.0 ** (lo + np.arange(max(math.ceil(hi - lo - 1e-9), 0) + 1))
+    rungs = rungs[(beta - rungs < beta) & (rungs < 0.25 * beta)]
+    if rungs.size == 0:
+        return None
+    inner = rungs[-1]
     middle = inner + (beta - 2.0 * inner) * np.array([0.25, 0.5, 0.75])
     return np.concatenate(([0.0], rungs, middle, beta - rungs[::-1], [beta]))
 
@@ -247,9 +262,10 @@ def f_exact(
     batched over the u nodes of a whole panel batch (integrate_finite's call
     pattern) at 10x tighter tolerance. Under the Natural convention the gap
     in the exponent is the renormalized one. The outer quadrature starts on
-    panels at the scale of the integrand's boundary layers, width beta/x at
-    each end (_layer_breakpoints, x the largest pair's), and at lambda = 0,
-    where there is no layer, on integrate_finite's generic ones.
+    panels in decades of the integrand's boundary layers at both ends, over
+    every pair's widths 1/|w -+ x/beta| (_layer_breakpoints), and where no
+    pair has one (lambda = 0, or every layer wider than beta/4) on
+    integrate_finite's generic ones.
 
     l and l2 may be matching integer arrays: every pair is then one component
     of a single vector-valued integrand, so K is evaluated once per panel
@@ -262,6 +278,7 @@ def f_exact(
     s = q or QuadratureSettings()
     beta = bath.beta
     top = float(np.max(scale))
+    slope = scale * sd.reorganization_energy()  # x/beta of every pair
     x = top * sd.reorganization_energy() * beta
     if not x <= _EXACT_X_MAX:
         raise NumericsError(f"f_exact is refused at lambda^2 (a_l - a_l')^2 Q beta = {x:.3g}, "
@@ -283,7 +300,7 @@ def f_exact(
         k = 0.0 if inner is None else _overlap_kernel_batch(sd, beta, u, inner)
         return np.exp(np.multiply.outer(u, omega) - np.multiply.outer(k, scale) - shift)
 
-    breakpoints = None if inner is None else _layer_breakpoints(beta, x)
+    breakpoints = None if inner is None else _layer_breakpoints(beta, omega, slope)
     res = integrate_finite(integrand, 0.0, beta, s, breakpoints=breakpoints)
     bound = np.exp(shift)
     value = res.value * bound

@@ -316,8 +316,6 @@ def _g_at(sd, beta, tau):
 def test_g_zero_and_validation():
     sd = LorentzDrude(1.0, 0.5)
     assert _g_at(sd, 1.9, 0.0) == 0j
-    with pytest.raises(ValidationError):
-        _g_at(sd, 1.0, -0.5)
     with pytest.raises(ValidationError):  # beta is checked where it is made
         BathParams(0.0, 1.0)
 

@@ -77,6 +77,10 @@ def test_f_exact_lambda_zero_closed_form():
         w = float(sys.pseudo_energies[l] - sys.pseudo_energies[l2])
         ref = math.expm1(bath.beta * w) / w
         assert f_exact(sys, bath, sd, l, l2).value == pytest.approx(ref, rel=1e-11)
+        # A coupling whose x = lambda^2 (a_l - a_l')^2 Q beta underflows to 0
+        # while lambda^2 (a_l - a_l')^2 does not: the panels follow the gap.
+        tiny = BathParams(beta=1.3, lam=1e-160)
+        assert f_exact(sys, tiny, LorentzDrude(1e-5, 0.25), l, l2).value == pytest.approx(ref, rel=1e-11)
 
 
 def test_f_exact_frozen_reference():
@@ -211,7 +215,7 @@ F_EXACT_LARGE_X_REF = {
 
 
 def test_f_exact_against_mpmath_at_large_coupling():
-    # Measured 6.2e-10 at x = 1e8 and 2.1e-8 at x = 1e9, each inside its
+    # Measured 2.8e-9 at x = 1e8 and 3.7e-8 at x = 1e9, each inside its
     # error estimate (8.4e-8 and 3.5e-6 relative; abs_tol sets it there).
     sys = spin_system()
     sd = LorentzDrude(1.0, 0.25)
@@ -220,6 +224,27 @@ def test_f_exact_against_mpmath_at_large_coupling():
         r = f_exact(sys, BathParams(beta=1.0, lam=math.sqrt(x / 4.0)), sd, l, l2)
         assert np.max(np.abs(r.value / ref - 1.0)) <= 1e-7
         assert np.all(np.abs(r.value - ref) <= r.component_errors)
+
+
+@pytest.mark.parametrize("lam2qbeta", [1e4, 1e5])
+def test_f_exact_resolves_every_pairs_layer(monkeypatch, lam2qbeta):
+    # a = {0, 1, 10}: the pairs' layers, of width beta/x, span two decades.
+    # At lambda^2 Q beta = 1e5 (largest x 1e7) first panels placed for the
+    # largest x alone read the (0, 1) pair's layer as 0 past 100 of the
+    # largest's widths and lost 37 % of f. The generic panels, which see
+    # every layer up to x = 4.5e7, agree to 1.6e-11 (measured).
+    h = np.diag([0.3, -0.2, 0.1]).astype(complex)
+    h[0, 1] = h[1, 0] = 0.2
+    h[1, 2] = h[2, 1] = 0.1
+    sys = SystemSpec(h, np.diag([0.0, 1.0, 10.0]))
+    sd = LorentzDrude(1.0, 0.25)
+    bath = BathParams(beta=1.0, lam=math.sqrt(lam2qbeta))
+    l, l2 = np.array([0, 1, 0, 1, 2, 2]), np.array([1, 0, 2, 2, 0, 1])
+    r = f_exact(sys, bath, sd, l, l2)
+    monkeypatch.setattr(steady, "_layer_breakpoints", lambda *a: None)
+    generic = f_exact(sys, bath, sd, l, l2)
+    assert np.max(np.abs(r.value / generic.value - 1.0)) <= 1e-9
+    assert np.all(np.abs(r.value - generic.value) <= r.component_errors + generic.component_errors)
 
 
 def test_f_exact_first_node_lies_inside_the_layer(monkeypatch):
@@ -301,9 +326,9 @@ def test_f_high_t_calls_dawson_at_most_twice(monkeypatch):
 def test_exact_steady_state_one_kernel_call_per_panel_batch(monkeypatch):
     # All pairs are one vector-valued integrand: K(u) is evaluated once per
     # batch of GK15 panels (the 10 initial panels, rungs at 0.1, 1 and 10
-    # layer widths beta/x from each end (x = 48.5) and 4 between them, then
-    # the halves of every panel a round bisects, here 1 and 1) for every pair
-    # together, and the pairs share the count.
+    # times the narrowest layer width, 0.018, from each end and 4 between
+    # them, then the halves of every panel a round bisects, here 1 and 1) for
+    # every pair together, and the pairs share the count.
     from meanforce import steady
 
     u_nodes = []
