@@ -15,7 +15,7 @@ from .errors import (
     UnsupportedOperationError,
     ValidationError,
 )
-from .linalg import DensityMatrix, HermitianMatrix, eigh, matrix_exp_hermitian
+from .linalg import DensityMatrix, HermitianMatrix, eigh
 from .oracle import (
     BathDiscretization,
     OracleResult,
@@ -84,7 +84,6 @@ __all__ = [
     "f_series",
     "integrate_finite",
     "j_of_omega",
-    "matrix_exp_hermitian",
     "me_state",
     "me_steady_state",
     "observables",

@@ -1,5 +1,4 @@
-"""Dense Hermitian linear algebra: eigendecomposition and the spectral matrix
-exponential.
+"""Dense Hermitian linear algebra: validation and eigendecomposition.
 
 Matrices stay small (system dimension times a truncated Fock space); dense
 numpy is the whole story here. Real-symmetric inputs keep real dtype
@@ -13,18 +12,16 @@ entries to LAPACK uncopied (numpy's eigh makes its own working copy).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "HermitianMatrix",
     "DensityMatrix",
     "eigh",
-    "matrix_exp_hermitian",
 ]
 
 _HERM_TOL = 1e-12
@@ -124,23 +121,3 @@ def eigh(m):
     a = m.entries if isinstance(m, HermitianMatrix) else _hermitian_array(m, "eigh input")
     return np.linalg.eigh(a)
 
-
-def matrix_exp_hermitian(m, scale: float) -> HermitianMatrix:
-    """exp(scale * m) for Hermitian m, via the spectral decomposition.
-
-    Raises if scale * max-eigenvalue would overflow; callers evaluating
-    thermal weights must shift the spectrum first (the shift cancels in every
-    partition-function ratio).
-    """
-    scale = float(scale)
-    w, v = eigh(m)
-    exponents = scale * w
-    top = float(np.max(exponents))
-    if top > math.log(np.finfo(float).max):
-        raise NumericsError(
-            f"matrix exponential overflows: max exponent {top:.6g}; "
-            "shift the spectrum before exponentiating"
-        )
-    out = (v * np.exp(exponents)) @ v.conj().T
-    out = 0.5 * (out + out.conj().T)
-    return HermitianMatrix(out)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import DensityMatrix, HermitianMatrix, eigh, matrix_exp_hermitian
+from .linalg import DensityMatrix, HermitianMatrix, eigh
 from .spectral import BathParams, DiscreteModes, SpectralDensity, j_of_omega, overlap_kernel
 from .steady import RenormalizationConvention, SystemSpec
 
@@ -285,15 +285,15 @@ def verify_trace_identity(
     g, w = bd.modes[0]
 
     def lhs_at(c: int) -> float:
+        # sum_{n,m} e^{-(beta-u) E_n} |<n|m'>|^2 e^{-u E'_m}, from one eigh per
+        # displaced Hamiltonian. Truncated, H_{B,l} is the Gram matrix
+        # w (a + alpha)^dagger (a + alpha), so no exponent is positive.
         h_b, b = _bath_operators(bd, c)
         h_b, eye = np.diag(h_b), np.eye(c + 1)
-
-        def displaced(al: float) -> HermitianMatrix:
-            return HermitianMatrix(h_b + lam * al * b + lam**2 * al**2 * g**2 / w * eye)
-
-        left = matrix_exp_hermitian(displaced(a_l), -(beta - u)).entries
-        right = matrix_exp_hermitian(displaced(a_l2), -u).entries
-        return float(np.real(np.trace(left @ right)))
+        e, v = eigh(h_b + lam * a_l * b + lam**2 * a_l**2 * g**2 / w * eye)
+        e2, v2 = eigh(h_b + lam * a_l2 * b + lam**2 * a_l2**2 * g**2 / w * eye)
+        overlap = np.abs(v.conj().T @ v2) ** 2
+        return float(np.exp(-(beta - u) * e) @ overlap @ np.exp(-u * e2))
 
     lhs = lhs_at(cutoff)
     recheck = lhs_at(cutoff + 10)

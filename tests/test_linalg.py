@@ -2,15 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from meanforce.errors import NumericsError, ValidationError
-from meanforce.linalg import (
-    DensityMatrix,
-    HermitianMatrix,
-    eigh,
-    matrix_exp_hermitian,
-)
+from meanforce.errors import ValidationError
+from meanforce.linalg import DensityMatrix, HermitianMatrix, eigh
 
 
 def random_hermitian(rng, n):
@@ -115,42 +109,3 @@ def test_eigh_rejects_nonhermitian():
     with pytest.raises(ValidationError):
         eigh(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
-
-def test_matrix_exp_diagonal():
-    m = np.diag([1.0, 2.0, -3.0])
-    out = matrix_exp_hermitian(m, -0.5).entries
-    assert np.allclose(np.diag(out), np.exp([-0.5, -1.0, 1.5]), rtol=1e-14)
-
-
-def test_matrix_exp_inverse_pair():
-    rng = np.random.default_rng(3)
-    m = random_hermitian(rng, 4)
-    a = matrix_exp_hermitian(m, 0.3).entries
-    b = matrix_exp_hermitian(m, -0.3).entries
-    assert np.allclose(a @ b, np.eye(4), atol=1e-12)
-
-
-def test_matrix_exp_with_large_entries_is_exactly_hermitian():
-    # Entries near 1e16: the spectral product is Hermitian only to about 1
-    # absolute, far past validation's 1e-12, so matrix_exp_hermitian
-    # symmetrizes it before it is validated.
-    m = random_hermitian(np.random.default_rng(0), 20)
-    out = matrix_exp_hermitian(m, 5.0).entries
-    assert np.max(np.abs(out)) > 1e15
-    assert np.array_equal(out, out.conj().T)
-
-
-def test_matrix_exp_overflow_guard():
-    with pytest.raises(NumericsError):
-        matrix_exp_hermitian(np.diag([1000.0, 0.0]), 1.0)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=2, max_value=4), st.integers(min_value=0, max_value=2**31 - 1))
-def test_matrix_exp_trace_identity(n, seed):
-    # det(e^M) = e^{tr M}, i.e. prod of eigenvalue exponentials.
-    rng = np.random.default_rng(seed)
-    m = random_hermitian(rng, n)
-    out = matrix_exp_hermitian(m, 1.0).entries
-    det = float(np.real(np.linalg.det(out)))
-    assert det == pytest.approx(math.exp(float(np.real(np.trace(m)))), rel=1e-9)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from meanforce.errors import ValidationError
-from meanforce.linalg import eigh, matrix_exp_hermitian
+from meanforce.linalg import eigh
 from meanforce.oracle import (
     BathDiscretization,
     _reduced_thermal_state,
@@ -25,6 +25,20 @@ from meanforce.steady import (
     steady_state,
     zeroth_order_state,
 )
+
+
+def _expm(m):
+    """e^m without an eigensolver: a 30-term Taylor sum of m / 2^s, squared s
+    times, with 2^s at least m's 1-norm."""
+    s = max(0, math.ceil(math.log2(max(np.linalg.norm(m, 1), 1.0))))
+    x = m / 2.0**s
+    term = out = np.eye(len(m), dtype=x.dtype)
+    for k in range(1, 31):
+        term = term @ x / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
 
 
 def test_discretize_midpoint_rule():
@@ -169,7 +183,7 @@ def test_oracle_lambda_zero_reduces_to_gibbs():
     bd = BathDiscretization(modes=((0.4, 1.2),), fock_cutoff=15)
     bath = BathParams(beta=1.3, lam=0.0)
     res = exact_mean_force_state(sys, bd, bath)
-    ref = matrix_exp_hermitian(sys.h_s, -bath.beta).entries
+    ref = _expm(-bath.beta * sys.h_s.entries)
     ref = ref / np.trace(ref).real
     assert np.allclose(res.state.entries, ref, atol=1e-12)
     assert not res.truncation_suspect
@@ -245,6 +259,24 @@ def test_trace_identity_endpoint_u():
     lhs, rhs = verify_trace_identity(bd, 1.0, -1.0, lam=0.7, beta=1.0, u=0.0)
     assert abs(lhs / rhs - 1.0) < 1e-12
     assert rhs == pytest.approx(truncated_bath_partition(bd, 1.0, 60), rel=1e-12)
+
+
+@pytest.mark.parametrize("u_frac", [0.0, 0.4, 1.0])
+def test_trace_identity_lhs_matches_matrix_exponentials(u_frac):
+    # Tr[e^{-(beta-u) H_{B,l}} e^{-u H_{B,l'}}] with each displaced Hamiltonian
+    # built from its ladder operators and exponentiated without an eigensolver.
+    g, w, lam, beta, cutoff = 0.5, 1.0, 0.9, 4.0, 8
+    bd = BathDiscretization(modes=((g, w),), fock_cutoff=cutoff)
+    ladder = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
+
+    def displaced(al):
+        return (w * np.diag(np.arange(cutoff + 1.0)) + lam * al * g * (ladder + ladder.T)
+                + lam**2 * al**2 * g**2 / w * np.eye(cutoff + 1))
+
+    u = u_frac * beta
+    ref = np.trace(_expm(-(beta - u) * displaced(1.0)) @ _expm(-u * displaced(-1.0)))
+    lhs, _ = verify_trace_identity(bd, 1.0, -1.0, lam=lam, beta=beta, u=u)
+    assert abs(lhs / ref - 1.0) < 1e-13
 
 
 def test_trace_identity_validations():
@@ -324,7 +356,7 @@ def test_reduced_thermal_state_matches_matrix_exponential_route(sys_name, conv):
     rho, z_sb = _reduced_thermal_state(sys, _TWO_MODES, bath, conv, 6)
     h = build_total_hamiltonian(sys, _TWO_MODES, bath.lam, conv)
     e0 = float(np.linalg.eigvalsh(h.entries)[0])
-    m = matrix_exp_hermitian(h.entries - e0 * np.eye(h.dim), -bath.beta).entries
+    m = _expm(-bath.beta * (h.entries - e0 * np.eye(h.dim)))
     z_shift = float(np.real(np.trace(m)))
     ref = np.einsum("ibjb->ij", m.reshape(sys.dim, 49, sys.dim, 49)) / z_shift
     assert np.max(np.abs(rho - ref)) <= 1e-13
