@@ -10,8 +10,10 @@ high-temperature form, and an inverse-coupling series).
 Two bookkeeping conventions are supported: Renormalized treats the
 counterterm-including Hamiltonian as fundamental (pseudo energies h_l);
 Natural removes the counterterm, shifting each pseudo energy by
--lambda^2 a_l^2 Q. For couplings with uniform a_l^2 (e.g. A = sigma_z) the
-two give identical states.
+-lambda^2 a_l^2 Q. That shift is taken less its smallest value,
+-lambda^2 Q (a_l^2 - min a^2), which gives the same state (a common shift
+cancels) and keeps the h_l's digits at any coupling. For couplings with
+uniform a_l^2 (e.g. A = sigma_z) the two conventions give identical states.
 """
 
 from __future__ import annotations
@@ -132,8 +134,10 @@ def _effective_energies(
     if sd is None:
         raise ValidationError("Natural convention needs a spectral density for Q")
     q = sd.reorganization_energy()
-    with np.errstate(over="ignore"):
-        shift = np.float64(bath.lam) ** 2 * sys.a_eigenvalues**2 * q
+    # A uniform a_l^2 past lambda = 1.3e154 gives inf * 0 = nan: refused like inf.
+    a2 = sys.a_eigenvalues**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = np.float64(bath.lam) ** 2 * (a2 - np.min(a2)) * q
     if not np.isfinite(shift).all():
         raise _coupling_overflow(bath.lam)
     return h - shift
@@ -153,7 +157,8 @@ def zeroth_order_state(
     """Infinite-coupling limit: diagonal in the A eigenbasis.
 
     Populations are e^{-beta e_l}/Z with e_l = h_l (Renormalized) or
-    h_l - lambda^2 a_l^2 Q (Natural, which therefore needs sd).
+    h_l - lambda^2 Q (a_l^2 - min a^2) (Natural, which therefore needs sd;
+    the common shift lambda^2 Q min a^2 cancels in Z).
     """
     p = _populations(_effective_energies(sys, bath, conv, sd), bath.beta)
     v = sys.a_eigenvectors

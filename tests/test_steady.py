@@ -573,6 +573,25 @@ def test_steady_state_convention_equivalence_spin_boson():
         assert np.allclose(a, b, atol=1e-10)
 
 
+def test_natural_equals_renormalized_on_the_spin_boson_at_lambda2q_1e17():
+    # Natural subtracts lambda^2 Q (a_l^2 - min a^2), which is 0 for sigma_z:
+    # subtracting lambda^2 a_l^2 Q = 1e17 itself rounded the pseudo energies
+    # away and gave p = 0.5.
+    sys = spin_system()
+    bath = BathParams(beta=1.5, lam=math.sqrt(1e17))
+    sd = LorentzDrude(1.0, 0.25)
+    a = zeroth_order_state(sys, bath, sd=sd).entries
+    b = zeroth_order_state(sys, bath, conv=NATURAL, sd=sd).entries
+    assert np.array_equal(a, b)
+    assert a[0, 0].real == pytest.approx(0.18242552380635632, rel=1e-15)
+    for method in (HIGH_T, SERIES):
+        a = steady_state(sys, bath, sd, method=method)
+        b = steady_state(sys, bath, sd, method=method, conv=NATURAL)
+        assert np.array_equal(a.populations, b.populations)
+        assert np.allclose(a.f_values, b.f_values, rtol=1e-14, atol=0.0)
+        assert np.allclose(a.state.entries, b.state.entries, rtol=1e-14, atol=0.0)
+
+
 def test_steady_state_coherences_decay_with_coupling():
     sys = spin_system()
     sd = LorentzDrude(1.0, 0.25)
