@@ -120,4 +120,3 @@ def eigh(m):
     """
     a = m.entries if isinstance(m, HermitianMatrix) else _hermitian_array(m, "eigh input")
     return np.linalg.eigh(a)
-

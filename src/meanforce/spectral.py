@@ -89,6 +89,8 @@ class LorentzDrude(SpectralDensity):
     def __post_init__(self):
         if not (self.Q > 0 and self.omega_c > 0):
             raise ValidationError("LorentzDrude requires Q > 0 and omega_c > 0")
+        if not math.isfinite(self.Q):
+            raise ValidationError(f"LorentzDrude requires a finite Q, got Q = {self.Q!r}")
         if not math.isfinite(self.omega_c * self.omega_c):
             # J(w) has omega_c^2 in its denominator.
             raise ValidationError(
@@ -152,6 +154,9 @@ class OhmicHardCutoff(SpectralDensity):
     def __post_init__(self):
         if not (self.eta > 0 and self.omega_c > 0):
             raise ValidationError("OhmicHardCutoff requires eta > 0 and omega_c > 0")
+        if not (math.isfinite(self.eta) and math.isfinite(self.omega_c)):
+            raise ValidationError(f"OhmicHardCutoff requires finite eta and omega_c, "
+                                  f"got {self.eta!r}, {self.omega_c!r}")
 
     def __call__(self, w):
         w = np.asarray(w, dtype=float)
@@ -236,6 +241,8 @@ class Tabulated(SpectralDensity):
         j = np.asarray(j, dtype=float)
         if omega.ndim != 1 or omega.shape != j.shape or omega.size < 2:
             raise ValidationError("Tabulated requires matching 1-D grids, >= 2 points")
+        if not (np.isfinite(omega).all() and np.isfinite(j).all()):
+            raise ValidationError("Tabulated requires finite omega and J values")
         if not (np.all(np.diff(omega) > 0) and omega[0] >= 0):
             raise ValidationError("frequency grid must be strictly increasing and >= 0")
         if np.any(j < 0):
@@ -289,8 +296,8 @@ class BathParams:
     lam: float
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValidationError("beta must be positive")
+        if not 0 < self.beta < math.inf:
+            raise ValidationError(f"beta must be positive and finite, got {self.beta!r}")
         if not self.lam >= 0:
             raise ValidationError("lambda must be nonnegative")
 

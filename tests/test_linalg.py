@@ -108,4 +108,3 @@ def test_hermitian_matrix_holds_exactly_hermitian_entries():
 def test_eigh_rejects_nonhermitian():
     with pytest.raises(ValidationError):
         eigh(np.array([[0.0, 1.0], [0.5, 0.0]]))
-

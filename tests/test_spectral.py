@@ -49,6 +49,13 @@ def test_density_constructors_validate():
         LorentzDrude(1.0, 0.0)
     with pytest.raises(ValidationError):
         OhmicHardCutoff(1.0, -2.0)
+    # Non-finite parameters are refused here, not later under another name.
+    for make in (lambda: LorentzDrude(math.inf, 0.25), lambda: OhmicHardCutoff(math.inf, 1.0),
+                 lambda: OhmicHardCutoff(1.0, math.inf),
+                 lambda: Tabulated([0.0, 1.0, 2.0], [0.0, math.nan, 1.0]),
+                 lambda: Tabulated([0.0, 1.0, math.inf], [0.0, 1.0, 1.0])):
+        with pytest.raises(ValidationError, match="finite"):
+            make()
     with pytest.raises(ValidationError):
         DiscreteModes([])
     with pytest.raises(ValidationError):
@@ -71,6 +78,9 @@ def test_bath_params_validate():
         BathParams(beta=0.0, lam=1.0)
     with pytest.raises(ValidationError):
         BathParams(beta=1.0, lam=-0.1)
+    for beta in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match="finite"):
+            BathParams(beta=beta, lam=1.0)
 
 
 def test_j_of_omega_shapes():
