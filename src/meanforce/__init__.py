@@ -31,7 +31,6 @@ from .spectral import (
     OhmicHardCutoff,
     SpectralDensity,
     Tabulated,
-    j_of_omega,
     overlap_kernel,
 )
 from .spinboson import SpinBosonParams, SpinObservables, build_system, observables
@@ -83,7 +82,6 @@ __all__ = [
     "f_high_t",
     "f_series",
     "integrate_finite",
-    "j_of_omega",
     "me_state",
     "me_steady_state",
     "observables",

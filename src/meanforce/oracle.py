@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import DensityMatrix, HermitianMatrix, eigh
-from .spectral import BathParams, DiscreteModes, SpectralDensity, j_of_omega, overlap_kernel
+from .spectral import BathParams, DiscreteModes, SpectralDensity, overlap_kernel
 from .steady import RenormalizationConvention, SystemSpec
 
 __all__ = [
@@ -82,7 +82,7 @@ def discretize(sd: SpectralDensity, n: int, omega_max: float) -> BathDiscretizat
         raise ValidationError(f"omega_max {omega_max} must be above the band's lower edge {lo:g}")
     k = np.arange(1, n + 1)
     w = lo + (k - 0.5) * (omega_max - lo) / n
-    g = np.sqrt(j_of_omega(sd, w) * (omega_max - lo) / n)
+    g = np.sqrt(sd(w) * (omega_max - lo) / n)
     if not np.any(g > 0):
         raise ValidationError(
             f"J is 0 at all {n} midpoints of [{lo:g}, {omega_max:g}], so no mode couples"
@@ -160,20 +160,16 @@ class OracleResult:
     convergence rows are (fock_cutoff, trace distance to the full-cutoff
     state) for the two reduced-cutoff re-runs; non_converged marks the last
     gap above 1e-6. truncation_suspect marks an explicitly chosen cutoff that
-    the occupancy estimate says is too small.
+    the occupancy estimate says is too small. No partition function is kept:
+    the state is normalized from Boltzmann weights relative to the ground
+    energy, which stay in range where Z_SB itself overflows or underflows.
     """
 
     state: DensityMatrix
-    z_sb: float
-    z_b: float
     convergence: tuple
     fock_cutoff: int
     non_converged: bool
     truncation_suspect: bool
-
-    def __post_init__(self):
-        if not (self.z_sb > 0 and self.z_b > 0):
-            raise ValidationError("partition functions must be positive")
 
 
 def _occupancy_estimate(bd: BathDiscretization, lam: float, beta: float, a_max: float) -> float:
@@ -188,22 +184,20 @@ def _occupancy_estimate(bd: BathDiscretization, lam: float, beta: float, a_max: 
 def _reduced_thermal_state(
     sys: SystemSpec, bd: BathDiscretization, bath: BathParams,
     conv: RenormalizationConvention, cutoff: int,
-) -> tuple[np.ndarray, float]:
-    """(rho_S, Z_SB) at one Fock cutoff, from one eigendecomposition of H."""
+) -> np.ndarray:
+    """rho_S at one Fock cutoff, from one eigendecomposition of H."""
     h = build_total_hamiltonian(sys, BathDiscretization(bd.modes, cutoff), bath.lam, conv)
     w, v = eigh(h)
-    # Boltzmann weights relative to the ground state stay in range; the shift
-    # cancels in the normalized state and is restored in Z_SB.
-    e0 = float(w[0])
-    weights = np.exp(-bath.beta * (w - e0))
+    # Boltzmann weights relative to the ground state stay in range at any
+    # beta and energy offset; the shift cancels in the normalized state.
+    weights = np.exp(-bath.beta * (w - w[0]))
     z_shift = float(np.sum(weights))
     # rho_S[i, j] = sum over bath states b and eigenstates n of
     # w_n V[(i, b), n] conj(V[(j, b), n]): scale V by sqrt(w_n) in place,
     # reshape it to (dim_S, bath_dim * D) and multiply by its adjoint.
     v *= np.sqrt(weights)
     v = v.reshape(sys.dim, -1)
-    rho = (v @ v.conj().T) / z_shift
-    return rho, z_shift * math.exp(-bath.beta * e0)
+    return (v @ v.conj().T) / z_shift
 
 
 def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -211,11 +205,14 @@ def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def truncated_bath_partition(bd: BathDiscretization, beta: float, cutoff: int) -> float:
-    """Z_B on the truncated Fock spaces: product of finite geometric sums."""
+    """Z_B on the truncated Fock spaces: product of finite geometric sums.
+
+    Each sum (1 - q^(cutoff+1))/(1 - q), q = e^{-beta w}, is taken through
+    expm1, so it tends to cutoff + 1 as beta w -> 0 instead of 0/0.
+    """
     z = 1.0
     for _, w in bd.modes:
-        q = math.exp(-beta * w)
-        z *= (1.0 - q ** (cutoff + 1)) / (1.0 - q)
+        z *= math.expm1(-beta * w * (cutoff + 1)) / math.expm1(-beta * w)
     return z
 
 
@@ -225,7 +222,7 @@ def exact_mean_force_state(
     bath: BathParams,
     conv: RenormalizationConvention = RenormalizationConvention.RENORMALIZED,
 ) -> OracleResult:
-    """rho_S = Tr_B[e^{-beta H}]/Z_SB by dense diagonalization.
+    """rho_S = Tr_B[e^{-beta H}]/Tr[e^{-beta H}] by dense diagonalization.
 
     Re-runs at fock_cutoff-5 and fock_cutoff-10 to produce the convergence
     table. An automatic cutoff (fock_cutoff=None on bd) is raised until it
@@ -240,16 +237,13 @@ def exact_mean_force_state(
     else:
         cutoff = bd.fock_cutoff
         truncation_suspect = est > cutoff / 4.0
-    rho, z_sb = _reduced_thermal_state(sys, bd, bath, conv, cutoff)
+    rho = _reduced_thermal_state(sys, bd, bath, conv, cutoff)
     rows = []
     for c in sorted({c for c in (cutoff - 10, cutoff - 5) if c >= 1}):
-        rho_c, _ = _reduced_thermal_state(sys, bd, bath, conv, c)
-        rows.append((c, _trace_distance(rho_c, rho)))
+        rows.append((c, _trace_distance(_reduced_thermal_state(sys, bd, bath, conv, c), rho)))
     non_converged = bool(rows[-1][1] > _CONVERGENCE_TOL) if rows else True
     return OracleResult(
         state=DensityMatrix(rho),
-        z_sb=z_sb,
-        z_b=truncated_bath_partition(bd, bath.beta, cutoff),
         convergence=tuple(rows),
         fock_cutoff=cutoff,
         non_converged=non_converged,

@@ -22,19 +22,20 @@ __all__ = [
 ]
 
 
+_MAX_SUBDIVISIONS = 2000  # integrate_finite's budget of bisected panels
+
+
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Tolerances and limits for integrate_finite and the routes built on it."""
+    """Tolerances for integrate_finite and the routes built on it; its budget
+    of bisected panels is fixed (2000)."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
-    max_subdivisions: int = 2000
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValidationError("rel_tol and abs_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise ValidationError("max_subdivisions must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -225,11 +226,10 @@ def integrate_finite(
     seen before the adaptive pass begins. Refinement then goes in rounds:
     sort the live panels by error, largest first (a stable sort), and bisect
     the shortest prefix whose errors sum to at least total error - tolerance,
-    at least one panel and no more than max_subdivisions (a budget of
-    bisected panels, not of rounds) has left. f is called once on the
-    initial panels (9 by default, 135 nodes) and once per round on all of
-    its halves (30 nodes per bisected panel); evaluations counts 15 per
-    panel. One stacked GK15 reduction gives every panel of a call its value
+    at least one panel and no more than the fixed budget of 2000 bisected
+    panels (not rounds) has left. f is called once on the initial panels
+    (9 by default, 135 nodes) and once per round on all of its halves (30
+    nodes per bisected panel); evaluations counts 15 per panel. One stacked GK15 reduction gives every panel of a call its value
     and error, in bits that do not depend on the rest of the batch, so an
     integrand that is pointwise in its nodes gets every bit of one call per
     panel under the same rule; one whose rows depend on the whole batch, as
@@ -281,9 +281,9 @@ def integrate_finite(
             break
         if total_err <= noise_floor * total_resabs:
             break  # error dominated by rounding; further bisection is futile
-        if n_bisections >= s.max_subdivisions:
+        if n_bisections >= _MAX_SUBDIVISIONS:
             raise QuadratureError(
-                f"max_subdivisions={s.max_subdivisions} exceeded "
+                f"{_MAX_SUBDIVISIONS} bisected panels exceeded "
                 f"(error estimate {total_err:.3e}, tolerance {tol:.3e})",
                 best_estimate=total,
                 error_estimate=total_err,
@@ -298,7 +298,7 @@ def integrate_finite(
         order = np.flatnonzero(live)
         order = order[np.argsort(-panel_err[order], kind="stable")]
         k = int(np.searchsorted(np.cumsum(panel_err[order]), total_err - tol)) + 1
-        pick = order[:min(k, s.max_subdivisions - n_bisections)]
+        pick = order[:min(k, _MAX_SUBDIVISIONS - n_bisections)]
         mid = 0.5 * (lo[pick] + hi[pick])
         halves_lo = np.column_stack((lo[pick], mid)).ravel()
         halves_hi = np.column_stack((mid, hi[pick])).ravel()

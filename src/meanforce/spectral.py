@@ -26,7 +26,6 @@ __all__ = [
     "DiscreteModes",
     "Tabulated",
     "BathParams",
-    "j_of_omega",
     "overlap_kernel",
 ]
 
@@ -302,15 +301,6 @@ class BathParams:
             raise ValidationError("lambda must be nonnegative")
 
 
-def j_of_omega(sd: SpectralDensity, omega):
-    """Pointwise J(omega); accepts a scalar or an array of frequencies."""
-    w = np.asarray(omega, dtype=float)
-    if np.any(w < 0):
-        raise ValidationError("j_of_omega requires omega >= 0")
-    out = sd(w)
-    return out if np.ndim(omega) else float(out)
-
-
 # ----------------------------------------------------------------------------
 # Overlap kernel K(u)
 # ----------------------------------------------------------------------------
@@ -382,6 +372,7 @@ _BERNOULLI_EVEN = np.array([
 _EXP_CUT = 40.0
 _EXP_BLOCK = 64  # terms per block of the exponential sum, which bounds its memory for large a
 _A_MAX = 1e4  # G's sum has 40 a terms: past a = beta w_c/2 pi = 1e4 it is refused
+_C_MAX = 5.6e102  # G divides by c^3, c = 2 pi/beta; past c = 5.64e102 that overflows
 
 
 def _digamma(z: float) -> float:
@@ -435,6 +426,8 @@ def _lorentz_drude_g_setup(wc: float, beta: float) -> tuple:
     for a G table and the single-tau probes before it: series coefficients,
     exponential-sum weights (in read-only arrays) and matched constants."""
     c = 2.0 * math.pi / beta
+    if not c <= _C_MAX:
+        raise NumericsError(f"beta = {beta:.6g} is too small: (2 pi/beta)^3 in G overflows")
     a = wc / c
     if not a <= _A_MAX:
         raise NumericsError(f"beta w_c/2pi = {a:.6g} is past {_A_MAX:g}, where G would need {_EXP_CUT * a:.3g} terms")

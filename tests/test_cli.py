@@ -533,6 +533,34 @@ def test_natural_coupling_overflow_is_na_with_the_same_note(tmp_path, capsys):
         assert cells[-1] == "; ".join(f"{m}: {note}" for m in methods)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--methods", "oracle,high-t", "--fock-cutoff", "5", "--beta", "2000"],
+        ["--methods", "oracle,high-t", "--fock-cutoff", "5", "--beta", "1e-20"],
+        ["--methods", "oracle,high-t", "--fock-cutoff", "5", "--omega-c", "1e-18"],
+        ["--methods", "me,high-t", "--beta", "1e-200"],
+    ],
+    ids=["oracle-beta-2000", "oracle-beta-1e-20", "oracle-omega-c-1e-18", "me-beta-1e-200"],
+)
+def test_extreme_beta_and_cutoff_sweeps_write_every_row(argv, tmp_path, capsys):
+    # The oracle's partition functions overflowed, underflowed or divided by
+    # zero here, and me's (2 pi/beta)^3 overflowed, each ending the sweep.
+    out = tmp_path / "s.csv"
+    rc = run_main(["sweep", "--sweep", "lambda2Q", "--from", "1", "--to", "2", "--points", "2",
+                   "--out", str(out), *argv])
+    assert rc == 0
+    assert "Traceback" not in capsys.readouterr().err
+    header, *rows = out.read_text().strip().split("\n")
+    assert len(rows) == 2
+    if argv[1] == "me,high-t":
+        me = [i for i, name in enumerate(header.split(",")) if name.startswith("me_")]
+        for row in rows:
+            cells = row.split(",")
+            assert [cells[i] for i in me] == ["NA"] * len(me)
+            assert cells[-1].startswith("me: beta = 1e-200 is too small")
+
+
 def test_exact_past_its_coupling_bound_is_na_with_note(capsys):
     # x = lambda^2 (a_l - a_l')^2 Q beta = 4e6 is inside the bound and 4e10 past it.
     rc = run_main(["sweep", "--sweep", "lambda2Q", "--from", "1e6", "--to", "1e10",

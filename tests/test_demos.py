@@ -22,7 +22,7 @@ def test_demo_runs_cleanly(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
-         str(ROOT / "demos" / demo)],
+         "-W", "error::UserWarning", "-W", "error::ResourceWarning", str(ROOT / "demos" / demo)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

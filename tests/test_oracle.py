@@ -49,10 +49,8 @@ def test_discretize_midpoint_rule():
     freqs = [w for _, w in bd.modes]
     assert freqs == pytest.approx([0.25, 0.75, 1.25, 1.75])
     # g_k^2 = J(omega_k) * bin width
-    from meanforce.spectral import j_of_omega
-
     for g, w in bd.modes:
-        assert g**2 == pytest.approx(float(j_of_omega(sd, np.array([w]))[0]) * 0.5)
+        assert g**2 == pytest.approx(float(sd(np.array([w]))[0]) * 0.5)
 
 
 def test_discretize_bins_from_the_density_lower_edge():
@@ -216,7 +214,6 @@ def test_oracle_convergence_table_and_flags():
     assert res.non_converged == (dists[-1] > 1e-6)
     tr = np.trace(res.state.entries).real
     assert tr == pytest.approx(1.0, abs=1e-12)
-    assert res.z_sb > 0 and res.z_b > 0
 
 
 def test_oracle_auto_cutoff_raises_with_coupling():
@@ -245,6 +242,32 @@ def test_truncated_bath_partition_closed_form():
     for _, w in bd.modes:
         ref *= sum(math.exp(-beta * w * n) for n in range(7))
     assert z == pytest.approx(ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("beta_w", [1e-8, 0.3, 5.0, 40.0])
+def test_truncated_bath_partition_is_the_geometric_sum(beta_w):
+    bd = BathDiscretization(modes=((0.5, 1.0),), fock_cutoff=5)
+    ref = sum(math.exp(-beta_w * n) for n in range(6))
+    assert truncated_bath_partition(bd, beta_w, 5) == pytest.approx(ref, rel=1e-13)
+
+
+def test_truncated_bath_partition_at_vanishing_beta_w_counts_the_levels():
+    # e^{-beta w} rounds to 1 here; (1 - q^6)/(1 - q) was 0/0.
+    bd = BathDiscretization(modes=((0.5, 1.0),), fock_cutoff=5)
+    assert truncated_bath_partition(bd, 1e-20, 5) == pytest.approx(6.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("beta", [10.0, 80.0, 2000.0])
+def test_oracle_state_does_not_depend_on_an_energy_offset(beta):
+    # With the offset E_0 is about 9.4, so e^{-beta E_0} underflows at beta = 80
+    # and 2000; the state comes from weights relative to the ground energy.
+    h_s = np.array([[0.5, 0.35], [0.35, -0.5]])
+    a = np.diag([1.0, -1.0])
+    bd = BathDiscretization(modes=((0.4, 1.0),), fock_cutoff=12)
+    bath = BathParams(beta=beta, lam=0.5)
+    low = exact_mean_force_state(SystemSpec(h_s, a), bd, bath).state.entries
+    high = exact_mean_force_state(SystemSpec(h_s + 10.0 * np.eye(2), a), bd, bath).state.entries
+    assert np.max(np.abs(high - low)) <= 1e-13
 
 
 def test_trace_identity_two_routes_agree():
@@ -353,14 +376,13 @@ def test_reduced_thermal_state_matches_matrix_exponential_route(sys_name, conv):
     # Hamiltonian, then trace the bath out of the (S, B, S, B) reshape.
     sys = _case_system(sys_name)
     bath = BathParams(beta=1.3, lam=0.9)
-    rho, z_sb = _reduced_thermal_state(sys, _TWO_MODES, bath, conv, 6)
+    rho = _reduced_thermal_state(sys, _TWO_MODES, bath, conv, 6)
     h = build_total_hamiltonian(sys, _TWO_MODES, bath.lam, conv)
     e0 = float(np.linalg.eigvalsh(h.entries)[0])
     m = _expm(-bath.beta * (h.entries - e0 * np.eye(h.dim)))
     z_shift = float(np.real(np.trace(m)))
     ref = np.einsum("ibjb->ij", m.reshape(sys.dim, 49, sys.dim, 49)) / z_shift
     assert np.max(np.abs(rho - ref)) <= 1e-13
-    assert abs(z_sb / (z_shift * math.exp(-bath.beta * e0)) - 1.0) <= 1e-13
 
 
 def test_reduced_thermal_state_runs_one_eigensolve(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from meanforce.errors import QuadratureError, ValidationError
 import heapq
 
+from meanforce import special
 from meanforce.special import (
     _WG,
     _WGK,
@@ -296,8 +297,6 @@ def test_quadrature_settings_validation():
     with pytest.raises(ValidationError):
         QuadratureSettings(rel_tol=0.0)
     with pytest.raises(ValidationError):
-        QuadratureSettings(max_subdivisions=0)
-    with pytest.raises(ValidationError):
         QuadratureResult(1.0, -1.0, 0)
 
 
@@ -331,8 +330,8 @@ def integrate_finite_per_panel(f, a, b, settings=None, rounds=None, breakpoints=
         tol = max(s.abs_tol, s.rel_tol * float(np.abs(total).max()))
         if total_err <= tol or total_err <= 100.0 * np.finfo(float).eps * total_resabs:
             break
-        if n_bisections >= s.max_subdivisions:
-            raise QuadratureError("max_subdivisions", best_estimate=total, error_estimate=total_err)
+        if n_bisections >= special._MAX_SUBDIVISIONS:
+            raise QuadratureError("budget", best_estimate=total, error_estimate=total_err)
         panel_err = err.max(axis=1)
         live = hi - lo > min_width
         dead_err = float(panel_err[~live].sum())
@@ -342,7 +341,7 @@ def integrate_finite_per_panel(f, a, b, settings=None, rounds=None, breakpoints=
         order = order[np.argsort(-panel_err[order], kind="stable")]
         need = total_err - tol
         k = next((i + 1 for i, c in enumerate(np.cumsum(panel_err[order])) if c >= need), len(order))
-        pick = order[:min(k, s.max_subdivisions - n_bisections)]
+        pick = order[:min(k, special._MAX_SUBDIVISIONS - n_bisections)]
         if rounds is not None:
             rounds.append(len(pick))
         mid = 0.5 * (lo[pick] + hi[pick])
@@ -387,8 +386,8 @@ def integrate_finite_sequential(f, a, b, settings=None):
         tol = max(s.abs_tol, s.rel_tol * float(np.max(np.abs(total))))
         if total_err <= tol or total_err <= 100.0 * np.finfo(float).eps * total_resabs:
             break
-        if n_bisections >= s.max_subdivisions:
-            raise QuadratureError("max_subdivisions", best_estimate=total, error_estimate=total_err)
+        if n_bisections >= special._MAX_SUBDIVISIONS:
+            raise QuadratureError("budget", best_estimate=total, error_estimate=total_err)
         while heap and heap[0][2][1] - heap[0][2][0] <= min_width:
             dead_err += heapq.heappop(heap)[2][5]
         if not heap or (dead_err > 0 and total_err - dead_err <= 0.1 * dead_err):
@@ -466,17 +465,17 @@ def test_rounds_agree_with_the_sequential_form(name):
     assert r.evaluations <= 1.05 * seq.evaluations
 
 
-def test_batched_panels_keep_the_per_panel_best_estimate():
+def test_batched_panels_keep_the_per_panel_best_estimate(monkeypatch):
     def f(x):
         return np.sin(1.0 / (x + 1e-3))
 
-    s = QuadratureSettings(max_subdivisions=20)
+    monkeypatch.setattr(special, "_MAX_SUBDIVISIONS", 20)
     g, calls = _logged(f)
     with pytest.raises(QuadratureError) as got:
-        integrate_finite(g, 0.0, 1.0, s)
+        integrate_finite(g, 0.0, 1.0)
     rounds = []
     with pytest.raises(QuadratureError) as ref:
-        integrate_finite_per_panel(f, 0.0, 1.0, s, rounds=rounds)
+        integrate_finite_per_panel(f, 0.0, 1.0, rounds=rounds)
     assert got.value.best_estimate == ref.value.best_estimate
     assert got.value.error_estimate == ref.value.error_estimate
     # The last round takes only what is left of the budget: 20 bisections.

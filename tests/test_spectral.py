@@ -20,7 +20,6 @@ from meanforce.spectral import (
     Tabulated,
     _g_batch,
     _mu_exp,
-    j_of_omega,
     overlap_kernel,
 )
 from meanforce.spinboson import SpinBosonParams, build_system
@@ -86,12 +85,12 @@ def test_bath_params_validate():
 def test_j_of_omega_shapes():
     sd = LorentzDrude(1.0, 0.25)
     # peak of w*wc/(wc^2+w^2) is 1/2 at w = wc
-    assert j_of_omega(sd, 0.25) == pytest.approx(1.0 / math.pi, rel=1e-14)
-    arr = j_of_omega(sd, np.array([0.1, 0.25, 1.0]))
+    assert sd(0.25) == pytest.approx(1.0 / math.pi, rel=1e-14)
+    arr = sd(np.array([0.1, 0.25, 1.0]))
     assert arr.shape == (3,)
     ohc = OhmicHardCutoff(2.0, 1.5)
-    assert j_of_omega(ohc, 1.0) == pytest.approx(2.0, rel=1e-14)
-    assert j_of_omega(ohc, 1.6) == 0.0
+    assert ohc(1.0) == pytest.approx(2.0, rel=1e-14)
+    assert ohc(1.6) == 0.0
 
 
 def test_reorganization_energy_closed_forms():
@@ -479,6 +478,15 @@ def test_g_refused_past_its_term_budget():
         _g_at(LorentzDrude(1.0, 1e3), 100.0, 1.0)
 
 
+def test_g_refused_where_its_matsubara_frequency_cubed_overflows():
+    # G divides by c^3, c = 2 pi/beta: finite at beta = 1.2e-102 (c = 5.2e102),
+    # refused with NumericsError naming beta at 1.1e-102 (c = 5.7e102), not an
+    # OverflowError from the power.
+    assert np.isfinite(_g_at(LorentzDrude(1.0, 0.25), 1.2e-102, 1.0))
+    with pytest.raises(NumericsError, match="beta = 1.1e-102 is too small"):
+        _g_at(LorentzDrude(1.0, 0.25), 1.1e-102, 1.0)
+
+
 def test_g_not_finite_is_refused_without_warnings():
     # Re G overflows at tau = 1e308: G is refused, and the overflow is silent.
     with warnings.catch_warnings():
@@ -562,7 +570,7 @@ def test_tabulated_from_file(tmp_path):
     p.write_text("# freq  J\n0.0 0.0\n1.0 0.3\n2.0 0.4\n3.0 0.2\n4.0 0.0\n")
     sd = Tabulated.from_file(p)
     assert sd.cutoff == 4.0
-    assert j_of_omega(sd, 1.5) == pytest.approx(0.35)
-    assert j_of_omega(sd, 5.0) == 0.0
+    assert sd(1.5) == pytest.approx(0.35)
+    assert sd(5.0) == 0.0
     q = sd.reorganization_energy()
     assert 0.0 < q < 1.0
