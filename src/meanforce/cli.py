@@ -43,24 +43,26 @@ _ORACLE_BAND = {"lorentz-drude": 12.0}
 
 
 def _correction(method: CorrectionMethod):
-    return lambda spec, sys, bath, sd, q: steady.steady_state(
-        sys, bath, sd, method, spec.convention, q
-    ).state
+    return lambda spec, sys, bath, sd, q: (
+        steady.steady_state(sys, bath, sd, method, spec.convention, q).state, ())
 
 
 def _oracle(spec, sys, bath, sd, q):
     band = _ORACLE_BAND.get(spec.spectral, 1.0) * sd.cutoff
     bd = oracle.BathDiscretization(oracle.discretize(sd, spec.oracle_modes, band).modes, spec.fock_cutoff)
-    return oracle.exact_mean_force_state(sys, bd, bath, spec.convention).state
+    res = oracle.exact_mean_force_state(sys, bd, bath, spec.convention)
+    flags = " and ".join(f for f in ("non_converged", "truncation_suspect") if getattr(res, f))
+    return res.state, [f"{flags} at Fock cutoff {res.fock_cutoff}"] if flags else ()
 
 
 # Each method's route from (spec, system, bath, density, quadrature settings)
-# to its state. Routes look the library up when they run, so a rebound module
-# attribute (a tracer's wrapper, a test's counter) is the one called.
+# to its state and its notes for the CSV. Routes look the library up when they
+# run, so a rebound module attribute (a tracer's wrapper, a test's counter) is
+# the one called.
 _ROUTES = {
     **{m.value: _correction(m) for m in CorrectionMethod},
-    "me": lambda spec, sys, bath, sd, q: me_steady_state(sys, bath, sd, q).state,
-    "zeroth": lambda spec, sys, bath, sd, q: steady.zeroth_order_state(sys, bath, spec.convention, sd),
+    "me": lambda spec, sys, bath, sd, q: (me_steady_state(sys, bath, sd, q).state, ()),
+    "zeroth": lambda spec, sys, bath, sd, q: (steady.zeroth_order_state(sys, bath, spec.convention, sd), ()),
     "oracle": _oracle,
 }
 METHOD_NAMES = tuple(_ROUTES)
@@ -197,10 +199,11 @@ def _evaluate_point(
     notes: list = []
     for m in spec.methods:
         try:
-            cells[m] = _obs_cells(_ROUTES[m](spec, sys_spec, bath, sd, settings), params)
+            state, route_notes = _ROUTES[m](spec, sys_spec, bath, sd, settings)
+            cells[m] = _obs_cells(state, params)
         except MeanForceError as exc:
-            cells[m] = {c: None for c in _CELLS}
-            notes.append(f"{m}: {exc}")
+            cells[m], route_notes = {c: None for c in _CELLS}, [exc]
+        notes += [f"{m}: {n}" for n in route_notes]
 
     regime = steady.regime_diagnostics(sys_spec, lambda2q, beta, sd)
     flags = {col: int(regime[key]) for col, key in _FLAGS.items()}

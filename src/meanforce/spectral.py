@@ -58,7 +58,7 @@ class SpectralDensity:
         """K(u) for a batch of u values in [0, beta]; one quadrature per batch."""
 
         def integrand(w):
-            return (self(w) / w**2)[:, None] * _kernel_factor(w, u, beta)
+            return _kernel_factor(w, u, beta, self(w) / w)
 
         res = integrate_finite(integrand, 0.0, self.cutoff, settings)
         return np.atleast_1d(np.asarray(res.value, dtype=float))
@@ -108,13 +108,15 @@ class LorentzDrude(SpectralDensity):
         return self.omega_c
 
     def kernel(self, beta, u, settings):
-        # w = omega_c t/(1 - t) maps the half-line onto [0, 1). J/w^2 decays
-        # as w^-3, so the mapped integrand is smooth and falls to 0 at t = 1,
-        # but its mass reaches down to t ~ 1/(omega_c beta), hence the bound.
-        # The factor r switches on at w ~ 1/u, at 1 - t ~ omega_c u: the first
-        # panels run in decades of t down to 0.1/(omega_c beta) and of 1 - t
-        # down to omega_c u_min/10, u_min the batch's closest approach to 0 or
-        # beta. 1 - t stays at least 1e-12, so no node reaches t = 1.
+        # w = omega_c t/(1 - t) maps the half-line onto [0, 1), where J/w dw is
+        # (2Q/pi) dt/((1 - t)^2 + t^2), free of omega_c^2 and w^2. The mapped
+        # integrand falls to 0 at t = 1, but its mass reaches down to t ~
+        # 1/(omega_c beta), hence the bound. r switches on at w ~ 1/u, 1 - t ~
+        # omega_c u: the first panels run in half-decades of t down to
+        # 0.1/(omega_c beta) and of 1 - t down to omega_c u_min/10 (u_min the
+        # batch's closest approach to 0 or beta, at most to 1e-12; the first,
+        # where u ~ beta/2 switches on at omega_c beta ~ 1, halved again) and 3
+        # equal on [0.5, 0.9], so a batch ends in one integrand call.
         wcb = self.omega_c * beta
         if not wcb <= _KERNEL_WCB_MAX:
             raise NumericsError(f"Lorentz-Drude K(u) is refused at omega_c beta = "
@@ -122,19 +124,14 @@ class LorentzDrude(SpectralDensity):
         wcu = self.omega_c * float(np.min(np.minimum(u, beta - u), initial=beta))
         n_low = min(max(math.ceil(math.log10(wcb)) + 1, 1), 15)
         n_high = min(max(math.ceil(-math.log10(wcu)) + 1, 1), 12) if wcu > 0 else 12
-        decades = 10.0 ** -np.arange(1.0, max(n_low, n_high) + 1.0)
-        breakpoints = np.concatenate(
-            ([0.0], decades[n_low - 1::-1], [0.5], 1.0 - decades[:n_high], [1.0])
-        )
+        low = 10.0 ** -np.arange(1.0, n_low + 0.25, 0.5)
+        high = 10.0 ** -np.concatenate(([1.0, 1.25], np.arange(1.5, n_high + 0.25, 0.5)))
+        breakpoints = np.concatenate(([0.0], low[::-1], np.linspace(0.5, 0.9, 4)[:-1], 1.0 - high, [1.0]))
 
-        def integrand(t):
-            w = self.omega_c * t / (1.0 - t)
-            # At an extreme omega_c, w^2 or omega_c^2 leaves the double range;
-            # a weight that is then not finite makes the quadrature raise
-            # QuadratureError.
+        def integrand(t):  # below omega_c ~ 1e-305, w is subnormal: QuadratureError
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                weight = self(w) / w**2 * self.omega_c / (1.0 - t) ** 2
-                return weight[:, None] * _kernel_factor(w, u, beta)
+                weight = (2.0 * self.Q / np.pi) / ((1.0 - t) ** 2 + t**2)
+                return _kernel_factor(self.omega_c * t / (1.0 - t), u, beta, weight)
 
         res = integrate_finite(integrand, 0.0, 1.0, settings, breakpoints=breakpoints)
         return np.atleast_1d(np.asarray(res.value, dtype=float))
@@ -215,7 +212,7 @@ class DiscreteModes(SpectralDensity):
 
     def kernel(self, beta, u, settings):
         g, w = self.couplings, self.frequencies
-        return (g**2 / w**2) @ _kernel_factor(w, u, beta)
+        return _kernel_factor(w, u, beta, g**2 / w).sum(axis=0)
 
     def g(self, beta, tau, settings):
         g, w = self.couplings, self.frequencies
@@ -305,22 +302,23 @@ class BathParams:
 # Overlap kernel K(u)
 # ----------------------------------------------------------------------------
 
-def _kernel_factor(w: np.ndarray, u: np.ndarray, beta: float) -> np.ndarray:
-    """The dimensionless factor r(w; u) with K(u) = int J/w^2 * r.
+def _kernel_factor(w: np.ndarray, u: np.ndarray, beta: float, weight: np.ndarray) -> np.ndarray:
+    """The K(u) integrand weight * r(w; u)/w on nodes w (rows) and u (columns),
+    for weight = J(w)/w at the nodes times the measure: K(u) = int J/w^2 * r.
 
-    The u <-> beta-u symmetric form
-    r = (1 + e^{-wb} - e^{-w(b-u)} - e^{-wu}) / (1 - e^{-wb})
-    has a numerator that factors as (1 - e^{-wu})(1 - e^{-w(b-u)}), so expm1
-    evaluates it to full relative precision for any w*u, with no branch
-    switching and no cancellation; the symmetry then holds to rounding,
-    which is what makes the detailed-balance identity on f hold tightly.
-    r is bounded by tanh(w*beta/4).
+    r = (1 - e^{-wu})(1 - e^{-w(b-u)})/(1 - e^{-wb}), bounded by tanh(w b/4),
+    has full relative precision at any w u through expm1, and is symmetric in
+    u <-> b - u to rounding, which makes detailed balance on f hold tightly.
+    The sign and 1/(1 - e^{-wb}) go into the per-w weight, and e^{-wu} - 1 is
+    divided by w first, so nothing leaves the double range as w -> 0. In
+    place, in two (w, u) arrays.
     """
-    w = np.asarray(w, dtype=float)
-    u = np.asarray(u, dtype=float)
-    y = w[:, None] * beta  # (m, 1)
-    x = w[:, None] * u[None, :]  # (m, n)
-    return -np.expm1(-x) * np.expm1(x - y) / np.expm1(-y)
+    out, second = np.multiply.outer(-w, u), np.multiply.outer(w, u - beta)
+    np.expm1(out, out=out)
+    out /= w[:, None]
+    out *= np.expm1(second, out=second)
+    out *= (weight / -np.expm1(-w * beta))[:, None]
+    return out
 
 
 def _overlap_kernel_batch(

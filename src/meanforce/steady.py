@@ -168,26 +168,24 @@ def zeroth_order_state(
 _EXP_CAP = 700.0  # just under log(realmax); e^{beta*gap} appears in every method
 # f_exact's integrand has a layer of width beta/x at u = 0, x = lambda^2
 # (a_l - a_l')^2 Q beta, as K'(0) = Q, and its first panels start inside it.
-# The spin-boson at Lorentz-Drude w_c = 0.25, beta = 1 is within 2.8e-9,
-# 3.7e-8, 2.2e-9 and 3.5e-7 of 20-digit mpmath nested quadrature at x = 1e8,
-# 1e9, 4e9 and 4e10, and tracks high-t to 4e-6 up to x = 1.2e11 (also at
-# beta = 3, w_c = 2, and ohmic), each inside its error estimate. With the
-# generic first panels it was 100 % off from x = 4.8e7. The largest pair's x
-# is held to a quarter of the last point within 1e-7 of mpmath.
+# The spin-boson at Lorentz-Drude w_c = 0.25, beta = 1 is within 2.2e-16 of
+# 20-digit mpmath nested quadrature at x = 1e8 and 1e9, and its distance to
+# high-t falls as 1/x up to x = 1.2e11 (also at beta = 3, w_c = 2, and
+# ohmic), with error estimates of 3.7e-13 of f. With the generic first
+# panels it was 100 % off from x = 4.8e7. The largest pair's x is held to a
+# quarter of 4e9, the last point checked against mpmath.
 _EXACT_X_MAX = 1e9
 
 
 def _layer_breakpoints(beta: float, omega: np.ndarray, slope: np.ndarray) -> np.ndarray | None:
-    """f_exact's first panel edges on [0, beta], or None (the generic ones)
+    """f_exact's first panel edges on [0, beta/2], or None (the generic ones)
     where no pair has a layer narrower than beta/4.
 
-    As K'(0) = Q, pair s's integrand leaves u = 0 at the rate omega_s -
-    slope_s and u = beta at omega_s + slope_s (slope = lambda^2 (a_l - a_l')^2
-    Q = x/beta), a layer of width 1/|rate| at each end. Rungs go in decades
-    from a tenth of the narrowest width up to 100 of the widest (past which a
-    layer holds e^-100 of its mass), below beta/4 at each end, with 4 equal
-    panels between the innermost rungs. A rung too close to 0 to mirror at
-    beta is dropped.
+    As K'(0) = Q, the folded integrand of pair s leaves u = 0 at the rates
+    omega_s - slope_s and -(omega_s + slope_s) (slope = x/beta), layers of
+    width 1/|rate|. Rungs go in decades from a tenth of the narrowest width
+    up to 100 of the widest (past which a layer holds e^-100 of its mass),
+    below beta/4, then 2 equal panels to beta/2.
     """
     with np.errstate(divide="ignore", over="ignore"):
         widths = 1.0 / np.abs(np.concatenate((omega - slope, omega + slope), axis=None))
@@ -198,12 +196,10 @@ def _layer_breakpoints(beta: float, omega: np.ndarray, slope: np.ndarray) -> np.
     hi = math.log10(min(100.0 * widths.max(), 0.25 * beta))
     with np.errstate(over="ignore"):
         rungs = 10.0 ** (lo + np.arange(max(math.ceil(hi - lo - 1e-9), 0) + 1))
-    rungs = rungs[(beta - rungs < beta) & (rungs < 0.25 * beta)]
+    rungs = rungs[(rungs > 0.0) & (rungs < 0.25 * beta)]
     if rungs.size == 0:
         return None
-    inner = rungs[-1]
-    middle = inner + (beta - 2.0 * inner) * np.array([0.25, 0.5, 0.75])
-    return np.concatenate(([0.0], rungs, middle, beta - rungs[::-1], [beta]))
+    return np.concatenate(([0.0], rungs, [0.5 * (rungs[-1] + 0.5 * beta), 0.5 * beta]))
 
 
 def _coupling_overflow(lam: float) -> NumericsError:
@@ -263,14 +259,18 @@ def f_exact(
 ) -> QuadratureResult:
     """f_{l,l'}(beta) = int_0^beta du e^{u w_{l,l'}} e^{-lambda^2 a_{l',l}^2 K(u)}.
 
-    Nested quadrature: the kernel K is itself an omega-integral, evaluated
-    batched over the u nodes of a whole panel batch (integrate_finite's call
-    pattern) at 10x tighter tolerance. Under the Natural convention the gap
-    in the exponent is the renormalized one. The outer quadrature starts on
-    panels in decades of the integrand's boundary layers at both ends, over
-    every pair's widths 1/|w -+ x/beta| (_layer_breakpoints), and where no
-    pair has one (lambda = 0, or every layer wider than beta/4) on
-    integrate_finite's generic ones.
+    As K(u) = K(beta - u), it is folded at beta/2 and divided by its bound
+    e^{max(0, beta w)}: int_0^{beta/2} (e^{-u|w|} + e^{-(beta-u)|w|}) e^{-lambda^2
+    a^2 K(u)} du. f_{l,l'} and f_{l',l} thus share their integrand node by
+    node (detailed balance holds to rounding), and the shared max-norm
+    stopping rule weighs all pairs alike however far their f values spread.
+    Nested quadrature: K is itself an omega-integral, batched over the u
+    nodes of a whole panel batch at 10x tighter tolerance. Under the Natural
+    convention the gap is the renormalized one. The outer quadrature starts
+    on panels in decades of every pair's boundary layers at u = 0, widths
+    1/|w -+ x/beta| (_layer_breakpoints), or, where no pair has one (lambda =
+    0, or every layer wider than beta/4), on integrate_finite's generic ones.
+    Its absolute floor falls as 1/x past x = 1, as f does, so rel_tol holds.
 
     l and l2 may be matching integer arrays: every pair is then one component
     of a single vector-valued integrand, so K is evaluated once per panel
@@ -296,18 +296,17 @@ def f_exact(
         inner = dataclasses.replace(
             s, rel_tol=0.1 * s.rel_tol, abs_tol=max(0.1 * s.abs_tol, 0.1 * s.rel_tol / top)
         )
-    # Each pair's integrand is divided by its bound e^{max(0, beta w)}, so the
-    # shared max-norm stopping rule weighs all pairs alike however far their
-    # f values spread; f_{l,l'} and f_{l',l} are then mirror-image integrals.
-    shift = np.maximum(beta * omega, 0.0)
+    rate = np.abs(omega)
 
     def integrand(u):
         k = 0.0 if inner is None else _overlap_kernel_batch(sd, beta, u, inner)
-        return np.exp(np.multiply.outer(u, omega) - np.multiply.outer(k, scale) - shift)
+        e = np.exp(-np.multiply.outer(u, rate)) + np.exp(-np.multiply.outer(beta - u, rate))
+        return e * np.exp(-np.multiply.outer(k, scale))
 
     breakpoints = None if inner is None else _layer_breakpoints(beta, omega, slope)
-    res = integrate_finite(integrand, 0.0, beta, s, breakpoints=breakpoints)
-    bound = np.exp(shift)
+    outer = dataclasses.replace(s, abs_tol=s.abs_tol / max(1.0, x))
+    res = integrate_finite(integrand, 0.0, 0.5 * beta, outer, breakpoints=breakpoints)
+    bound = np.exp(np.maximum(beta * omega, 0.0))
     value = res.value * bound
     if not np.all(value > 0):
         raise NumericsError(f"f_exact produced a nonpositive value {value}")

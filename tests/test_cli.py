@@ -104,7 +104,8 @@ def test_every_route_looks_the_library_up_when_it_runs(monkeypatch):
     spec = cli.SweepSpec(swept="lambda2Q", lo=1.0, hi=2.0, methods=cli.METHOD_NAMES,
                          oracle_modes=1, fock_cutoff=4)
     cells, _, notes = cli._evaluate_point(spec, 1.0, LorentzDrude(1.0, 0.25))
-    assert notes == [] and set(cells) == set(cli.METHOD_NAMES)
+    # Cutoff 4 leaves no reduced-cutoff re-run, so the oracle flags itself.
+    assert notes == ["oracle: non_converged at Fock cutoff 4"] and set(cells) == set(cli.METHOD_NAMES)
     assert calls == {"me_steady_state": 1, "steady_state": 3,
                      "zeroth_order_state": 1, "exact_mean_force_state": 1}
 
@@ -118,7 +119,7 @@ def test_every_route_reports_psd_on_its_state():
     bath = BathParams(1.0, math.sqrt(0.05))
     psd = {}
     for m in cli.METHOD_NAMES:
-        state = cli._ROUTES[m](spec, sys_spec, bath, LorentzDrude(1.0, 0.25), QuadratureSettings())
+        state, _ = cli._ROUTES[m](spec, sys_spec, bath, LorentzDrude(1.0, 0.25), QuadratureSettings())
         assert state.psd_ok == (state.min_eigenvalue >= -1e-9), m
         psd[m] = state.psd_ok
     assert psd == {m: m != "series" for m in cli.METHOD_NAMES}
@@ -223,7 +224,8 @@ def test_oracle_bins_a_table_from_its_first_frequency(tmp_path, capsys):
     assert rc == 0
     rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
     for row in rows:
-        assert "NA" not in row and row[-1] == ""
+        # Its re-run at cutoff 3 is more than 1e-6 away, which the note says.
+        assert "NA" not in row and row[-1] == "oracle: non_converged at Fock cutoff 8"
     assert rows[0][1:6] != rows[1][1:6]
 
 
@@ -620,15 +622,39 @@ def test_exact_at_huge_omega_c_is_na_with_note(capsys):
                 assert cells[-1] == ""
 
 
-def test_exact_at_tiny_omega_c_is_na_with_note(capsys):
-    # omega_c^2 underflows, so J/w^2 is not finite at the first K nodes: the
-    # quadrature stops on that call and the cell is NA plus a note.
+def test_exact_at_tiny_omega_c_is_the_parabola_or_na_with_note(capsys):
+    # K(u) is the parabola Q u (1 - u/beta) as omega_c -> 0, where high-t is
+    # exact: at omega_c = 1e-200 the two agree. Below about 1e-305 the K
+    # nodes' w are subnormal, the per-w weight overflows, and the quadrature
+    # stops on that call: the cell is NA plus a note.
     rc = run_main(["sweep", "--sweep", "lambda2Q", "--from", "1", "--to", "2",
-                   "--points", "2", "--omega-c", "1e-200", "--methods", "exact"])
+                   "--points", "2", "--omega-c", "1e-200", "--methods", "exact,high-t"])
+    assert rc == 0
+    for row in capsys.readouterr().out.strip().split("\n")[1:]:
+        cells = [float(c) for c in row.split(",")[1:11]]
+        assert cells[:5] == pytest.approx(cells[5:], rel=1e-13, abs=1e-15)
+        assert row.endswith(",")
+    rc = run_main(["sweep", "--sweep", "lambda2Q", "--from", "1", "--to", "2",
+                   "--points", "2", "--omega-c", "1e-320", "--methods", "exact"])
     assert rc == 0
     last = capsys.readouterr().out.strip().split("\n")[-1].split(",")
     assert last[1:6] == ["NA"] * 5
     assert last[-1].startswith("exact: ") and "not finite" in last[-1]
+
+
+def test_oracle_convergence_flags_reach_the_note(tmp_path):
+    # At beta = 1e-20 the thermal occupancy is ~1e20 against a Fock cutoff of
+    # 5, and cutoff 5 leaves no reduced-cutoff re-run: both flags are set, and
+    # the note says so next to the oracle's numbers.
+    out = tmp_path / "flags.csv"
+    rc = run_main(["sweep", "--sweep", "lambda2Q", "--from", "1", "--to", "2", "--points", "2",
+                   "--methods", "oracle,high-t", "--fock-cutoff", "5", "--beta", "1e-20",
+                   "--out", str(out)])
+    assert rc == 0
+    for row in out.read_text().strip().split("\n")[1:]:
+        cells = row.split(",")
+        assert "NA" not in cells
+        assert cells[-1] == "oracle: non_converged and truncation_suspect at Fock cutoff 5"
 
 
 def test_numerics_failure_exit_3(tmp_path, monkeypatch, capsys):

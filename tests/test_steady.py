@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from meanforce import steady
 from meanforce.errors import NumericsError, UnsupportedOperationError, ValidationError
-from meanforce.special import QuadratureResult, integrate_finite
-from meanforce.spectral import BathParams, DiscreteModes, LorentzDrude
+from meanforce.special import QuadratureResult, QuadratureSettings, integrate_finite
+from meanforce.spectral import BathParams, DiscreteModes, LorentzDrude, OhmicHardCutoff, Tabulated
 from meanforce.steady import (
     CorrectionMethod,
     RenormalizationConvention,
@@ -215,8 +215,9 @@ F_EXACT_LARGE_X_REF = {
 
 
 def test_f_exact_against_mpmath_at_large_coupling():
-    # Measured 2.8e-9 at x = 1e8 and 3.7e-8 at x = 1e9, each inside its
-    # error estimate (8.4e-8 and 3.5e-6 relative; abs_tol sets it there).
+    # Measured 2.2e-16 at x = 1e8 and 1e9, each inside its error estimate;
+    # the absolute floor falls as 1/x with f, so the estimates hold rel_tol
+    # (3.7e-13 of f).
     sys = spin_system()
     sd = LorentzDrude(1.0, 0.25)
     l, l2 = np.array([1, 0]), np.array([0, 1])
@@ -224,6 +225,69 @@ def test_f_exact_against_mpmath_at_large_coupling():
         r = f_exact(sys, BathParams(beta=1.0, lam=math.sqrt(x / 4.0)), sd, l, l2)
         assert np.max(np.abs(r.value / ref - 1.0)) <= 1e-7
         assert np.all(np.abs(r.value - ref) <= r.component_errors)
+        assert np.all(r.component_errors <= QuadratureSettings().rel_tol * r.value)
+
+
+def _f_unfolded(sys, bath, sd, l, l2, conv):
+    """f_{l,l'} over the whole of [0, beta], K at every node: the form before
+    the fold at beta/2, on the generic first panels, at tighter tolerances."""
+    omega, scale = steady._pair_terms(sys, bath, conv, sd, l, l2)
+    shift = np.maximum(bath.beta * omega, 0.0)
+    inner = QuadratureSettings(rel_tol=1e-13, abs_tol=1e-16)
+
+    def integrand(u):
+        k = sd.kernel(bath.beta, u, inner)
+        return np.exp(np.multiply.outer(u, omega) - np.multiply.outer(k, scale) - shift)
+
+    return integrate_finite(integrand, 0.0, bath.beta, QuadratureSettings(rel_tol=1e-12)).value * np.exp(shift)
+
+
+_TABLE = Tabulated(np.linspace(0.0, 1.5, 7), [0.0, 0.3, 0.7, 0.8, 0.5, 0.2, 0.0])
+
+
+@pytest.mark.parametrize("sd", [LorentzDrude(1.0, 0.25), OhmicHardCutoff(1.5, 0.8), _TABLE,
+                                DiscreteModes([(0.3, 0.5), (0.5, 1.2), (0.2, 2.0)])],
+                         ids=["lorentz-drude", "ohmic", "tabulated", "discrete"])
+def test_folded_f_exact_matches_the_unfolded_integral(sd):
+    # K(u) = K(beta - u) for every density, so the integral folded at beta/2
+    # is the one over [0, beta]. The folded integrand of f_{l',l} is that of
+    # f_{l,l'} node by node, so their ratio is e^{beta w} to rounding.
+    sys = random_system(np.random.default_rng(7), 3)
+    bath = BathParams(beta=1.3, lam=1.1 / math.sqrt(sd.reorganization_energy()))
+    l, l2 = np.nonzero(~np.eye(3, dtype=bool))
+    for conv in (RENORM, NATURAL):
+        folded = f_exact(sys, bath, sd, l, l2, conv=conv).value
+        assert np.max(np.abs(folded / _f_unfolded(sys, bath, sd, l, l2, conv) - 1.0)) <= 1e-11
+        e = steady._effective_energies(sys, bath, conv, sd)
+        f = dict(zip(zip(l, l2), folded))
+        for i, j in zip(l, l2):
+            assert f[i, j] / f[j, i] == pytest.approx(math.exp(bath.beta * (e[i] - e[j])), rel=1e-15)
+
+
+def test_kernel_on_f_exact_u_batches_against_mpmath(monkeypatch):
+    # K(u) on the first u batch f_exact asks for at each beta of the seed-101
+    # multilevel benchmark point (60 nodes from 2.4e-5 up to beta/2), against
+    # 30 digits of its Matsubara closed form.
+    import mpmath
+    from test_spectral import _kernel_matsubara
+
+    first = {}
+    kernel = steady._overlap_kernel_batch
+
+    def spy(sd, beta, u, settings):
+        k = kernel(sd, beta, u, settings)
+        first.setdefault(beta, (u, k))
+        return k
+
+    monkeypatch.setattr(steady, "_overlap_kernel_batch", spy)
+    sys, bath = _seed101_multilevel()
+    for beta in (0.49117755902756033, 1.0014790573784935, 2.007290670144433):
+        steady_state(sys, BathParams(beta, bath.lam), LorentzDrude(1.0, 0.25), EXACT, NATURAL)
+        u, k = first[beta]
+        assert len(u) == 60 and np.max(u) <= 0.5 * beta
+        with mpmath.workdps(30):
+            ref = np.array([float(_kernel_matsubara(1.0, 0.25, beta, ui)) for ui in u])
+        assert np.max(np.abs(k / ref - 1.0)) <= 1e-13, beta
 
 
 @pytest.mark.parametrize("lam2qbeta", [1e4, 1e5])
@@ -325,10 +389,10 @@ def test_f_high_t_calls_dawson_at_most_twice(monkeypatch):
 
 def test_exact_steady_state_one_kernel_call_per_panel_batch(monkeypatch):
     # All pairs are one vector-valued integrand: K(u) is evaluated once per
-    # batch of GK15 panels (the 10 initial panels, rungs at 0.1, 1 and 10
-    # times the narrowest layer width, 0.018, from each end and 4 between
-    # them, then the halves of every panel a round bisects, here 1 and 1) for
-    # every pair together, and the pairs share the count.
+    # batch of GK15 panels (the 5 initial panels of the integral folded at
+    # beta/2, rungs at 0.1, 1 and 10 times the narrowest layer width, 0.018,
+    # and 2 equal panels up to beta/2, then the halves of the one panel a
+    # round bisects) for every pair together, and the pairs share the count.
     from meanforce import steady
 
     u_nodes = []
@@ -342,7 +406,7 @@ def test_exact_steady_state_one_kernel_call_per_panel_batch(monkeypatch):
     sys = random_system(np.random.default_rng(11), 4)
     res = steady_state(sys, BathParams(beta=1.2, lam=1.3), LorentzDrude(1.0, 0.25), EXACT, NATURAL)
     evals = res.diagnostics["evaluations"]
-    assert u_nodes == [150, 30, 30]
+    assert u_nodes == [75, 30]
     assert sum(u_nodes) == evals
 
 
