@@ -9,6 +9,9 @@ The strong-decoherence master equation predicts coherences
 with wbar the renormalized gap and p_l the renormalized-gap populations.
 I2 is the conjugate of the I1 form at -wbar, so all pairs and both signs are
 the components of one vector-valued integrand over one shared cut tau*.
+G comes from a table; the integral to tau* is one nested order-8 Gregory
+rule on tau = tau* s^3, s uniform on [0, 1], from 65 nodes doubling up to a
+cap of 16385. Its error estimate is |I_N - I_(N+1)/2| on N nodes.
 This route shares no code with the imaginary-time kernel integral, so
 agreement between the two is a real consistency check; their analytic
 relationship is deliberately left open and only quantified numerically.
@@ -16,7 +19,6 @@ relationship is deliberately left open and only quantified numerically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericsError, ValidationError
 from .linalg import DensityMatrix
-from .special import QuadratureSettings, integrate_finite
+from .special import QuadratureSettings
 from .spectral import BathParams, SpectralDensity, _g_batch
 from .steady import RenormalizationConvention, SystemSpec, _coupling, _effective_energies, _populations
 
@@ -42,10 +44,14 @@ _GROWTH_FACTOR = 1.5
 _GROWTH_LIMIT = 200
 _STALL_RATIO = 1.001
 _STALL_STRIKES = 3
-_WINDOW_PERIODS = 8.0  # outer integral window length in units of 2 pi / |wbar|
-# At least 135 integrand nodes per window: far beyond any bath the route can
-# resolve, and a bound on the window array before it is built.
-_MAX_WINDOWS = 100_000
+_RULE_START_NODES = 65
+_RULE_MAX_NODES = 16385  # the transform's node cap, 2^14 + 1
+# Order-8 Gregory end corrections: node k from either end of a uniform grid
+# weighs 1 + _GREGORY_ENDS[k] node spacings and every interior node 1, which
+# integrates polynomials of degree 7 exactly on 16 or more nodes.
+_GREGORY_ENDS = np.array(
+    [-2558783.0, 1908311.0, -2696283.0, 2899075.0, -2134045.0, 1012293.0, -278921.0, 33953.0]
+) / 3628800.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,6 +204,47 @@ def _g_splines(
     return built, False
 
 
+def _gregory(y: np.ndarray) -> np.ndarray:
+    """Order-8 Gregory sum over axis 0 of y, in units of the node spacing."""
+    return y.sum(axis=0) + _GREGORY_ENDS @ y[:8] + _GREGORY_ENDS @ y[:-9:-1]
+
+
+def _transform(f, tau_star: float, settings: QuadratureSettings) -> tuple[np.ndarray, np.ndarray, int]:
+    """int_0^tau* f(tau) dtau on tau = tau* s^3, by the nested Gregory rule in s.
+
+    The rule starts on _RULE_START_NODES uniform s-nodes and doubles, reading
+    f only at the new midpoints, until every component of the last two sums
+    is within max(abs_tol, rel_tol * max|I_N|). Returns the integral on N
+    nodes, each component's |I_N - I_(N+1)/2| and N. Raises NumericsError
+    when the rule misses the tolerance at _RULE_MAX_NODES nodes.
+    """
+
+    def integrand(s_nodes):
+        return f(tau_star * s_nodes**3) * (3.0 * tau_star * s_nodes**2)[:, None]
+
+    n = _RULE_START_NODES
+    y = integrand(np.linspace(0.0, 1.0, n))
+    total = _gregory(y) / (n - 1)
+    while True:
+        # n - 1 is a power of two, so the even nodes of the doubled grid are
+        # this grid's nodes bit for bit and only the odd ones are new.
+        doubled = np.empty((2 * n - 1,) + y.shape[1:], dtype=y.dtype)
+        doubled[::2] = y
+        doubled[1::2] = integrand(np.linspace(0.0, 1.0, 2 * n - 1)[1::2])
+        y, n = doubled, 2 * n - 1
+        value = _gregory(y) / (n - 1)
+        err = np.abs(value - total)
+        tol = max(settings.abs_tol, settings.rel_tol * float(np.max(np.abs(value))))
+        if np.max(err) <= tol:
+            return value, err, n
+        if n >= _RULE_MAX_NODES:
+            raise NumericsError(
+                f"the transform out to tau* = {tau_star:.6g} is {np.max(err):.3g} off at "
+                f"{n} nodes, above {tol:.3g}"
+            )
+        total = value
+
+
 def me_steady_state(
     sys: SystemSpec,
     bath: BathParams,
@@ -211,17 +258,22 @@ def me_steady_state(
     signs of wbar, are one vector-valued integrand, so the table is read
     once per tau node.
     It runs out to one cut tau*, where the weakest pair's lam^2 a^2 Re G
-    passes the tail cutoff, in windows short enough to track the fastest
-    e^{-i wbar tau}. diagnostics["tau_star"] is that cut. Per-pair
-    diagnostics give the shared evaluation count, the pair's own error
-    estimate, and its tail bound e^{-lam^2 a^2 Re G(tau*)} tau*.
+    passes the tail cutoff; diagnostics["tau_star"] is that cut. The
+    integral to tau* is an order-8 Gregory rule in s on tau = tau* s^3 (G's
+    tau^2 ln tau start becomes s^6 ln s), on N = 65 uniform s-nodes doubled,
+    with the table read at the new midpoints only, until the last two sums
+    agree to max(abs_tol, rel_tol * max|I_N|) in every component. Per-pair
+    diagnostics give N (evaluations), the pair's own |I_N - I_(N+1)/2| with
+    both signs of wbar summed (error_estimate), and its tail bound
+    e^{-lam^2 a^2 Re G(tau*)} tau*.
 
     The table is reused across consecutive calls with the same density
     object, beta, grid end tau_max and quadrature settings, as along a
     lambda^2 Q sweep; diagnostics["table_reused"] reports it. The reused
     table is the one a fresh build would give, bit for bit.
 
-    Raises NumericsError when lam^2 (a_l - a_l')^2 overflows.
+    Raises NumericsError when lam^2 (a_l - a_l')^2 overflows, and when the
+    rule still misses its tolerance at 16385 nodes.
     """
     s = q or QuadratureSettings()
     if not bath.lam > 0:
@@ -251,23 +303,7 @@ def me_steady_state(
         phase = np.outer(im + q_reorg * t, s_c) - np.outer(t, w_c)
         return np.exp(-np.outer(re, s_c) + 1j * phase)
 
-    window = tau_star
-    w_max = float(np.max(np.abs(wbar)))
-    if w_max != 0.0:
-        window = min(window, _WINDOW_PERIODS * 2.0 * np.pi / w_max)
-    n_windows = tau_star / window
-    if not n_windows <= _MAX_WINDOWS:
-        raise NumericsError(
-            f"the transform out to tau* = {tau_star:.6g} needs {n_windows:.3g} windows, "
-            f"more than {_MAX_WINDOWS}"
-        )
-    edges = np.linspace(0.0, tau_star, max(2, math.ceil(n_windows) + 1))
-    total, err, evals = 0.0, 0.0, 0
-    for a, b in zip(edges[:-1], edges[1:]):
-        r = integrate_finite(f, float(a), float(b), s)
-        total = total + r.value
-        err = err + r.component_errors
-        evals += r.evaluations
+    total, err, evals = _transform(f, tau_star, s)
 
     n = len(l)
     val = sys.h_elements[l, l2] * (1j * p[l] * total[:n] - 1j * p[l2] * np.conj(total[n:]))

@@ -399,8 +399,11 @@ def _mu_exp(kappa: np.ndarray, tau: np.ndarray) -> np.ndarray:
 
     The direct form is built in place on the whole block; the 25-term Taylor
     series overwrites the entries with kt <= 0.5 (all of them at kappa = 0),
-    where the direct form would lose digits to cancellation.
+    where the direct form would lose digits to cancellation. At kappa = 0
+    every Horner step gives exactly 1, so mu is tau^2/2 with no series.
     """
+    if not kappa.any():
+        return np.repeat((tau**2 / 2.0)[None, :], len(kappa), axis=0)
     kt = kappa[:, None] * tau[None, :]
     out = np.negative(kt)
     np.expm1(out, out=out)

@@ -574,18 +574,30 @@ def test_exact_past_its_coupling_bound_is_na_with_note(capsys):
     assert past[-1].startswith("exact: f_exact is refused at lambda^2")
 
 
-def test_me_window_count_past_its_bound_is_na_with_note(monkeypatch, capsys):
-    # The window count is bounded before the window array is built. At
-    # lambda^2 Q = 0.01 and 0.02 the transform runs over 2.6 and 1.3 windows
-    # (G is finite and its table checks out), so with the bound lowered to 1
-    # the bound is what stops both points: NA and a note.
-    monkeypatch.setattr(comparator, "_MAX_WINDOWS", 1)
-    rc = run_main(["sweep", "--sweep", "lambda2Q", "--from", "0.01", "--to", "0.02",
+def test_me_past_its_node_cap_is_na_with_note(monkeypatch, capsys):
+    # At lambda^2 Q = 1 and 2 the transform needs 257 nodes (G is finite and
+    # its table checks out), so with the cap lowered to 129 the cap is what
+    # stops both points: NA and a note.
+    monkeypatch.setattr(comparator, "_RULE_MAX_NODES", 129)
+    rc = run_main(["sweep", "--sweep", "lambda2Q", "--from", "1", "--to", "2",
                    "--points", "2", "--methods", "me"])
     assert rc == 0
-    last = capsys.readouterr().out.strip().split("\n")[-1].split(",")
-    assert last[1:6] == ["NA"] * 5
-    assert last[-1].startswith("me: ") and "windows" in last[-1]
+    for row in capsys.readouterr().out.strip().split("\n")[1:]:
+        cells = row.split(",")
+        assert cells[1:6] == ["NA"] * 5
+        assert cells[-1].startswith("me: ") and "off at 129 nodes" in cells[-1]
+
+
+def test_me_at_lambda2q_1e7_is_na_with_cap_note(capsys):
+    # At lambda^2 Q = 1e6 the rule converges on 16385 nodes, the cap; at 1e7
+    # it would need 32769, so that cell is NA and its note names the cap.
+    rc = run_main(["sweep", "--sweep", "lambda2Q", "--from", "1e6", "--to", "1e7",
+                   "--points", "2", "--methods", "me"])
+    assert rc == 0
+    inside, past = (r.split(",") for r in capsys.readouterr().out.strip().split("\n")[1:])
+    assert all(math.isfinite(float(c)) for c in inside[1:6]) and inside[-1] == ""
+    assert past[1:6] == ["NA"] * 5
+    assert past[-1].startswith("me: ") and "off at 16385 nodes" in past[-1]
 
 
 def test_me_non_finite_g_is_na_with_note(capsys):

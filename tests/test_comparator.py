@@ -6,7 +6,7 @@ import pytest
 from meanforce import comparator
 from meanforce.comparator import me_state, me_steady_state
 from meanforce.errors import NumericsError, ValidationError
-from meanforce.special import QuadratureSettings
+from meanforce.special import QuadratureSettings, integrate_finite
 from meanforce.spectral import BathParams, DiscreteModes, LorentzDrude, Tabulated
 from meanforce.spinboson import SpinBosonParams, build_system
 from meanforce.steady import (
@@ -256,9 +256,12 @@ def test_g_fault_surfaces_after_memo_filled(monkeypatch, cold_memo):
             me_steady_state(SPIN, b, LD)
 
 
+_WINDOW_PERIODS = 8.0  # the reference's window length in units of 2 pi / |wbar|
+
+
 def _me_coherences_pair_loop(sys, bath, sd, s):
-    # The per-pair, per-sign loop that the all-pairs integrand replaces: each
-    # active pair gets its own cut and window, and each sign of wbar its own
+    # An adaptive reference for the all-pairs Gregory rule: each active pair
+    # gets its own cut and windows, and each sign of wbar its own
     # integrate_finite call per window.
     energies = comparator._effective_energies(
         sys, bath, RenormalizationConvention.NATURAL, sd
@@ -289,10 +292,10 @@ def _me_coherences_pair_loop(sys, bath, sd, s):
 
             window = tau_star
             if w != 0.0:
-                window = min(window, comparator._WINDOW_PERIODS * 2.0 * np.pi / abs(w))
+                window = min(window, _WINDOW_PERIODS * 2.0 * np.pi / abs(w))
             edges = np.linspace(0.0, tau_star, max(2, int(np.ceil(tau_star / window)) + 1))
             return sum(
-                comparator.integrate_finite(f, float(a), float(b), s).value
+                integrate_finite(f, float(a), float(b), s).value
                 for a, b in zip(edges[:-1], edges[1:])
             )
 
@@ -395,26 +398,54 @@ def test_me_matches_exact_at_matsubara_resonance(omega_c, beta, lam2q):
     assert abs(me.coherences[0, 1] / c_ex - 1.0) <= 1e-11
 
 
-def test_me_one_integrate_finite_call_per_window(monkeypatch):
-    # All 6 pairs of the dim-4 system and both signs are one integrand: when
-    # the shared cut fits in one window, one call covers the whole point.
-    calls = []
-    integrate = comparator.integrate_finite
+def test_me_transform_reads_each_node_once(monkeypatch):
+    # All 6 pairs of the dim-4 system and both signs are one integrand, and
+    # each doubling of the rule reads the table at its new midpoints only:
+    # 65 nodes first, then the odd nodes of each doubled grid, N in all.
+    bath = BathParams(beta=1.0, lam=math.sqrt(2.0))
+    me_steady_state(_DIM4, bath, LD)  # fills the memo, so no build reads the table below
+    reads = []
+    read = comparator._GTable.__call__
 
-    def counted(f, a, b, settings=None):
-        r = integrate(f, a, b, settings)
-        calls.append(r)
-        return r
+    def counted(self, t):
+        reads.append(np.array(t))
+        return read(self, t)
 
-    monkeypatch.setattr(comparator, "integrate_finite", counted)
-    me = me_steady_state(_DIM4, BathParams(beta=1.0, lam=math.sqrt(2.0)), LD)
-    assert len(calls) == 1
-    assert np.shape(calls[0].value) == (12,)
-    d = me.diagnostics
+    monkeypatch.setattr(comparator._GTable, "__call__", counted)
+    d = me_steady_state(_DIM4, bath, LD).diagnostics
+    assert d["table_reused"]
     assert len(d["per_pair"]) == 6
-    assert d["tau_star"] > 0.0
-    for pair in d["per_pair"].values():
-        assert pair["evaluations"] == calls[0].evaluations
+    n = d["per_pair"][(0, 1)]["evaluations"]
+    assert all(pair["evaluations"] == n for pair in d["per_pair"].values())
+    assert n > comparator._RULE_START_NODES
+    tau = d["tau_star"] * np.linspace(0.0, 1.0, n) ** 3
+    stride = (n - 1) // (comparator._RULE_START_NODES - 1)
+    assert np.array_equal(reads[0], tau[::stride])
+    for t in reads[1:]:
+        assert np.array_equal(t, tau[stride // 2::stride])
+        stride //= 2
+    assert stride == 1
+    everything = np.concatenate(reads)
+    assert len(everything) == len(set(everything.tolist())) == n
+
+
+@pytest.mark.parametrize("points", [17, 33, 65])
+def test_gregory_sum_integrates_degree_7_exactly(points):
+    s = np.linspace(0.0, 1.0, points)
+    for p in range(8):
+        assert abs(comparator._gregory(s**p) / (points - 1) - 1.0 / (p + 1)) <= 1e-15
+
+
+@pytest.mark.parametrize("lam2q", [1e3, 1e4])
+def test_me_matches_exact_at_large_coupling(lam2q):
+    # At lambda^2 Q = 1e3 and 1e4 the phase decays within tau* ~ 1e-3 and
+    # the rule needs 513 and 1025 nodes; it still holds the exact route.
+    bath = BathParams(beta=1.0, lam=math.sqrt(lam2q / LD.reorganization_energy()))
+    me = me_steady_state(SPIN, bath, LD)
+    ex = steady_state(SPIN, bath, LD, CorrectionMethod.EXACT_QUADRATURE,
+                      RenormalizationConvention.NATURAL)
+    assert me.diagnostics["per_pair"][(0, 1)]["evaluations"] > 257
+    assert abs(me.coherences[0, 1] / a_basis_coherence(ex.state, SPIN) - 1.0) <= 1e-9
 
 
 def test_me_state_assembly():

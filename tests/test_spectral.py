@@ -338,6 +338,17 @@ def test_mu_exp_bit_identical_to_select_form():
     assert np.all(got[0] == tau**2 / 2.0) and np.all(got[:, 0] == 0.0)
 
 
+def test_mu_exp_at_kappa_zero_is_half_tau_squared_bitwise():
+    # Lorentz-Drude G asks for kappa = 0 alone whenever beta w_c < pi; that
+    # call skips the series, whose every Horner step gives exactly 1 there.
+    tau = np.concatenate([[0.0, 5e-324, 1e-310, 1e-300], np.linspace(0.0, 1e3, 10001),
+                          np.geomspace(1e-300, 1e3, 601)])
+    got = _mu_exp(np.array([0.0]), tau)
+    assert got.shape == (1, len(tau))
+    assert np.array_equal(got[0], tau**2 / 2.0)
+    assert np.array_equal(got, _mu_exp_select_form([0.0], tau))
+
+
 def _g_at(sd, beta, tau):
     """G at one tau, through _g_batch, the one G boundary."""
     return complex(_g_batch(sd, beta, np.array([tau]), QuadratureSettings())[0])
