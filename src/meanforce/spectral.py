@@ -424,7 +424,7 @@ def _mu_exp(kappa: np.ndarray, tau: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=4)
 def _lorentz_drude_g_setup(wc: float, beta: float) -> tuple:
     """The tau-independent part of _lorentz_drude_g, built once per (w_c, beta)
-    for a G table and the single-tau probes before it: series coefficients,
+    for the ME route's ladder and rule calls: series coefficients,
     exponential-sum weights (in read-only arrays) and matched constants."""
     c = 2.0 * math.pi / beta
     if not c <= _C_MAX:

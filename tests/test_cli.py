@@ -126,9 +126,11 @@ def test_every_route_reports_psd_on_its_state():
 
 
 def test_lambda_sweep_bytes_do_not_depend_on_spline_reuse(monkeypatch):
-    # Along a lambda^2 Q sweep the ME route reuses one G spline. A sweep that
-    # builds it at every point, one that builds it at the first point only,
-    # and a second run that finds it already built give the same bytes.
+    # Along a lambda^2 Q sweep the ME route keeps G at the rule's nodes for
+    # the last cut. A sweep that evaluates it afresh at every point, one that
+    # reuses it wherever consecutive points share a cut, and a second run of
+    # the same sweep give the same bytes; a build is one memo miss, one per
+    # distinct cut in a run.
     spec = cli.SweepSpec(
         swept="lambda2Q", lo=0.2, hi=10.0, points=5, delta=0.7, beta=1.0,
         omega_c=0.25, lambda2q=1.0, spectral="lorentz-drude", methods=("me",),
@@ -136,27 +138,35 @@ def test_lambda_sweep_bytes_do_not_depend_on_spline_reuse(monkeypatch):
     )
     sd = LorentzDrude(1.0, 0.25)
     monkeypatch.setattr(cli, "_spectral_density", lambda name, omega_c: sd)
-    builds = []
-    build, point = comparator._build_g_splines, cli._evaluate_point
+    runs = []
+    me, point = cli.me_steady_state, cli._evaluate_point
 
-    def counted_build(*args):
-        builds.append(args)
-        return build(*args)
+    def recorded(*args):
+        res = me(*args)
+        runs[-1].append((res.diagnostics["tau_star"], res.diagnostics["g_reused"]))
+        return res
 
     def cold_point(*args):
-        comparator._last_spline = None
+        comparator._last_g = None
         return point(*args)
 
-    monkeypatch.setattr(comparator, "_build_g_splines", counted_build)
+    def run():
+        runs.append([])
+        return cli.run_sweep(spec)
+
+    monkeypatch.setattr(cli, "me_steady_state", recorded)
     monkeypatch.setattr(cli, "_evaluate_point", cold_point)
-    cold = cli.run_sweep(spec)
-    assert len(builds) == 5
+    cold = run()
+    assert [reused for _, reused in runs[0]] == [False] * 5
     monkeypatch.setattr(cli, "_evaluate_point", point)
-    monkeypatch.setattr(comparator, "_last_spline", None)
-    first = cli.run_sweep(spec)
-    assert len(builds) == 6
-    second = cli.run_sweep(spec)
-    assert len(builds) == 6
+    monkeypatch.setattr(comparator, "_last_g", None)
+    first = run()
+    second = run()
+    cuts = [tau for tau, _ in runs[0]]
+    assert cuts[0] != cuts[-1]
+    for r in runs[1:]:
+        assert [tau for tau, _ in r] == cuts
+        assert sum(not reused for _, reused in r) == len(set(cuts)) < 5
     assert first == second == cold
     assert "NA" not in cold
 
@@ -576,7 +586,7 @@ def test_exact_past_its_coupling_bound_is_na_with_note(capsys):
 
 def test_me_past_its_node_cap_is_na_with_note(monkeypatch, capsys):
     # At lambda^2 Q = 1 and 2 the transform needs 257 nodes (G is finite and
-    # its table checks out), so with the cap lowered to 129 the cap is what
+    # nondecreasing there), so with the cap lowered to 129 the cap is what
     # stops both points: NA and a note.
     monkeypatch.setattr(comparator, "_RULE_MAX_NODES", 129)
     rc = run_main(["sweep", "--sweep", "lambda2Q", "--from", "1", "--to", "2",
@@ -601,8 +611,9 @@ def test_me_at_lambda2q_1e7_is_na_with_cap_note(capsys):
 
 
 def test_me_non_finite_g_is_na_with_note(capsys):
-    # At omega_c = 1e-300 the search for the tail starts at tau = 4e300,
-    # where Re G overflows: NA and a note, before any G table is built.
+    # At omega_c = 1e-300 the cut's ladder ends at tau = 4e300 and starts
+    # 1.5^48 below it, where Re G overflows: NA and a note, before the rule
+    # evaluates G at any of its nodes.
     rc = run_main(["sweep", "--sweep", "lambda2Q", "--from", "1", "--to", "2",
                    "--points", "2", "--omega-c", "1e-300", "--methods", "me"])
     assert rc == 0

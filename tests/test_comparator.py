@@ -90,14 +90,19 @@ def test_me_diagnostics_and_truncation():
     bath = BathParams(beta=1.0, lam=math.sqrt(5.0))
     me = me_steady_state(SPIN, bath, LD)
     d = me.diagnostics
-    assert d["tau_grid_nodes"] >= 65
-    assert d["table_error"] <= comparator._SPLINE_TOL
+    assert set(d) == {"per_pair", "tau_star", "g_reused"}
     assert d["tau_star"] > 0.0
-    assert d["tau_star"] <= d["tau_max"]
+    # the cut is the smallest rung of the ladder max(beta, 4/w_c) 1.5^k where
+    # the pair's s Re G reaches the tail cutoff
+    k = math.log(d["tau_star"] / max(bath.beta, 4.0 / LD.cutoff)) / math.log(1.5)
+    assert k == pytest.approx(round(k), abs=1e-9)
+    s_pair = bath.lam**2 * (SPIN.a_eigenvalues[1] - SPIN.a_eigenvalues[0]) ** 2
+    re_g = np.real(LD.g(bath.beta, d["tau_star"] * np.array([1.0, 1.0 / 1.5]), QuadratureSettings()))
+    assert s_pair * re_g[0] >= comparator._TAIL_CUTOFF_EXPONENT > s_pair * re_g[1]
     pair = d["per_pair"][(0, 1)]
     assert "tau_star" not in pair
     assert pair["error_estimate"] < 1e-8
-    assert pair["evaluations"] > 0
+    assert pair["evaluations"] >= 2 * comparator._RULE_START_NODES - 1
     # the cut guarantees s Re G(tau*) >= the tail cutoff exponent
     assert 0.0 < pair["tail_bound"] <= math.exp(-comparator._TAIL_CUTOFF_EXPONENT) * d["tau_star"]
 
@@ -105,8 +110,7 @@ def test_me_diagnostics_and_truncation():
 @pytest.mark.parametrize("lam2q", [0.2, 1.0, 10.0])
 def test_me_tail_bound_is_taken_at_the_cut(lam2q):
     # At fig1a's point the bound is e^{-s Re G(tau*)} tau*, with
-    # s = lam^2 (a_1 - a_0)^2 and G from its own evaluation at tau*, not at
-    # the table end tau_max.
+    # s = lam^2 (a_1 - a_0)^2 and G from its own evaluation at tau*.
     bath = BathParams(beta=1.0, lam=math.sqrt(lam2q / LD.reorganization_energy()))
     d = me_steady_state(SPIN, bath, LD).diagnostics
     tau_star = d["tau_star"]
@@ -116,112 +120,85 @@ def test_me_tail_bound_is_taken_at_the_cut(lam2q):
     assert d["per_pair"][(0, 1)]["tail_bound"] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-def _table(values, n=65, tau_max=16.0):
-    # A G table whose rows are the given functions of s on n grid nodes.
-    grid = tau_max * np.linspace(0.0, 1.0, n) ** 3
-    s = np.cbrt(grid / tau_max)
-    return grid, comparator._GTable(grid, np.stack([f(s) for f in values]))
-
-
-def test_g_table_reads_its_nodes_exactly():
-    # tau_max is no power of two, so cbrt(tau / tau_max) misses some nodes' s.
-    grid, table = _table([np.cos, np.sin], tau_max=18.3)
-    assert np.array_equal(table(grid), table.y)
-
-
-def test_g_table_reproduces_degree_7_polynomial_in_s():
-    # 8-point Lagrange interpolation is exact on degree 7, end stencils included.
-    c = np.random.default_rng(0).normal(size=(2, 8))
-    rows = [np.polynomial.Polynomial(ci) for ci in c]
-    grid, table = _table(rows)
-    s = np.linspace(0.0, 1.0, 1001)
-    vals = table(16.0 * s**3)
-    for row, p in zip(vals, rows):
-        assert np.max(np.abs(row - p(s))) <= 1e-14 * np.max(np.abs(p(s)))
-
-
-def test_g_table_accurate_in_end_stencils():
-    # At every cell midpoint, the one-sided stencils of the first and last
-    # three cells included, the error stays within the Lagrange remainder
-    # bound max|f^(8)| h^8 prod_k |u - u_k| / 8!, u in node spacings.
-    n = 65
-    rows = [(lambda s: np.exp(-3.0 * s), 3.0**8), (lambda s: np.sin(5.0 * s + 0.3), 5.0**8)]
-    grid, table = _table([f for f, _ in rows], n)
-    u = np.arange(n - 1) + 0.5
-    first = np.clip(np.floor(u) - 3.0, 0.0, n - 8.0)
-    node_prod = np.prod(np.abs(u - first - np.arange(8.0)[:, None]), axis=0)
-    s = u / (n - 1)
-    vals = table(16.0 * s**3)
-    for row, (f, d8) in zip(vals, rows):
-        bound = d8 * node_prod / ((n - 1.0) ** 8 * math.factorial(8))
-        assert np.all(np.abs(row - f(s)) <= bound + 1e-15)
-        assert np.max(bound) < 3e-11
-
-
 @pytest.fixture
 def cold_memo(monkeypatch):
-    # An earlier test may have left a G table for LD at the same key.
-    monkeypatch.setattr(comparator, "_last_spline", None)
+    # An earlier test may have left G for LD at the same key.
+    monkeypatch.setattr(comparator, "_last_g", None)
 
 
-def test_g_spline_build_evaluates_each_tau_once(monkeypatch, cold_memo):
-    # Each doubling reuses the previous grid and the probes become its new
-    # nodes, so one build evaluates the final grid plus one probe per cell.
-    inside, taus = [], []
-    g_batch, build = comparator._g_batch, comparator._build_g_splines
+def _rule_reads(monkeypatch):
+    # The tau of every G call made outside the cut's ladder, call by call.
+    inside, reads = [], []
+    g_batch, find = comparator._g_batch, comparator._find_tau_max
 
     def counting_g_batch(sd, beta, tau, settings):
-        if inside:
-            taus.extend(np.asarray(tau).tolist())
+        if not inside:
+            reads.append(np.array(tau))
         return g_batch(sd, beta, tau, settings)
 
-    def marked_build(*args):
+    def marked_find(*args):
         inside.append(True)
         try:
-            return build(*args)
+            return find(*args)
         finally:
             inside.pop()
 
     monkeypatch.setattr(comparator, "_g_batch", counting_g_batch)
-    monkeypatch.setattr(comparator, "_build_g_splines", marked_build)
-    me = me_steady_state(SPIN, BathParams(beta=1.0, lam=math.sqrt(5.0)), LD)
-    nodes = me.diagnostics["tau_grid_nodes"]
-    assert nodes > comparator._GRID_START_NODES
-    assert len(set(taus)) == len(taus) == 2 * nodes - 1
+    monkeypatch.setattr(comparator, "_find_tau_max", marked_find)
+    return reads
+
+
+def test_g_spline_build_evaluates_each_tau_once(monkeypatch, cold_memo):
+    # Two couplings that share a rung share one memo entry: G is evaluated
+    # at the rule's nodes only, each node once, all but tau = 0 (G(0) = 0)
+    # and tau* (read in the ladder) in one call.
+    reads = _rule_reads(monkeypatch)
+    baths = [BathParams(beta=1.0, lam=math.sqrt(v)) for v in (2.0, 2.5)]
+    res = [me_steady_state(SPIN, bath, LD) for bath in baths]
+    assert res[0].diagnostics["tau_star"] == res[1].diagnostics["tau_star"]
+    assert [r.diagnostics["g_reused"] for r in res] == [False, True]
+    nodes = max(r.diagnostics["per_pair"][(0, 1)]["evaluations"] for r in res)
+    assert nodes > comparator._RULE_START_NODES
+    taus = np.concatenate(reads).tolist()
+    assert len(reads) == 1
+    assert len(set(taus)) == len(taus) == nodes - 2
 
 
 def _counting_builds(monkeypatch):
+    # The memo misses: calls that start a new G entry.
     builds = []
-    build = comparator._build_g_splines
+    rule_g = comparator._rule_g
 
     def counted(*args):
-        builds.append(args)
-        return build(*args)
+        at, reused = rule_g(*args)
+        if not reused:
+            builds.append(args)
+        return at, reused
 
-    monkeypatch.setattr(comparator, "_build_g_splines", counted)
+    monkeypatch.setattr(comparator, "_rule_g", counted)
     return builds
 
 
 def test_g_spline_reused_across_couplings(monkeypatch, cold_memo):
-    # Two couplings of one lambda^2 Q sweep land on the same tau_max, so the
-    # second call reuses the first G table and still gives the cold result.
-    baths = [BathParams(beta=1.0, lam=math.sqrt(v)) for v in (2.0, 5.0)]
+    # Two couplings of one lambda^2 Q sweep land on the same rung, so the
+    # second call reuses the first one's G and still gives the cold result.
+    baths = [BathParams(beta=1.0, lam=math.sqrt(v)) for v in (2.0, 2.5)]
     cold = []
     for bath in baths:
-        comparator._last_spline = None
+        comparator._last_g = None
         cold.append(me_steady_state(SPIN, bath, LD))
-    comparator._last_spline = None
+    comparator._last_g = None
     builds = _counting_builds(monkeypatch)
     warm = [me_steady_state(SPIN, bath, LD) for bath in baths]
     assert len(builds) == 1
-    assert [r.diagnostics["table_reused"] for r in warm] == [False, True]
-    assert warm[0].diagnostics["tau_max"] == warm[1].diagnostics["tau_max"]
+    assert [r.diagnostics["g_reused"] for r in warm] == [False, True]
+    assert warm[0].diagnostics["tau_star"] == warm[1].diagnostics["tau_star"]
     for c, w in zip(cold, warm):
         assert np.array_equal(w.coherences, c.coherences)
-        assert w.diagnostics["table_error"] == c.diagnostics["table_error"]
-    grid, table = comparator._last_spline[2][:2]
-    assert table.grid is grid
-    assert not (grid.flags.writeable or table.y.flags.writeable)
+        assert w.diagnostics["per_pair"] == c.diagnostics["per_pair"]
+    g = comparator._last_g[2]
+    assert len(g) == warm[1].diagnostics["per_pair"][(0, 1)]["evaluations"]
+    assert not g.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -240,7 +217,7 @@ def test_g_spline_key_change_misses(monkeypatch, cold_memo, change):
     args = {**base, **change}
     res = me_steady_state(SPIN, args["bath"], args["sd"], args["q"])
     assert len(builds) == 2
-    assert res.diagnostics["table_reused"] is False
+    assert res.diagnostics["g_reused"] is False
 
 
 def test_g_fault_surfaces_after_memo_filled(monkeypatch, cold_memo):
@@ -256,13 +233,41 @@ def test_g_fault_surfaces_after_memo_filled(monkeypatch, cold_memo):
             me_steady_state(SPIN, b, LD)
 
 
+@pytest.mark.parametrize("call", [0, 1, 2])
+@pytest.mark.parametrize(
+    "fault, match",
+    [
+        # Re G falls by 1 at the batch's last node, tau* excluded
+        (lambda g: g - np.where(np.arange(len(g)) == len(g) - 1, 1.0, 0.0), "not nondecreasing"),
+        (lambda g: np.where(np.arange(len(g)) == len(g) // 2, np.nan, g), "not finite"),
+    ],
+    ids=["non-monotone", "non-finite"],
+)
+def test_g_faults_refused_on_every_rule_batch(monkeypatch, cold_memo, call, fault, match):
+    # At lambda^2 Q = 1e4 the rule reads G in three calls after the ladder
+    # (255, 256 and 512 new nodes); a fault in any one of them is refused.
+    g, calls = LorentzDrude.g, []
+
+    def faulty(self, beta, tau, settings):
+        out = g(self, beta, tau, settings)
+        if len(calls) == call + 1:  # calls[0] is the ladder's
+            out = fault(out)
+        calls.append(len(tau))
+        return out
+
+    monkeypatch.setattr(LorentzDrude, "g", faulty)
+    with pytest.raises(NumericsError, match=match):
+        me_steady_state(SPIN, BathParams(beta=1.0, lam=100.0), LD)
+    assert len(calls) == call + 2
+
+
 _WINDOW_PERIODS = 8.0  # the reference's window length in units of 2 pi / |wbar|
 
 
 def _me_coherences_pair_loop(sys, bath, sd, s):
     # An adaptive reference for the all-pairs Gregory rule: each active pair
-    # gets its own cut and windows, and each sign of wbar its own
-    # integrate_finite call per window.
+    # gets its own cut and windows, each sign of wbar its own
+    # integrate_finite call per window, and G is evaluated at its nodes.
     energies = comparator._effective_energies(
         sys, bath, RenormalizationConvention.NATURAL, sd
     )
@@ -273,22 +278,16 @@ def _me_coherences_pair_loop(sys, bath, sd, s):
     s_values = {(l, l2): bath.lam**2 * float(a[l2] - a[l]) ** 2 for l, l2 in pairs}
     active = [pr for pr in pairs if sys.h_elements[pr] != 0]
     coh = np.zeros((sys.dim, sys.dim), dtype=complex)
-    s_min = min(s_values[pr] for pr in active)
-    tail = comparator._TAIL_CUTOFF_EXPONENT
-    tau_max = comparator._find_tau_max(sd, bath.beta, s_min, s)
-    grid, table = comparator._build_g_splines(sd, bath.beta, tau_max, s)[:2]
-    re_g = table.y[0]
     for l, l2 in active:
         s_pair = s_values[(l, l2)]
         wbar = float(energies[l] - energies[l2])
-        idx = np.searchsorted(s_pair * re_g, tail)
-        tau_star = float(grid[min(idx, len(grid) - 1)])
+        tau_star = comparator._find_tau_max(sd, bath.beta, s_pair, s)[0]
 
         def transform(w):
             def f(t):
-                re, im = table(t)
-                phase = s_pair * (im + q_reorg * t) - w * t
-                return np.exp(-s_pair * re + 1j * phase)
+                g = sd.g(bath.beta, t, s)
+                phase = s_pair * (np.imag(g) + q_reorg * t) - w * t
+                return np.exp(-s_pair * np.real(g) + 1j * phase)
 
             window = tau_star
             if w != 0.0:
@@ -356,7 +355,7 @@ def _random_system(dim):
     ids=["dim4-beta1.5", "dim4-beta4", "dim4-beta12", "dim8", "dim12"],
 )
 def test_me_matches_exact_on_multilevel_systems(sys, lam2q, omega_c, beta):
-    # The G table is read to 1e-11 of Q, so the ME route holds the exact
+    # G is evaluated at the rule's own nodes, so the ME route holds the exact
     # route to rounding on systems whose pairs decay at very different rates.
     sd = LorentzDrude(1.0, omega_c)
     bath = BathParams(beta=beta, lam=math.sqrt(lam2q / sd.reorganization_energy()))
@@ -398,35 +397,31 @@ def test_me_matches_exact_at_matsubara_resonance(omega_c, beta, lam2q):
     assert abs(me.coherences[0, 1] / c_ex - 1.0) <= 1e-11
 
 
-def test_me_transform_reads_each_node_once(monkeypatch):
-    # All 6 pairs of the dim-4 system and both signs are one integrand, and
-    # each doubling of the rule reads the table at its new midpoints only:
-    # 65 nodes first, then the odd nodes of each doubled grid, N in all.
-    bath = BathParams(beta=1.0, lam=math.sqrt(2.0))
-    me_steady_state(_DIM4, bath, LD)  # fills the memo, so no build reads the table below
-    reads = []
-    read = comparator._GTable.__call__
-
-    def counted(self, t):
-        reads.append(np.array(t))
-        return read(self, t)
-
-    monkeypatch.setattr(comparator._GTable, "__call__", counted)
+def test_me_transform_reads_each_node_once(monkeypatch, cold_memo):
+    # All 6 pairs of the dim-4 system and both signs are one integrand, and G
+    # is evaluated at the rule's own nodes: the first 257 in one call (less
+    # tau = 0 and tau*), then the odd nodes of each doubled grid, N in all.
+    # A second call at the same cut reads G from the memo alone.
+    bath = BathParams(beta=1.0, lam=math.sqrt(50.0))
+    reads = _rule_reads(monkeypatch)
     d = me_steady_state(_DIM4, bath, LD).diagnostics
-    assert d["table_reused"]
+    assert not d["g_reused"]
     assert len(d["per_pair"]) == 6
     n = d["per_pair"][(0, 1)]["evaluations"]
     assert all(pair["evaluations"] == n for pair in d["per_pair"].values())
-    assert n > comparator._RULE_START_NODES
+    assert n > comparator._FIRST_LEVEL_NODES
     tau = d["tau_star"] * np.linspace(0.0, 1.0, n) ** 3
-    stride = (n - 1) // (comparator._RULE_START_NODES - 1)
-    assert np.array_equal(reads[0], tau[::stride])
+    stride = (n - 1) // (comparator._FIRST_LEVEL_NODES - 1)
+    assert np.array_equal(reads[0], np.delete(tau[::stride], [0, -1]))
     for t in reads[1:]:
         assert np.array_equal(t, tau[stride // 2::stride])
         stride //= 2
     assert stride == 1
     everything = np.concatenate(reads)
-    assert len(everything) == len(set(everything.tolist())) == n
+    assert len(everything) == len(set(everything.tolist())) == n - 2
+    reads.clear()
+    assert me_steady_state(_DIM4, bath, LD).diagnostics["g_reused"]
+    assert reads == []
 
 
 @pytest.mark.parametrize("points", [17, 33, 65])
@@ -446,6 +441,46 @@ def test_me_matches_exact_at_large_coupling(lam2q):
                       RenormalizationConvention.NATURAL)
     assert me.diagnostics["per_pair"][(0, 1)]["evaluations"] > 257
     assert abs(me.coherences[0, 1] / a_basis_coherence(ex.state, SPIN) - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "lam2q, max_nodes", [(1e3, 513), (1e4, 1025), (1e5, 4097), (1e6, 16385)]
+)
+def test_me_holds_exact_to_1e_11_up_to_lambda2q_1e6(lam2q, max_nodes):
+    # G is evaluated at the rule's nodes on [0, tau*], so no table error is
+    # scaled up by lam^2 a^2: measured 1.2e-14, 1.3e-14, 6.4e-14 and 8.8e-13.
+    bath = BathParams(beta=1.0, lam=math.sqrt(lam2q / LD.reorganization_energy()))
+    me = me_steady_state(SPIN, bath, LD)
+    ex = steady_state(SPIN, bath, LD, CorrectionMethod.EXACT_QUADRATURE,
+                      RenormalizationConvention.NATURAL)
+    assert me.diagnostics["per_pair"][(0, 1)]["evaluations"] <= max_nodes
+    assert abs(me.coherences[0, 1] / a_basis_coherence(ex.state, SPIN) - 1.0) <= 1e-11
+
+
+@pytest.mark.parametrize("lam2q", [1.0, 1e2, 1e4, 1e6])
+def test_me_error_estimate_bounds_its_distance_to_exact(lam2q):
+    # Each transform enters c = h (i p_0 I1 - i p_1 conj(I2)), so the pair's
+    # error_estimate (both signs summed) times |h| (p_0 + p_1) is an error
+    # bound in the units of c; it holds |c_me - c_exact|.
+    bath = BathParams(beta=1.0, lam=math.sqrt(lam2q / LD.reorganization_energy()))
+    me = me_steady_state(SPIN, bath, LD)
+    ex = steady_state(SPIN, bath, LD, CorrectionMethod.EXACT_QUADRATURE,
+                      RenormalizationConvention.NATURAL)
+    estimate = me.diagnostics["per_pair"][(0, 1)]["error_estimate"]
+    bound = estimate * abs(SPIN.h_elements[0, 1]) * (me.populations[0] + me.populations[1])
+    assert abs(me.coherences[0, 1] - a_basis_coherence(ex.state, SPIN)) <= bound
+
+
+def test_me_answers_on_a_coarse_tabulated_density():
+    # 13 rows of w e^{-w}: the interpolated G table missed its 1e-11 of Q
+    # check here (2.11e-11 at 4097 nodes); G at the rule's nodes gives 6.1e-11.
+    w = np.linspace(0.0, 3.0, 13)
+    sd = Tabulated(w, w * np.exp(-w))
+    bath = BathParams(beta=1.0, lam=math.sqrt(0.2 / sd.reorganization_energy()))
+    me = me_steady_state(SPIN, bath, sd)
+    ex = steady_state(SPIN, bath, sd, CorrectionMethod.EXACT_QUADRATURE,
+                      RenormalizationConvention.NATURAL)
+    assert abs(me.coherences[0, 1] / a_basis_coherence(ex.state, SPIN) - 1.0) <= 2e-10
 
 
 def test_me_state_assembly():
@@ -479,15 +514,13 @@ def test_me_rejects_purely_discrete_bath():
     [
         # s_min Re G stays below the tail cutoff through 200 growth steps of tau.
         (LD, 1e-20, "growth budget"),
-        # tau_max is so far out that 4097 nodes cannot hold G to 1e-11 of Q.
-        (LD, 1e-10, "at 4097 nodes"),
         # A peak at w = 5 on a low floor makes Re G oscillate in tau faster
         # than it grows.
         (Tabulated([0.0, 4.0, 5.0, 6.0], [0.0, 0.04, 10.0, 0.0]), 1.0, "not nondecreasing"),
         # lambda^2 overflows; it is refused before anything squares lambda.
         (LD, 2e154, "coupling .* overflows"),
     ],
-    ids=["growth-budget", "table-node-cap", "non-monotone-re-g", "coupling-overflow"],
+    ids=["growth-budget", "non-monotone-re-g", "coupling-overflow"],
 )
 def test_me_refuses_what_it_cannot_compute(sd, lam, match):
     with pytest.raises(NumericsError, match=match):

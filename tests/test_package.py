@@ -25,6 +25,7 @@ BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 # dropped them; the tracer reads them as absent.
 _STALE = {
     ("oracle", "partial_trace"), ("oracle", "matrix_exp_hermitian"), ("comparator", "integrate_finite"),
+    ("comparator", "_build_g_splines"),
 }
 
 

@@ -113,7 +113,7 @@ def test_reorganization_energy_tabulated_linear_interpolant():
 
 def test_tabulated_equality_is_identity():
     # Its grids are arrays: equal content must not make == raise or compare
-    # the arrays, and the density must hash, as the G table memo assumes.
+    # the arrays, and the density must hash, as the ME route's G memo assumes.
     a = Tabulated([0.5, 1.0, 1.75], [0.2, 0.9, 0.3])
     b = Tabulated([0.5, 1.0, 1.75], [0.2, 0.9, 0.3])
     assert a != b and not (a == b)
