@@ -35,7 +35,12 @@ __all__ = ["MEResult", "me_steady_state", "me_state"]
 _TAIL_CUTOFF_EXPONENT = 40.0  # the transform stops where the weakest pair's s Re G reaches it
 _GROWTH_FACTOR = 1.5
 _GROWTH_LIMIT = 200
-_LADDER_RUNGS = 48  # rungs below tau0 read in the cut's one G call, down to tau0 / 1.5^48
+# Rungs below tau0 in the cut's ladder, down to tau0 / 1.5^36. On seven
+# Lorentz-Drude baths (beta 0.1 to 10, w_c 0.05 to 10) the deepest cut the
+# node cap still integrates is rung -20 to -28; a cut below the ladder only
+# moves up to its lowest rung and costs nodes. A rung adds well under 1 us
+# to the ladder's G call (about 110 us at 25 to 49 rungs).
+_LADDER_RUNGS = 36
 _STALL_RATIO = 1.001
 _STALL_STRIKES = 3
 _RULE_START_NODES = 65
@@ -56,7 +61,9 @@ class MEResult:
     state is the two assembled in the original basis (PSD not enforced; the
     state reports it). diagnostics holds the shared cut tau* every transform
     is integrated to, whether G at the rule's nodes came from the memo of the
-    last cut (g_reused), and the per-pair quadrature errors and tail bounds.
+    last cut (g_reused), and per pair the quadrature error, the tail bound and
+    the rule's level N (evaluations, not the count of integrand evaluations,
+    which is max(N, 257)).
     Hermiticity of the coherence matrix is exact here because the lower
     triangle is the conjugate of the upper by the same algebra that makes the
     two integrals swap roles.
@@ -68,31 +75,49 @@ class MEResult:
     diagnostics: dict
 
 
+def _refuse_decreasing(g: np.ndarray) -> None:
+    """NumericsError where Re G falls along g (ascending tau) by more than
+    1e-10 of max(1, Re G at the last tau)."""
+    re = np.real(g)
+    if np.any(np.diff(re) < -1e-10 * max(1.0, float(re[-1]))):
+        raise NumericsError("Re G(tau) is not nondecreasing for this bath")
+
+
 def _find_tau_max(
     sd: SpectralDensity, beta: float, s_min: float, settings: QuadratureSettings
-) -> tuple[float, complex]:
-    """The cut tau* and G(tau*): the smallest rung of the ladder tau0 1.5^k,
-    tau0 = max(beta, 4/w_c), where s_min Re G reaches the tail cutoff.
+) -> tuple[float, complex, np.ndarray]:
+    """The cut tau*, G(tau*) and G at the ladder's rungs: tau* is the smallest
+    rung of the ladder tau0 1.5^k, tau0 = max(beta, 4/w_c), where s_min Re G
+    reaches the tail cutoff.
 
-    The rungs from tau0 / 1.5^_LADDER_RUNGS to tau0 are one G call (where
-    all of them pass, the lowest is the cut). Where tau0 itself falls short,
-    the ladder climbs one rung per G call, and NumericsError is raised when
-    Re G stalls or the growth budget runs out.
+    G at the rungs from tau0 / 1.5^_LADDER_RUNGS to tau0 comes from the memo
+    where it holds this density, beta and settings, and from one G call
+    otherwise. That call is refused (NumericsError) where Re G decreases
+    across the rungs: the tail bound at tau* needs Re G not to fall beyond
+    tau*. Where tau0 itself falls short, the ladder climbs one rung per G
+    call, and NumericsError is raised when Re G stalls or the growth budget
+    runs out.
     """
     tau = max(beta, 4.0 / sd.cutoff)
     rungs = tau * _GROWTH_FACTOR ** np.arange(-_LADDER_RUNGS, 1.0)
-    g = _g_batch(sd, beta, rungs, settings)
-    passed = s_min * np.real(g) >= _TAIL_CUTOFF_EXPONENT
+    entry = _last_g  # read once: a concurrent swap is then just a miss
+    if entry is not None and entry[0] is sd and entry[1] == (beta, settings):
+        ladder = entry[2]
+    else:
+        ladder = _g_batch(sd, beta, rungs, settings)
+        _refuse_decreasing(ladder)
+        ladder.flags.writeable = False
+    passed = s_min * np.real(ladder) >= _TAIL_CUTOFF_EXPONENT
     if passed[-1]:
         k = int(np.argmax(passed))
-        return float(rungs[k]), complex(g[k])
-    prev = float(np.real(g[-1]))
+        return float(rungs[k]), complex(ladder[k]), ladder
+    prev = float(np.real(ladder[-1]))
     strikes = 0
     for _ in range(_GROWTH_LIMIT):
         tau *= _GROWTH_FACTOR
         g_tau = complex(_g_batch(sd, beta, np.array([tau]), settings)[0])
         if s_min * g_tau.real >= _TAIL_CUTOFF_EXPONENT:
-            return tau, g_tau
+            return tau, g_tau, ladder
         if g_tau.real < prev * _STALL_RATIO:
             strikes += 1
             if strikes >= _STALL_STRIKES:
@@ -108,31 +133,33 @@ def _find_tau_max(
     )
 
 
-# G at the rule's nodes for the last cut, as (density, (beta, tau*, settings),
-# g), g on the finest level of the rule read so far. One entry suffices: the
-# points of a lambda^2 Q sweep that share a rung come in an unbroken run, and
-# a beta or omega_c sweep never repeats a key. The density is matched by
-# identity (Tabulated's own equality, as it holds arrays) and held here, so
-# its id cannot be recycled.
+# G for the last density, beta and settings, as (density, (beta, settings),
+# ladder, tau*, g): ladder is G at the cut's rungs, g is G at the rule's
+# nodes for the last cut tau*, on the finest level read so far. One entry
+# suffices: a lambda^2 Q sweep keeps the key and its points that share a
+# rung come in an unbroken run; a beta or omega_c sweep never repeats a key.
+# The density is matched by identity (Tabulated's own equality, as it holds
+# arrays) and held here, so its id cannot be recycled.
 _last_g: tuple | None = None
 
 
 def _rule_g(
-    sd: SpectralDensity, beta: float, tau_star: float, g_star: complex, settings: QuadratureSettings
+    sd: SpectralDensity, beta: float, ladder: np.ndarray, tau_star: float, g_star: complex,
+    settings: QuadratureSettings,
 ) -> tuple:
     """G on the rule's nodes for one cut, and whether the memo held that cut.
 
     Returns n -> G at tau* s^3, s = linspace(0, 1, n) with n - 1 a power of
     two (read-only). Where the memo lacks level n, one G call evaluates the
-    nodes it lacks and the memo keeps level n; a new entry starts from
-    G(0) = 0 and g_star = G(tau*). So each node is evaluated once per memo
-    entry, and a reused value has the bits of a fresh one. Raises
-    NumericsError when Re G decreases across the nodes.
+    nodes it lacks and the memo keeps level n with the cut's ladder; a new
+    cut starts from G(0) = 0 and g_star = G(tau*). So each node is evaluated
+    once per memo entry, and a reused value has the bits of a fresh one.
+    Raises NumericsError when Re G decreases across the nodes.
     """
     entry = _last_g  # read once: a concurrent swap is then just a miss
-    key = (beta, tau_star, settings)
-    reused = entry is not None and entry[0] is sd and entry[1] == key
-    g = entry[2] if reused else np.array([0.0, g_star])
+    key = (beta, settings)
+    reused = entry is not None and entry[0] is sd and entry[1] == key and entry[3] == tau_star
+    g = entry[4] if reused else np.array([0.0, g_star])
 
     def at(n: int) -> np.ndarray:
         global _last_g
@@ -147,12 +174,10 @@ def _rule_g(
             finer = np.empty(n, dtype=complex)
             finer[::step] = g
             finer[new] = _g_batch(sd, beta, tau_star * s[new] ** 3, settings)
-            re = np.real(finer)
-            if np.any(np.diff(re) < -1e-10 * max(1.0, float(re[-1]))):
-                raise NumericsError("Re G(tau) is not nondecreasing for this bath")
+            _refuse_decreasing(finer)
             finer.flags.writeable = False
             g = finer
-            _last_g = (sd, key, g)
+            _last_g = (sd, key, ladder, tau_star, g)
         return g[:: (len(g) - 1) // (n - 1)]
 
     return at, reused
@@ -217,25 +242,27 @@ def me_steady_state(
     are one vector-valued integrand, so G is evaluated once per tau node for
     all of them. It runs out to one cut tau*, the smallest rung of the ladder
     max(beta, 4/w_c) 1.5^k where the weakest pair's lam^2 a^2 Re G reaches the
-    tail cutoff; the rungs up to max(beta, 4/w_c) are one G call.
+    tail cutoff; G at the rungs up to max(beta, 4/w_c) is one G call.
     diagnostics["tau_star"] is that cut. The integral to tau* is an order-8
     Gregory rule in s on tau = tau* s^3 (G's tau^2 ln tau start becomes
     s^6 ln s), on N = 65 uniform s-nodes doubled, with G evaluated at the
     rule's own nodes (the first 257 in one call, then the new midpoints
     only), until the last two sums agree to max(abs_tol, rel_tol * max|I_N|)
-    in every component. Per-pair diagnostics give N (evaluations), the pair's
-    own |I_N - I_(N+1)/2| with both signs of wbar summed (error_estimate),
-    and its tail bound e^{-lam^2 a^2 Re G(tau*)} tau*.
+    in every component. Per-pair diagnostics give the rule's level N
+    (evaluations; the integrand is evaluated on max(N, 257) nodes), the
+    pair's own |I_N - I_(N+1)/2| with both signs of wbar summed
+    (error_estimate), and its tail bound e^{-lam^2 a^2 Re G(tau*)} tau*.
 
-    G at the nodes is kept for the last cut, and reused by the next call with
-    the same density object, beta, cut and quadrature settings, as along a
-    lambda^2 Q sweep whose points share a rung; diagnostics["g_reused"]
-    reports it. A reused value is the one a fresh evaluation would give, bit
-    for bit.
+    G at the ladder's rungs is kept for the last density object, beta and
+    quadrature settings, and G at the rule's nodes for the last cut too. So
+    along a lambda^2 Q sweep a point on the last point's cut makes no G call
+    and a point on a new cut skips the ladder; diagnostics["g_reused"]
+    reports that the rule's nodes came from the memo. A reused value is the
+    one a fresh evaluation would give, bit for bit.
 
     Raises NumericsError when lam^2 (a_l - a_l')^2 overflows, when G is not
-    finite or Re G decreases at the nodes, and when the rule still misses its
-    tolerance at 16385 nodes.
+    finite or Re G decreases at the rungs or the nodes, and when the rule
+    still misses its tolerance at 16385 nodes.
     """
     s = q or QuadratureSettings()
     if not bath.lam > 0:
@@ -248,8 +275,8 @@ def me_steady_state(
     p = _populations(energies, beta)
     q_reorg = sd.reorganization_energy()
     wbar = energies[l] - energies[l2]
-    tau_star, g_star = _find_tau_max(sd, beta, float(np.min(s_pair)), s)
-    g_at, reused = _rule_g(sd, beta, tau_star, g_star, s)
+    tau_star, g_star, ladder = _find_tau_max(sd, beta, float(np.min(s_pair)), s)
+    g_at, reused = _rule_g(sd, beta, ladder, tau_star, g_star, s)
 
     # components: I1 of every pair, then conj(I2), the transform at -wbar
     s_c = np.concatenate([s_pair, s_pair])

@@ -196,7 +196,7 @@ def test_g_spline_reused_across_couplings(monkeypatch, cold_memo):
     for c, w in zip(cold, warm):
         assert np.array_equal(w.coherences, c.coherences)
         assert w.diagnostics["per_pair"] == c.diagnostics["per_pair"]
-    g = comparator._last_g[2]
+    g = comparator._last_g[4]
     assert len(g) == warm[1].diagnostics["per_pair"][(0, 1)]["evaluations"]
     assert not g.flags.writeable
 
@@ -221,31 +221,64 @@ def test_g_spline_key_change_misses(monkeypatch, cold_memo, change):
 
 
 def test_g_fault_surfaces_after_memo_filled(monkeypatch, cold_memo):
+    # The memo holds G for the point's ladder and cut, so the same point
+    # needs no G call and gives the same bits; a point on a new cut at the
+    # same beta (ladder held) and a point at a new beta both call G and
+    # surface its fault.
     bath = BathParams(beta=1.0, lam=math.sqrt(5.0))
+    filled = me_steady_state(SPIN, bath, LD)
+    new_cut = BathParams(beta=1.0, lam=math.sqrt(50.0))
+    assert me_steady_state(SPIN, new_cut, LD).diagnostics["tau_star"] != filled.diagnostics["tau_star"]
     me_steady_state(SPIN, bath, LD)
 
     def broken(sd, beta, tau, settings):
         raise NumericsError("injected G fault")
 
     monkeypatch.setattr(comparator, "_g_batch", broken)
-    for b in (bath, BathParams(beta=1.3, lam=math.sqrt(5.0))):
+    assert np.array_equal(me_steady_state(SPIN, bath, LD).coherences, filled.coherences)
+    for b in (new_cut, BathParams(beta=1.3, lam=math.sqrt(5.0))):
         with pytest.raises(NumericsError, match="injected G fault"):
             me_steady_state(SPIN, b, LD)
 
 
-@pytest.mark.parametrize("call", [0, 1, 2])
+def test_ladder_read_once_per_key(monkeypatch, cold_memo):
+    # Along a lambda^2 Q sweep the cut's ladder is one G call for the whole
+    # sweep: later points on a held cut make no G call, and a point on a new
+    # cut makes only the rule's.
+    calls, g_batch = [], comparator._g_batch
+
+    def counting(sd, beta, tau, settings):
+        calls.append(len(tau))
+        return g_batch(sd, beta, tau, settings)
+
+    monkeypatch.setattr(comparator, "_g_batch", counting)
+    runs = []
+    for lam2q in (2.0, 2.5, 50.0):
+        calls.clear()
+        d = me_steady_state(SPIN, BathParams(beta=1.0, lam=math.sqrt(lam2q)), LD).diagnostics
+        runs.append((d["tau_star"], list(calls)))
+    ladder = comparator._LADDER_RUNGS + 1
+    assert runs[0][1][0] == ladder and ladder not in runs[0][1][1:]
+    assert runs[1] == (runs[0][0], [])
+    assert runs[2][0] != runs[0][0]
+    assert runs[2][1] and ladder not in runs[2][1]
+
+
+@pytest.mark.parametrize("call", [-1, 0, 1, 2])
 @pytest.mark.parametrize(
     "fault, match",
     [
-        # Re G falls by 1 at the batch's last node, tau* excluded
-        (lambda g: g - np.where(np.arange(len(g)) == len(g) - 1, 1.0, 0.0), "not nondecreasing"),
+        # Re G at the batch's last node (tau* excluded) falls 1 below the
+        # batch's node before it
+        (lambda g: np.where(np.arange(len(g)) == len(g) - 1, g[-2] - 1.0, g), "not nondecreasing"),
         (lambda g: np.where(np.arange(len(g)) == len(g) // 2, np.nan, g), "not finite"),
     ],
     ids=["non-monotone", "non-finite"],
 )
 def test_g_faults_refused_on_every_rule_batch(monkeypatch, cold_memo, call, fault, match):
     # At lambda^2 Q = 1e4 the rule reads G in three calls after the ladder
-    # (255, 256 and 512 new nodes); a fault in any one of them is refused.
+    # (255, 256 and 512 new nodes); a fault in any one of them, or in the
+    # ladder's call (call -1), is refused.
     g, calls = LorentzDrude.g, []
 
     def faulty(self, beta, tau, settings):
@@ -517,10 +550,14 @@ def test_me_rejects_purely_discrete_bath():
         # A peak at w = 5 on a low floor makes Re G oscillate in tau faster
         # than it grows.
         (Tabulated([0.0, 4.0, 5.0, 6.0], [0.0, 0.04, 10.0, 0.0]), 1.0, "not nondecreasing"),
+        # The same peak at a coupling whose cut (tau* ~ 0.2) falls below Re
+        # G's first maximum (tau ~ 0.65): [0, tau*] rises, the ladder above
+        # it falls, and the tail bound at tau* would not hold.
+        (Tabulated([0.0, 4.0, 5.0, 6.0], [0.0, 0.04, 10.0, 0.0]), 8.0, "not nondecreasing"),
         # lambda^2 overflows; it is refused before anything squares lambda.
         (LD, 2e154, "coupling .* overflows"),
     ],
-    ids=["growth-budget", "non-monotone-re-g", "coupling-overflow"],
+    ids=["growth-budget", "non-monotone-re-g", "non-monotone-beyond-cut", "coupling-overflow"],
 )
 def test_me_refuses_what_it_cannot_compute(sd, lam, match):
     with pytest.raises(NumericsError, match=match):
