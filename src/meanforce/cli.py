@@ -210,6 +210,11 @@ def _evaluate_point(
     return cells, flags, notes
 
 
+def _column(method: str, cell: str) -> str:
+    """The CSV column name of one method's cell."""
+    return f"{method.replace('-', '_')}_{cell}"
+
+
 def _fmt_cell(v) -> str:
     return "NA" if v is None else f"{v:.17g}"
 
@@ -224,11 +229,7 @@ def run_sweep(spec: SweepSpec) -> str:
     )
     results = [_evaluate_point(spec, float(v), shared_sd) for v in values]
 
-    header = [spec.swept]
-    for m in spec.methods:
-        prefix = m.replace("-", "_")
-        header += [f"{prefix}_{c}" for c in _CELLS]
-    header += [*_FLAGS, "note"]
+    header = [spec.swept, *(_column(m, c) for m in spec.methods for c in _CELLS), *_FLAGS, "note"]
 
     lines = [",".join(header)]
     for value, (cells, flags, notes) in zip(values, results):
@@ -248,7 +249,7 @@ def sweep_svg(spec: SweepSpec, csv_text: str) -> str:
     x = np.array([float(r[0]) for r in data])
     series = []
     for m in spec.methods:
-        j = header.index(f"{m.replace('-', '_')}_{spec.plot}")
+        j = header.index(_column(m, spec.plot))
         y = np.array([float(r[j]) if r[j] != "NA" else np.nan for r in data])
         series.append((m, x, y))
     return render_line_plot(

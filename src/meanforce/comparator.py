@@ -10,7 +10,7 @@ with wbar the renormalized gap and p_l the renormalized-gap populations.
 I2 is the conjugate of the I1 form at -wbar, so all pairs and both signs are
 the components of one vector-valued integrand over one shared cut tau*, a
 rung of a fixed 1.5x ladder in tau. The integral to tau* is one nested
-order-8 Gregory rule on tau = tau* s^3, s uniform on [0, 1], from 65 nodes
+order-8 Gregory rule on tau = tau* s^3, s uniform on [0, 1], from 257 nodes
 doubling up to a cap of 16385, with G evaluated at the rule's own nodes and
 never interpolated. Its error estimate is |I_N - I_(N+1)/2| on N nodes.
 This route shares no code with the imaginary-time kernel integral, so
@@ -43,9 +43,8 @@ _GROWTH_LIMIT = 200
 _LADDER_RUNGS = 36
 _STALL_RATIO = 1.001
 _STALL_STRIKES = 3
-_RULE_START_NODES = 65
+_FIRST_LEVEL_NODES = 257  # the rule's first level, compared with the level below it
 _RULE_MAX_NODES = 16385  # the transform's node cap, 2^14 + 1
-_FIRST_LEVEL_NODES = 257  # the rule's first evaluation covers its levels up to this one
 # Order-8 Gregory end corrections: node k from either end of a uniform grid
 # weighs 1 + _GREGORY_ENDS[k] node spacings and every interior node 1, which
 # integrates polynomials of degree 7 exactly on 16 or more nodes.
@@ -62,8 +61,8 @@ class MEResult:
     state reports it). diagnostics holds the shared cut tau* every transform
     is integrated to, whether G at the rule's nodes came from the memo of the
     last cut (g_reused), and per pair the quadrature error, the tail bound and
-    the rule's level N (evaluations, not the count of integrand evaluations,
-    which is max(N, 257)).
+    the rule's level N (evaluations: the integrand is evaluated on its N
+    nodes, each once).
     Hermiticity of the coherence matrix is exact here because the lower
     triangle is the conjugate of the upper by the same algebra that makes the
     two integrals swap roles.
@@ -84,15 +83,16 @@ def _refuse_decreasing(g: np.ndarray) -> None:
 
 
 def _find_tau_max(
-    sd: SpectralDensity, beta: float, s_min: float, settings: QuadratureSettings
+    sd: SpectralDensity, beta: float, s_min: float, settings: QuadratureSettings,
+    ladder: np.ndarray | None = None,
 ) -> tuple[float, complex, np.ndarray]:
     """The cut tau*, G(tau*) and G at the ladder's rungs: tau* is the smallest
     rung of the ladder tau0 1.5^k, tau0 = max(beta, 4/w_c), where s_min Re G
     reaches the tail cutoff.
 
-    G at the rungs from tau0 / 1.5^_LADDER_RUNGS to tau0 comes from the memo
-    where it holds this density, beta and settings, and from one G call
-    otherwise. That call is refused (NumericsError) where Re G decreases
+    ladder is G at the rungs from tau0 / 1.5^_LADDER_RUNGS to tau0 where it
+    is held for this density, beta and settings; otherwise one G call
+    evaluates it. That call is refused (NumericsError) where Re G decreases
     across the rungs: the tail bound at tau* needs Re G not to fall beyond
     tau*. Where tau0 itself falls short, the ladder climbs one rung per G
     call, and NumericsError is raised when Re G stalls or the growth budget
@@ -100,10 +100,7 @@ def _find_tau_max(
     """
     tau = max(beta, 4.0 / sd.cutoff)
     rungs = tau * _GROWTH_FACTOR ** np.arange(-_LADDER_RUNGS, 1.0)
-    entry = _last_g  # read once: a concurrent swap is then just a miss
-    if entry is not None and entry[0] is sd and entry[1] == (beta, settings):
-        ladder = entry[2]
-    else:
+    if ladder is None:
         ladder = _g_batch(sd, beta, rungs, settings)
         _refuse_decreasing(ladder)
         ladder.flags.writeable = False
@@ -143,44 +140,24 @@ def _find_tau_max(
 _last_g: tuple | None = None
 
 
-def _rule_g(
-    sd: SpectralDensity, beta: float, ladder: np.ndarray, tau_star: float, g_star: complex,
-    settings: QuadratureSettings,
-) -> tuple:
-    """G on the rule's nodes for one cut, and whether the memo held that cut.
+def _level(held: np.ndarray, n: int, evaluate) -> np.ndarray:
+    """Values on the n-node level of the rule's nested uniform s-grid on [0, 1]
+    from the values held on another level (2^k + 1 nodes each): a finer held
+    level is subsampled, a coarser one is completed by evaluate(s) at its
+    missing nodes s only.
 
-    Returns n -> G at tau* s^3, s = linspace(0, 1, n) with n - 1 a power of
-    two (read-only). Where the memo lacks level n, one G call evaluates the
-    nodes it lacks and the memo keeps level n with the cut's ladder; a new
-    cut starts from G(0) = 0 and g_star = G(tau*). So each node is evaluated
-    once per memo entry, and a reused value has the bits of a fresh one.
-    Raises NumericsError when Re G decreases across the nodes.
+    Every step-th node of the finer level is a node of the coarser one, bit
+    for bit, so a held value stands for a fresh one.
     """
-    entry = _last_g  # read once: a concurrent swap is then just a miss
-    key = (beta, settings)
-    reused = entry is not None and entry[0] is sd and entry[1] == key and entry[3] == tau_star
-    g = entry[4] if reused else np.array([0.0, g_star])
-
-    def at(n: int) -> np.ndarray:
-        global _last_g
-        nonlocal g
-        if len(g) < n:
-            # n - 1 and len(g) - 1 are powers of two, so every step-th node
-            # of the finer grid is a held node, bit for bit.
-            step = (n - 1) // (len(g) - 1)
-            s = np.linspace(0.0, 1.0, n)
-            new = np.ones(n, dtype=bool)
-            new[::step] = False
-            finer = np.empty(n, dtype=complex)
-            finer[::step] = g
-            finer[new] = _g_batch(sd, beta, tau_star * s[new] ** 3, settings)
-            _refuse_decreasing(finer)
-            finer.flags.writeable = False
-            g = finer
-            _last_g = (sd, key, ladder, tau_star, g)
-        return g[:: (len(g) - 1) // (n - 1)]
-
-    return at, reused
+    if len(held) >= n:
+        return held[:: (len(held) - 1) // (n - 1)]
+    step = (n - 1) // (len(held) - 1)
+    new = np.ones(n, dtype=bool)
+    new[::step] = False
+    out = np.empty((n,) + held.shape[1:], dtype=held.dtype)
+    out[::step] = held
+    out[new] = evaluate(np.linspace(0.0, 1.0, n)[new])
+    return out
 
 
 def _gregory(y: np.ndarray) -> np.ndarray:
@@ -188,46 +165,48 @@ def _gregory(y: np.ndarray) -> np.ndarray:
     return y.sum(axis=0) + _GREGORY_ENDS @ y[:8] + _GREGORY_ENDS @ y[:-9:-1]
 
 
-def _transform(f, g_at, tau_star: float, settings: QuadratureSettings) -> tuple[np.ndarray, np.ndarray, int]:
+def _transform(
+    f, g: np.ndarray, g_new, tau_star: float, settings: QuadratureSettings
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """int_0^tau* f(tau, G(tau)) dtau on tau = tau* s^3, by the nested Gregory rule in s.
 
-    g_at(n) gives G on the rule's n uniform s-nodes. f is evaluated on the
-    first _FIRST_LEVEL_NODES nodes at once, which hold the levels from
-    _RULE_START_NODES up, and then at each doubling's new midpoints only. The
-    rule stops at the first level N whose sum is within max(abs_tol,
-    rel_tol * max|I_N|) of the level below in every component. Returns the
-    integral on N nodes, each component's |I_N - I_(N+1)/2| and N. Raises
-    NumericsError when the rule misses the tolerance at _RULE_MAX_NODES nodes.
+    g is G on one level of the nested s-grid and g_new(s) evaluates G at
+    tau* s^3. The rule reads G on its level from g, evaluating the missing
+    nodes only, and refuses it (NumericsError) where Re G decreases. f is
+    evaluated on the first _FIRST_LEVEL_NODES nodes at once, whose sum is
+    compared with the level below, and then at each doubling's new midpoints
+    only. The rule stops at the first level N whose sum is within
+    max(abs_tol, rel_tol * max|I_N|) of the level below in every component.
+    Returns the integral on N nodes, each component's |I_N - I_(N+1)/2|, N
+    and G on the finest level read. Raises NumericsError when the rule misses
+    the tolerance at _RULE_MAX_NODES nodes.
     """
 
-    def integrand(s_nodes, g):
-        return f(tau_star * s_nodes**3, g) * (3.0 * tau_star * s_nodes**2)[:, None]
+    def integrand(s_nodes, g_nodes):
+        return f(tau_star * s_nodes**3, g_nodes) * (3.0 * tau_star * s_nodes**2)[:, None]
 
     n = _FIRST_LEVEL_NODES
-    y = integrand(np.linspace(0.0, 1.0, n), g_at(n))
-    level = _RULE_START_NODES
-    total = _gregory(y[:: (n - 1) // (level - 1)]) / (level - 1)
+    g_n = _level(g, n, g_new)
+    _refuse_decreasing(g_n)
+    y = integrand(np.linspace(0.0, 1.0, n), g_n)
+    total = _gregory(y[::2]) / ((n - 1) // 2)
     while True:
-        level = 2 * level - 1
-        if level > n:
-            # n - 1 is a power of two, so the even nodes of the doubled grid
-            # are this grid's nodes bit for bit and only the odd ones are new.
-            n = level
-            doubled = np.empty((n,) + y.shape[1:], dtype=y.dtype)
-            doubled[::2] = y
-            doubled[1::2] = integrand(np.linspace(0.0, 1.0, n)[1::2], g_at(n)[1::2])
-            y = doubled
-        value = _gregory(y[:: (n - 1) // (level - 1)]) / (level - 1)
+        g = max(g, g_n, key=len)
+        value = _gregory(y) / (n - 1)
         err = np.abs(value - total)
         tol = max(settings.abs_tol, settings.rel_tol * float(np.max(np.abs(value))))
         if np.max(err) <= tol:
-            return value, err, level
-        if level >= _RULE_MAX_NODES:
+            return value, err, n, g
+        if n >= _RULE_MAX_NODES:
             raise NumericsError(
                 f"the transform out to tau* = {tau_star:.6g} is {np.max(err):.3g} off at "
-                f"{level} nodes, above {tol:.3g}"
+                f"{n} nodes, above {tol:.3g}"
             )
-        total = value
+        total, n = value, 2 * n - 1
+        g_n = _level(g, n, g_new)
+        _refuse_decreasing(g_n)
+        # y is on the level below, so its new nodes are the odd ones
+        y = _level(y, n, lambda s_new: integrand(s_new, g_n[1::2]))
 
 
 def me_steady_state(
@@ -245,25 +224,26 @@ def me_steady_state(
     tail cutoff; G at the rungs up to max(beta, 4/w_c) is one G call.
     diagnostics["tau_star"] is that cut. The integral to tau* is an order-8
     Gregory rule in s on tau = tau* s^3 (G's tau^2 ln tau start becomes
-    s^6 ln s), on N = 65 uniform s-nodes doubled, with G evaluated at the
+    s^6 ln s), on N = 257 uniform s-nodes doubled, with G evaluated at the
     rule's own nodes (the first 257 in one call, then the new midpoints
     only), until the last two sums agree to max(abs_tol, rel_tol * max|I_N|)
     in every component. Per-pair diagnostics give the rule's level N
-    (evaluations; the integrand is evaluated on max(N, 257) nodes), the
-    pair's own |I_N - I_(N+1)/2| with both signs of wbar summed
-    (error_estimate), and its tail bound e^{-lam^2 a^2 Re G(tau*)} tau*.
+    (evaluations, the nodes the integrand is evaluated on), the pair's own
+    |I_N - I_(N+1)/2| with both signs of wbar summed (error_estimate), and
+    its tail bound e^{-lam^2 a^2 Re G(tau*)} tau*.
 
     G at the ladder's rungs is kept for the last density object, beta and
-    quadrature settings, and G at the rule's nodes for the last cut too. So
-    along a lambda^2 Q sweep a point on the last point's cut makes no G call
-    and a point on a new cut skips the ladder; diagnostics["g_reused"]
-    reports that the rule's nodes came from the memo. A reused value is the
-    one a fresh evaluation would give, bit for bit.
+    quadrature settings, and G at the rule's nodes for the last cut too, even
+    when the rule raises. So along a lambda^2 Q sweep a point on the last
+    point's cut makes no G call and a point on a new cut skips the ladder;
+    diagnostics["g_reused"] reports that the rule's nodes came from the memo.
+    A reused value is the one a fresh evaluation would give, bit for bit.
 
     Raises NumericsError when lam^2 (a_l - a_l')^2 overflows, when G is not
     finite or Re G decreases at the rungs or the nodes, and when the rule
     still misses its tolerance at 16385 nodes.
     """
+    global _last_g
     s = q or QuadratureSettings()
     if not bath.lam > 0:
         raise ValidationError("the master-equation form needs lambda > 0")
@@ -275,8 +255,13 @@ def me_steady_state(
     p = _populations(energies, beta)
     q_reorg = sd.reorganization_energy()
     wbar = energies[l] - energies[l2]
-    tau_star, g_star, ladder = _find_tau_max(sd, beta, float(np.min(s_pair)), s)
-    g_at, reused = _rule_g(sd, beta, ladder, tau_star, g_star, s)
+    key = (beta, s)
+    entry = _last_g  # read once: a concurrent swap is then just a miss
+    if entry is None or entry[0] is not sd or entry[1] != key:
+        entry = (sd, key, None, None, None)
+    tau_star, g_star, ladder = _find_tau_max(sd, beta, float(np.min(s_pair)), s, entry[2])
+    reused = entry[3] == tau_star
+    g = entry[4] if reused else np.array([0.0, g_star])
 
     # components: I1 of every pair, then conj(I2), the transform at -wbar
     s_c = np.concatenate([s_pair, s_pair])
@@ -286,7 +271,14 @@ def me_steady_state(
         phase = np.outer(np.imag(g) + q_reorg * t, s_c) - np.outer(t, w_c)
         return np.exp(-np.outer(np.real(g), s_c) + 1j * phase)
 
-    total, err, evals = _transform(f, g_at, tau_star, s)
+    def g_new(s_nodes):
+        return _g_batch(sd, beta, tau_star * s_nodes**3, s)
+
+    try:
+        total, err, evals, g = _transform(f, g, g_new, tau_star, s)
+    finally:
+        g.flags.writeable = False
+        _last_g = (sd, key, ladder, tau_star, g)
 
     n = len(l)
     val = sys.h_elements[l, l2] * (1j * p[l] * total[:n] - 1j * p[l2] * np.conj(total[n:]))

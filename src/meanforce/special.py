@@ -34,8 +34,8 @@ class QuadratureSettings:
     abs_tol: float = 1e-14
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValidationError("rel_tol and abs_tol must be positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValidationError("rel_tol and abs_tol must be positive and finite")
 
 
 @dataclass(frozen=True)

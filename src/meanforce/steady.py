@@ -292,10 +292,10 @@ def f_exact(
     if top > 0.0:
         # An absolute kernel error dK perturbs the integrand by the relative
         # amount scale*dK, so budget a tenth of the outer relative tolerance
-        # over the largest scale, the tightest budget.
-        inner = dataclasses.replace(
-            s, rel_tol=0.1 * s.rel_tol, abs_tol=max(0.1 * s.abs_tol, 0.1 * s.rel_tol / top)
-        )
+        # over the largest scale, the tightest budget. Where top is so small
+        # that the budget overflows, the largest double takes its place.
+        budget = min(max(0.1 * s.abs_tol, 0.1 * s.rel_tol / top), np.finfo(float).max)
+        inner = dataclasses.replace(s, rel_tol=0.1 * s.rel_tol, abs_tol=budget)
     rate = np.abs(omega)
 
     def integrand(u):

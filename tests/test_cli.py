@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -169,6 +170,41 @@ def test_lambda_sweep_bytes_do_not_depend_on_spline_reuse(monkeypatch):
         assert sum(not reused for _, reused in r) == len(set(cuts)) < 5
     assert first == second == cold
     assert "NA" not in cold
+
+
+@pytest.mark.parametrize(
+    "preset, calls, reused",
+    [
+        ("fig1a", {37: 1, 255: 6}, 44),
+        ("fig2", {37: 60, 255: 60}, 0),
+        ("fig3", {1: 6, 37: 50, 255: 50}, 0),
+    ],
+)
+def test_preset_g_calls(monkeypatch, capsys, preset, calls, reused):
+    # The ME route's G calls by size: the cut's ladder (37 rungs), the rule's
+    # first level (255 nodes, all but tau = 0 and tau*) and a single-rung
+    # climb. These presets' points all converge on the first level, and only
+    # fig1a's lambda^2 Q sweep repeats the memo's key. Counts are
+    # deterministic, so a memo that stops holding shows here.
+    monkeypatch.setattr(comparator, "_last_g", None)
+    sizes, flags = [], []
+    g_batch, me = comparator._g_batch, cli.me_steady_state
+
+    def counted(sd, beta, tau, settings):
+        sizes.append(len(tau))
+        return g_batch(sd, beta, tau, settings)
+
+    def recorded(*args):
+        res = me(*args)
+        flags.append(res.diagnostics["g_reused"])
+        return res
+
+    monkeypatch.setattr(comparator, "_g_batch", counted)
+    monkeypatch.setattr(cli, "me_steady_state", recorded)
+    assert run_main(["sweep", "--preset", preset, "--methods", "me"]) == 0
+    assert "NA" not in capsys.readouterr().out
+    assert dict(Counter(sizes)) == calls
+    assert sum(flags) == reused and len(flags) == cli.PRESETS[preset]["points"]
 
 
 def test_oracle_over_cap_yields_na_cells(tmp_path):
@@ -585,17 +621,26 @@ def test_exact_past_its_coupling_bound_is_na_with_note(capsys):
 
 
 def test_me_past_its_node_cap_is_na_with_note(monkeypatch, capsys):
-    # At lambda^2 Q = 1 and 2 the transform needs 257 nodes (G is finite and
-    # nondecreasing there), so with the cap lowered to 129 the cap is what
-    # stops both points: NA and a note.
-    monkeypatch.setattr(comparator, "_RULE_MAX_NODES", 129)
-    rc = run_main(["sweep", "--sweep", "lambda2Q", "--from", "1", "--to", "2",
+    # At lambda^2 Q = 100 and 200 the transform needs 513 nodes (G is finite
+    # and nondecreasing there), so with the cap lowered to the rule's first
+    # level, 257, the cap is what stops both points: NA and a note.
+    monkeypatch.setattr(comparator, "_RULE_MAX_NODES", 257)
+    rc = run_main(["sweep", "--sweep", "lambda2Q", "--from", "100", "--to", "200",
                    "--points", "2", "--methods", "me"])
     assert rc == 0
     for row in capsys.readouterr().out.strip().split("\n")[1:]:
         cells = row.split(",")
         assert cells[1:6] == ["NA"] * 5
-        assert cells[-1].startswith("me: ") and "off at 129 nodes" in cells[-1]
+        assert cells[-1].startswith("me: ") and "off at 257 nodes" in cells[-1]
+
+
+def test_non_finite_rel_tol_exits_1(capsys):
+    # An infinite tolerance would let every route accept its first estimate.
+    rc = run_main(["sweep", "--sweep", "lambda2Q", "--from", "1", "--to", "2",
+                   "--points", "2", "--methods", "exact,me", "--rel-tol", "inf"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "positive and finite" in captured.err
 
 
 def test_me_at_lambda2q_1e7_is_na_with_cap_note(capsys):

@@ -86,8 +86,25 @@ def test_me_coherence_matrix_hermitian_zero_diagonal():
     assert np.all(np.diag(c) == 0.0)
 
 
-def test_me_diagnostics_and_truncation():
+def _integrand_taus(monkeypatch):
+    # The tau of every integrand evaluation, in order.
+    taus = []
+    transform = comparator._transform
+
+    def recorded(f, *args):
+        def counted(t, g):
+            taus.extend(t.tolist())
+            return f(t, g)
+
+        return transform(counted, *args)
+
+    monkeypatch.setattr(comparator, "_transform", recorded)
+    return taus
+
+
+def test_me_diagnostics_and_truncation(monkeypatch):
     bath = BathParams(beta=1.0, lam=math.sqrt(5.0))
+    taus = _integrand_taus(monkeypatch)
     me = me_steady_state(SPIN, bath, LD)
     d = me.diagnostics
     assert set(d) == {"per_pair", "tau_star", "g_reused"}
@@ -102,7 +119,9 @@ def test_me_diagnostics_and_truncation():
     pair = d["per_pair"][(0, 1)]
     assert "tau_star" not in pair
     assert pair["error_estimate"] < 1e-8
-    assert pair["evaluations"] >= 2 * comparator._RULE_START_NODES - 1
+    # the rule starts on its first level and evaluates each node once
+    assert pair["evaluations"] >= comparator._FIRST_LEVEL_NODES
+    assert pair["evaluations"] == len(set(taus)) == len(taus)
     # the cut guarantees s Re G(tau*) >= the tail cutoff exponent
     assert 0.0 < pair["tail_bound"] <= math.exp(-comparator._TAIL_CUTOFF_EXPONENT) * d["tau_star"]
 
@@ -158,25 +177,17 @@ def test_g_spline_build_evaluates_each_tau_once(monkeypatch, cold_memo):
     assert res[0].diagnostics["tau_star"] == res[1].diagnostics["tau_star"]
     assert [r.diagnostics["g_reused"] for r in res] == [False, True]
     nodes = max(r.diagnostics["per_pair"][(0, 1)]["evaluations"] for r in res)
-    assert nodes > comparator._RULE_START_NODES
+    assert nodes == comparator._FIRST_LEVEL_NODES
     taus = np.concatenate(reads).tolist()
     assert len(reads) == 1
     assert len(set(taus)) == len(taus) == nodes - 2
 
 
 def _counting_builds(monkeypatch):
-    # The memo misses: calls that start a new G entry.
-    builds = []
-    rule_g = comparator._rule_g
-
-    def counted(*args):
-        at, reused = rule_g(*args)
-        if not reused:
-            builds.append(args)
-        return at, reused
-
-    monkeypatch.setattr(comparator, "_rule_g", counted)
-    return builds
+    # The memo misses: the G calls that evaluate a new cut's first level,
+    # all of its nodes but tau = 0 and tau*. A doubling evaluates 2^k nodes.
+    reads = _rule_reads(monkeypatch)
+    return lambda: sum(len(t) == comparator._FIRST_LEVEL_NODES - 2 for t in reads)
 
 
 def test_g_spline_reused_across_couplings(monkeypatch, cold_memo):
@@ -190,7 +201,7 @@ def test_g_spline_reused_across_couplings(monkeypatch, cold_memo):
     comparator._last_g = None
     builds = _counting_builds(monkeypatch)
     warm = [me_steady_state(SPIN, bath, LD) for bath in baths]
-    assert len(builds) == 1
+    assert builds() == 1
     assert [r.diagnostics["g_reused"] for r in warm] == [False, True]
     assert warm[0].diagnostics["tau_star"] == warm[1].diagnostics["tau_star"]
     for c, w in zip(cold, warm):
@@ -199,6 +210,40 @@ def test_g_spline_reused_across_couplings(monkeypatch, cold_memo):
     g = comparator._last_g[4]
     assert len(g) == warm[1].diagnostics["per_pair"][(0, 1)]["evaluations"]
     assert not g.flags.writeable
+
+
+def test_memo_levels_on_one_cut(monkeypatch, cold_memo):
+    # lambda^2 Q = 2600 and 1500 share the cut tau* = 0.0822 and need 1025
+    # and 513 nodes. The memo keeps the finest level read: 1500 reads it
+    # subsampled, and the later 2600 and 1500 make no G call. Every point
+    # gives its cold result bit for bit.
+    baths = [BathParams(beta=1.0, lam=math.sqrt(v / LD.reorganization_energy()))
+             for v in (2600.0, 1500.0)]
+    cold = []
+    for bath in baths:
+        comparator._last_g = None
+        cold.append(me_steady_state(SPIN, bath, LD))
+    assert cold[0].diagnostics["tau_star"] == cold[1].diagnostics["tau_star"]
+    assert [c.diagnostics["per_pair"][(0, 1)]["evaluations"] for c in cold] == [1025, 513]
+    comparator._last_g = None
+    sizes, warm = [], []
+    g_batch = comparator._g_batch
+
+    def counted(sd, beta, tau, settings):
+        sizes.append(len(tau))
+        return g_batch(sd, beta, tau, settings)
+
+    monkeypatch.setattr(comparator, "_g_batch", counted)
+    for bath in baths + baths:
+        warm.append(me_steady_state(SPIN, bath, LD))
+        assert len(comparator._last_g[4]) == 1025
+    # the ladder, the first level, then the odd nodes of 513 and of 1025
+    assert sizes == [37, 255, 256, 512]
+    assert [w.diagnostics["g_reused"] for w in warm] == [False, True, True, True]
+    for c, w in zip(cold + cold, warm):
+        assert np.array_equal(w.coherences, c.coherences)
+        assert w.diagnostics["per_pair"] == c.diagnostics["per_pair"]
+        assert w.diagnostics["tau_star"] == c.diagnostics["tau_star"]
 
 
 @pytest.mark.parametrize(
@@ -216,7 +261,7 @@ def test_g_spline_key_change_misses(monkeypatch, cold_memo, change):
     me_steady_state(SPIN, base["bath"], base["sd"], base["q"])
     args = {**base, **change}
     res = me_steady_state(SPIN, args["bath"], args["sd"], args["q"])
-    assert len(builds) == 2
+    assert builds() == 2
     assert res.diagnostics["g_reused"] is False
 
 

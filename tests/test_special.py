@@ -294,8 +294,10 @@ def test_integrate_finite_determinism():
 
 
 def test_quadrature_settings_validation():
-    with pytest.raises(ValidationError):
-        QuadratureSettings(rel_tol=0.0)
+    # An infinite tolerance would accept any first estimate.
+    for tol in ({"rel_tol": 0.0}, {"rel_tol": math.inf}, {"abs_tol": math.inf}, {"rel_tol": math.nan}):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            QuadratureSettings(**tol)
     with pytest.raises(ValidationError):
         QuadratureResult(1.0, -1.0, 0)
 
