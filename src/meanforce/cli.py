@@ -180,10 +180,21 @@ def _obs_cells(state, params: SpinBosonParams) -> dict:
     }
 
 
+def _sweep_invariants(spec: SweepSpec) -> tuple:
+    """What no sweep point changes: the spin parameters (which keep their H_S
+    eigenvectors for the observables), their SystemSpec and the quadrature
+    settings."""
+    params = SpinBosonParams(1.0, spec.delta)
+    return params, build_system(params), special.QuadratureSettings(rel_tol=spec.rel_tol)
+
+
 def _evaluate_point(
-    spec: SweepSpec, value: float, sd: spectral.SpectralDensity | None
+    spec: SweepSpec, value: float, sd: spectral.SpectralDensity | None, invariants: tuple | None = None
 ) -> tuple[dict, dict, list]:
-    """All requested methods at one sweep point: (cells, flags, notes)."""
+    """All requested methods at one sweep point: (cells, flags, notes).
+
+    invariants is run_sweep's _sweep_invariants(spec), built here when not given.
+    """
     beta = value if spec.swept == "beta" else spec.beta
     lambda2q = value if spec.swept == "lambda2Q" else spec.lambda2q
     if sd is None:
@@ -191,9 +202,7 @@ def _evaluate_point(
     q_reorg = sd.reorganization_energy()
     lam = math.sqrt(lambda2q / q_reorg)
     bath = spectral.BathParams(beta, lam)
-    params = SpinBosonParams(1.0, spec.delta)
-    sys_spec = build_system(params)
-    settings = special.QuadratureSettings(rel_tol=spec.rel_tol)
+    params, sys_spec, settings = invariants or _sweep_invariants(spec)
 
     cells: dict = {}
     notes: list = []
@@ -220,14 +229,21 @@ def _fmt_cell(v) -> str:
 
 
 def run_sweep(spec: SweepSpec) -> str:
-    """CSV text, one row per sweep point, deterministic bytes."""
+    """CSV text, one row per sweep point, deterministic bytes.
+
+    What no point changes is built once per sweep: the spin system (its
+    eigensolve and commutator check), the H_S eigenvectors the observables
+    read and the quadrature settings, and the spectral density unless
+    omega_c is swept.
+    """
     values = _grid(spec)
     # The density only changes along an omega_c sweep; otherwise build it once
     # (and read a tabulated file once).
     shared_sd = None if spec.swept == "omega_c" else _spectral_density(
         spec.spectral, spec.omega_c
     )
-    results = [_evaluate_point(spec, float(v), shared_sd) for v in values]
+    invariants = _sweep_invariants(spec)
+    results = [_evaluate_point(spec, float(v), shared_sd, invariants) for v in values]
 
     header = [spec.swept, *(_column(m, c) for m in spec.methods for c in _CELLS), *_FLAGS, "note"]
 

@@ -20,6 +20,7 @@ relationship is deliberately left open and only quantified numerically.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ from .errors import NumericsError, ValidationError
 from .linalg import DensityMatrix
 from .special import QuadratureSettings
 from .spectral import BathParams, SpectralDensity, _g_batch
-from .steady import RenormalizationConvention, SystemSpec, _coupling, _effective_energies, _populations
+from .steady import RenormalizationConvention, SystemSpec, _pair_table
 
 __all__ = ["MEResult", "me_steady_state", "me_state"]
 
@@ -41,6 +42,7 @@ _GROWTH_LIMIT = 200
 # moves up to its lowest rung and costs nodes. A rung adds well under 1 us
 # to the ladder's G call (about 110 us at 25 to 49 rungs).
 _LADDER_RUNGS = 36
+_RUNG_FACTORS = _GROWTH_FACTOR ** np.arange(-_LADDER_RUNGS, 1.0)  # rung k below tau0 is tau0 1.5^-k
 _STALL_RATIO = 1.001
 _STALL_STRIKES = 3
 _FIRST_LEVEL_NODES = 257  # the rule's first level, compared with the level below it
@@ -77,8 +79,8 @@ class MEResult:
 def _refuse_decreasing(g: np.ndarray) -> None:
     """NumericsError where Re G falls along g (ascending tau) by more than
     1e-10 of max(1, Re G at the last tau)."""
-    re = np.real(g)
-    if np.any(np.diff(re) < -1e-10 * max(1.0, float(re[-1]))):
+    re = g.real
+    if (re[1:] - re[:-1] < -1e-10 * max(1.0, float(re[-1]))).any():
         raise NumericsError("Re G(tau) is not nondecreasing for this bath")
 
 
@@ -99,12 +101,12 @@ def _find_tau_max(
     runs out.
     """
     tau = max(beta, 4.0 / sd.cutoff)
-    rungs = tau * _GROWTH_FACTOR ** np.arange(-_LADDER_RUNGS, 1.0)
+    rungs = tau * _RUNG_FACTORS
     if ladder is None:
         ladder = _g_batch(sd, beta, rungs, settings)
         _refuse_decreasing(ladder)
         ladder.flags.writeable = False
-    passed = s_min * np.real(ladder) >= _TAIL_CUTOFF_EXPONENT
+    passed = s_min * ladder.real >= _TAIL_CUTOFF_EXPONENT
     if passed[-1]:
         k = int(np.argmax(passed))
         return float(rungs[k]), complex(ladder[k]), ladder
@@ -140,6 +142,14 @@ def _find_tau_max(
 _last_g: tuple | None = None
 
 
+@functools.lru_cache(maxsize=8)
+def _s_nodes(n: int) -> np.ndarray:
+    """The rule's n-node level, linspace(0, 1, n), made once and read-only."""
+    s = np.linspace(0.0, 1.0, n)
+    s.flags.writeable = False
+    return s
+
+
 def _level(held: np.ndarray, n: int, evaluate) -> np.ndarray:
     """Values on the n-node level of the rule's nested uniform s-grid on [0, 1]
     from the values held on another level (2^k + 1 nodes each): a finer held
@@ -156,7 +166,7 @@ def _level(held: np.ndarray, n: int, evaluate) -> np.ndarray:
     new[::step] = False
     out = np.empty((n,) + held.shape[1:], dtype=held.dtype)
     out[::step] = held
-    out[new] = evaluate(np.linspace(0.0, 1.0, n)[new])
+    out[new] = evaluate(_s_nodes(n)[new])
     return out
 
 
@@ -179,7 +189,8 @@ def _transform(
     max(abs_tol, rel_tol * max|I_N|) of the level below in every component.
     Returns the integral on N nodes, each component's |I_N - I_(N+1)/2|, N
     and G on the finest level read. Raises NumericsError when the rule misses
-    the tolerance at _RULE_MAX_NODES nodes.
+    the tolerance at _RULE_MAX_NODES nodes; the error's g is G on the finest
+    level read, as a return would give it.
     """
 
     def integrand(s_nodes, g_nodes):
@@ -188,25 +199,37 @@ def _transform(
     n = _FIRST_LEVEL_NODES
     g_n = _level(g, n, g_new)
     _refuse_decreasing(g_n)
-    y = integrand(np.linspace(0.0, 1.0, n), g_n)
+    y = integrand(_s_nodes(n), g_n)
     total = _gregory(y[::2]) / ((n - 1) // 2)
     while True:
         g = max(g, g_n, key=len)
         value = _gregory(y) / (n - 1)
         err = np.abs(value - total)
-        tol = max(settings.abs_tol, settings.rel_tol * float(np.max(np.abs(value))))
-        if np.max(err) <= tol:
+        tol = max(settings.abs_tol, settings.rel_tol * float(np.abs(value).max()))
+        if err.max() <= tol:
             return value, err, n, g
         if n >= _RULE_MAX_NODES:
-            raise NumericsError(
+            exc = NumericsError(
                 f"the transform out to tau* = {tau_star:.6g} is {np.max(err):.3g} off at "
                 f"{n} nodes, above {tol:.3g}"
             )
+            exc.g = g
+            raise exc
         total, n = value, 2 * n - 1
         g_n = _level(g, n, g_new)
         _refuse_decreasing(g_n)
         # y is on the level below, so its new nodes are the odd ones
         y = _level(y, n, lambda s_new: integrand(s_new, g_n[1::2]))
+
+
+@functools.lru_cache(maxsize=4)
+def _active_pairs(sys: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs l < l' with h_{l,l'} != 0, once per system (matched by
+    identity), as read-only index arrays. SystemSpec rejects a vanishing
+    [H_S, A], so there is at least one."""
+    l, l2 = np.nonzero(np.triu(sys.h_elements != 0, 1))
+    l.flags.writeable = l2.flags.writeable = False
+    return l, l2
 
 
 def me_steady_state(
@@ -248,18 +271,16 @@ def me_steady_state(
     if not bath.lam > 0:
         raise ValidationError("the master-equation form needs lambda > 0")
     beta, lam = bath.beta, bath.lam
-    # SystemSpec rejects a vanishing [H_S, A], so at least one pair is active.
-    l, l2 = np.nonzero(np.triu(sys.h_elements != 0, 1))
-    s_pair = _coupling(sys, lam, l, l2)  # first: the Natural energies square lambda too
-    energies = _effective_energies(sys, bath, RenormalizationConvention.NATURAL, sd)
-    p = _populations(energies, beta)
+    l, l2 = _active_pairs(sys)
+    # No e^{beta wbar} factor here, so no cap on the gaps.
+    pairs = _pair_table(sys, bath, RenormalizationConvention.NATURAL, sd, l, l2, cap=False)
+    p, wbar, s_pair = pairs.populations, pairs.omega, pairs.scale
     q_reorg = sd.reorganization_energy()
-    wbar = energies[l] - energies[l2]
     key = (beta, s)
     entry = _last_g  # read once: a concurrent swap is then just a miss
     if entry is None or entry[0] is not sd or entry[1] != key:
         entry = (sd, key, None, None, None)
-    tau_star, g_star, ladder = _find_tau_max(sd, beta, float(np.min(s_pair)), s, entry[2])
+    tau_star, g_star, ladder = _find_tau_max(sd, beta, float(s_pair.min()), s, entry[2])
     reused = entry[3] == tau_star
     g = entry[4] if reused else np.array([0.0, g_star])
 
@@ -267,15 +288,18 @@ def me_steady_state(
     s_c = np.concatenate([s_pair, s_pair])
     w_c = np.concatenate([wbar, -wbar])
 
-    def f(t, g):
-        phase = np.outer(np.imag(g) + q_reorg * t, s_c) - np.outer(t, w_c)
-        return np.exp(-np.outer(np.real(g), s_c) + 1j * phase)
+    def f(t, g):  # outer products by broadcasting, as np.outer forms them
+        phase = (g.imag + q_reorg * t)[:, None] * s_c - t[:, None] * w_c
+        return np.exp(-g.real[:, None] * s_c + 1j * phase)
 
     def g_new(s_nodes):
         return _g_batch(sd, beta, tau_star * s_nodes**3, s)
 
     try:
         total, err, evals, g = _transform(f, g, g_new, tau_star, s)
+    except NumericsError as exc:
+        g = getattr(exc, "g", g)  # the node cap: G as far as the rule read it
+        raise
     finally:
         g.flags.writeable = False
         _last_g = (sd, key, ladder, tau_star, g)
@@ -293,7 +317,7 @@ def me_steady_state(
     }
     diagnostics = {"per_pair": per_pair, "tau_star": tau_star, "g_reused": reused}
     v = sys.a_eigenvectors
-    state = DensityMatrix(v @ (np.diag(p).astype(complex) + coh) @ v.conj().T, check_positive=False)
+    state = DensityMatrix(v @ (coh + np.diag(p)) @ v.conj().T, check_positive=False)
     return MEResult(coherences=coh, populations=p, state=state, diagnostics=diagnostics)
 
 

@@ -27,6 +27,7 @@ __all__ = [
 _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-10
 _PSD_TOL = -1e-9
+_NUMBER_KINDS = "iufcm"  # the dtype kinds of np.number (timedelta64 is one)
 
 
 def _hermitian_array(entries, what: str) -> np.ndarray:
@@ -35,9 +36,10 @@ def _hermitian_array(entries, what: str) -> np.ndarray:
     m = np.asarray(entries)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    if not np.issubdtype(m.dtype, np.number):
+    kind = m.dtype.kind
+    if kind not in _NUMBER_KINDS:
         raise ValidationError(f"expected numeric entries, got dtype {m.dtype}")
-    m = m.astype(complex) if np.iscomplexobj(m) else m.astype(float)
+    m = m.astype(complex if kind == "c" else float)
     if not np.isfinite(m).all():
         raise ValidationError("matrix entries must be finite")
     # conj(m) - m^T has the moduli of m - m^H. np.conjugate makes a new array

@@ -403,7 +403,7 @@ def _mu_exp(kappa: np.ndarray, tau: np.ndarray) -> np.ndarray:
     every Horner step gives exactly 1, so mu is tau^2/2 with no series.
     """
     if not kappa.any():
-        return np.repeat((tau**2 / 2.0)[None, :], len(kappa), axis=0)
+        return (tau**2 / 2.0)[None, :].repeat(len(kappa), axis=0)
     kt = kappa[:, None] * tau[None, :]
     out = np.negative(kt)
     np.expm1(out, out=out)
@@ -414,10 +414,14 @@ def _mu_exp(kappa: np.ndarray, tau: np.ndarray) -> np.ndarray:
     small = kt <= 0.5
     if small.any():
         ks = kt[small]
-        series = np.ones_like(ks)  # 2 sum_{m<25} (-kt)^m/(m+2)!, by Horner
+        # 2 sum_{m<25} (-kt)^m/(m+2)!, by Horner: series = 1 - ks series / j,
+        # each step's three operations in that order, in place on one buffer.
+        series = np.ones(len(ks))
         for j in range(26, 2, -1):
-            series = 1.0 - ks * series / j
-        out[small] = np.broadcast_to(tau**2, kt.shape)[small] * series / 2.0
+            series *= ks
+            series /= j
+            np.subtract(1.0, series, out=series)
+        out[small] = (tau**2)[small.nonzero()[1]] * series / 2.0  # tau^2 of each entry's column
     return out
 
 
@@ -502,18 +506,17 @@ def _lorentz_drude_g(q: float, wc: float, beta: float, tau: np.ndarray) -> np.nd
     mu_w = _mu_exp(np.array([wc]), tau)[0]
     half = np.empty_like(tau)  # B + 2 F/c^3
     xs, nu = x[small], n * c
-    with np.errstate(divide="ignore"):
-        log_x = np.log(np.where(xs > 0.0, xs, 1.0))
+    log_x = np.log(np.where(xs > 0.0, xs, 1.0))  # never at 0: where takes 1 there
     powers = (xs / s)[:, None] ** m
     half[small] = _mu_exp(np.array([nu]), tau[small])[0] / (nu + wc) + (
         powers @ poly - 2.0 * (powers @ cosh_m1) * log_x) / c**3
     tb, xb = tau[big], x[big]
-    exp_sum = np.zeros_like(xb)
+    exp_sum = np.zeros(len(xb))
     for i in range(0, len(k), _EXP_BLOCK):  # each block only where k x < 40 for its first k
         near = xb < _EXP_CUT / k[i]
         if not near.any():
             break
-        exp_sum[near] += np.exp(-np.outer(xb[near], k[i : i + _EXP_BLOCK])) @ b[i : i + _EXP_BLOCK]
+        exp_sum[near] += np.exp(-(xb[near][:, None] * k[i : i + _EXP_BLOCK])) @ b[i : i + _EXP_BLOCK]
     if n == 0:
         pair = mu_w[big] / wc
     else:

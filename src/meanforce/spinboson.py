@@ -13,6 +13,7 @@ with w_s = sqrt(eps^2 + delta^2), so reported signs are stable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,17 @@ class SpinBosonParams:
     def omega_s(self) -> float:
         """Splitting of H_S: sqrt(epsilon^2 + delta^2)."""
         return float(np.hypot(self.epsilon, self.delta))
+
+    @functools.cached_property
+    def energy_eigenvectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(|e>, |g>) columns in the standard basis (|+> = e0, |-> = e1), real
+        and read-only, computed on first use and kept with these parameters."""
+        w_s = self.omega_s
+        norm = np.sqrt(2.0 * w_s * (w_s + self.epsilon))
+        e = np.array([w_s + self.epsilon, self.delta]) / norm
+        g = np.array([-self.delta, w_s + self.epsilon]) / norm
+        e.flags.writeable = g.flags.writeable = False
+        return e, g
 
 
 @dataclass(frozen=True)
@@ -83,32 +95,24 @@ def build_system(p: SpinBosonParams) -> SystemSpec:
     return SystemSpec(h_s, a)
 
 
-def _energy_eigenvectors(p: SpinBosonParams) -> tuple[np.ndarray, np.ndarray]:
-    """(|e>, |g>) columns in the standard basis (|+> = e0, |-> = e1)."""
-    w_s = p.omega_s
-    norm = np.sqrt(2.0 * w_s * (w_s + p.epsilon))
-    e = np.array([w_s + p.epsilon, p.delta]) / norm
-    g = np.array([-p.delta, w_s + p.epsilon]) / norm
-    return e, g
-
-
 def observables(state: DensityMatrix, p: SpinBosonParams) -> SpinObservables:
     """Read both coherences and both population pairs off a 2x2 state.
 
     The state is taken in the standard basis that build_system uses, where
-    |+> is the first computational vector.
+    |+> is the first computational vector. The H_S eigenvectors are p's own,
+    computed once per parameters object (so once per sweep in the CLI), and
+    <e|rho is formed once for both c_eg and p_e.
     """
     if state.dim != 2:
         raise ValidationError(f"spin observables need a 2x2 state, got dim {state.dim}")
     rho = state.entries
-    e, g = _energy_eigenvectors(p)
-    c_ss = complex(rho[0, 1])
-    c_eg = complex(e.conj() @ rho @ g)
+    e, g = p.energy_eigenvectors  # real: no conjugation
+    e_rho = e @ rho
     return SpinObservables(
-        c_ss=c_ss,
-        c_eg=c_eg,
-        p_plus=float(np.real(rho[0, 0])),
-        p_minus=float(np.real(rho[1, 1])),
-        p_e=float(np.real(e.conj() @ rho @ e)),
-        p_g=float(np.real(g.conj() @ rho @ g)),
+        c_ss=complex(rho[0, 1]),
+        c_eg=complex(e_rho @ g),
+        p_plus=float(rho[0, 0].real),
+        p_minus=float(rho[1, 1].real),
+        p_e=float((e_rho @ e).real),
+        p_g=float((g @ rho @ g).real),
     )

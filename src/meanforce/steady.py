@@ -19,9 +19,11 @@ uniform a_l^2 (e.g. A = sigma_z) the two conventions give identical states.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,9 +68,9 @@ class RenormalizationConvention(Enum):
 class SystemSpec:
     """System Hamiltonian H_S and coupling observable A, prediagonalized.
 
-    Derived on construction: the ascending eigenvalues a_l of A and their
-    eigenvectors, and the matrix elements h_{l,l'} = <a_l|H_S|a_l'> (pseudo
-    energies on the diagonal).
+    Derived once, on construction: the ascending eigenvalues a_l of A and
+    their eigenvectors, the matrix elements h_{l,l'} = <a_l|H_S|a_l'> and their
+    real diagonal, the pseudo energies h_l. All are read-only.
 
     A must have nondegenerate eigenvalues (the displaced-bath derivation
     divides by a_l - a_{l'}) and [H_S, A] must not vanish (otherwise there is
@@ -81,6 +83,7 @@ class SystemSpec:
     a_eigenvalues: np.ndarray
     a_eigenvectors: np.ndarray
     h_elements: np.ndarray
+    pseudo_energies: np.ndarray  # h_l = <a_l|H_S|a_l>, indexed by ascending a_l
 
     def __init__(self, h_s, a):
         h_s, a = HermitianMatrix(h_s), HermitianMatrix(a)
@@ -103,22 +106,19 @@ class SystemSpec:
                 f"minimum relative gap {_MIN_GAP_REL} required"
             )
         h_el = vecs.conj().T @ h_s.entries @ vecs
-        for arr in (vals, vecs, h_el):
+        pseudo = np.real(np.diag(h_el)).copy()
+        for arr in (vals, vecs, h_el, pseudo):
             arr.flags.writeable = False
         object.__setattr__(self, "h_s", h_s)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "a_eigenvalues", vals)
         object.__setattr__(self, "a_eigenvectors", vecs)
         object.__setattr__(self, "h_elements", h_el)
+        object.__setattr__(self, "pseudo_energies", pseudo)
 
     @property
     def dim(self) -> int:
         return self.h_s.dim
-
-    @property
-    def pseudo_energies(self) -> np.ndarray:
-        """h_l = <a_l|H_S|a_l>, indexed by ascending a_l."""
-        return np.real(np.diag(self.h_elements))
 
 
 def _effective_energies(
@@ -137,15 +137,15 @@ def _effective_energies(
     # A uniform a_l^2 past lambda = 1.3e154 gives inf * 0 = nan: refused like inf.
     a2 = sys.a_eigenvalues**2
     with np.errstate(over="ignore", invalid="ignore"):
-        shift = np.float64(bath.lam) ** 2 * (a2 - np.min(a2)) * q
+        shift = np.float64(bath.lam) ** 2 * (a2 - a2.min()) * q
     if not np.isfinite(shift).all():
         raise _coupling_overflow(bath.lam)
     return h - shift
 
 
 def _populations(energies: np.ndarray, beta: float) -> np.ndarray:
-    w = np.exp(-beta * (energies - np.min(energies)))
-    return w / np.sum(w)
+    w = np.exp(-beta * (energies - energies.min()))
+    return w / w.sum()
 
 
 def zeroth_order_state(
@@ -216,13 +216,9 @@ def _coupling(sys: SystemSpec, lam: float, l, l2) -> np.ndarray:
     return s
 
 
-def _pair_terms(sys, bath, conv, sd, l, l2) -> tuple[np.ndarray, np.ndarray]:
-    """Convention-matched gaps e_l - e_{l'} and couplings lambda^2 a_{l',l}^2
-    for index pairs.
-
-    l and l2 are ints or matching integer arrays; both results take their
-    shape. The gap is the plain h_l - h_{l'} or its renormalized version.
-    """
+def _pair_indices(sys: SystemSpec, l, l2) -> tuple[np.ndarray, np.ndarray]:
+    """l and l2 as arrays, refused (ValidationError) unless they are ints or
+    matching integer arrays of distinct indices within the system."""
     l, l2 = np.asarray(l), np.asarray(l2)
     if l.shape != l2.shape or l.size == 0 or {l.dtype.kind, l2.dtype.kind} - set("iu"):
         raise ValidationError(f"pair indices must be ints or matching integer arrays: {l}, {l2}")
@@ -230,17 +226,50 @@ def _pair_terms(sys, bath, conv, sd, l, l2) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(f"indices ({l}, {l2}) out of range for dim {sys.dim}")
     if np.any(l == l2):
         raise ValidationError("f_{l,l'} requires l != l'")
+    return l, l2
+
+
+@functools.lru_cache(maxsize=8)
+def _off_diagonal(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair (l, l') with l != l' of a dim-level system, row by
+    row, as read-only index arrays."""
+    l, l2 = np.nonzero(~np.eye(dim, dtype=bool))
+    l.flags.writeable = l2.flags.writeable = False
+    return l, l2
+
+
+class _PairTable(NamedTuple):
+    """One route call's ordered pairs (l, l') and what its kernel reads of
+    them: the zeroth-order populations p of every level, and per pair the
+    convention-matched gap omega = e_l - e_l' and the coupling scale =
+    lambda^2 (a_l - a_l')^2, each in l's shape."""
+
+    l: np.ndarray
+    l2: np.ndarray
+    populations: np.ndarray
+    omega: np.ndarray
+    scale: np.ndarray
+
+
+def _pair_table(sys, bath, conv, sd, l, l2, cap: bool = True) -> _PairTable:
+    """The pair table of valid indices l, l2 (ints or matching arrays).
+
+    Refused with NumericsError where lambda^2 (a_l - a_l')^2 overflows (in
+    the Natural energies too) and, with cap, where beta * gap passes
+    _EXP_CAP: f carries a factor e^{beta*gap} (the u = beta endpoint of its
+    integrand, where the kernel vanishes), so past it f is not a double. The
+    gap is the plain h_l - h_l' or its renormalized version.
+    """
     e = _effective_energies(sys, bath, conv, sd)
     omega = e[l] - e[l2]
-    # f carries a factor e^{beta*gap} (the u=beta endpoint of the integrand,
-    # where the kernel vanishes), so past this the value is not a double.
-    top = bath.beta * np.max(omega)
-    if top > _EXP_CAP:
-        raise NumericsError(
-            "coherence integral overflows double precision: "
-            f"beta*gap = {top:.6g} exceeds {_EXP_CAP}"
-        )
-    return omega, _coupling(sys, bath.lam, l, l2)
+    if cap:
+        top = bath.beta * omega.max()
+        if top > _EXP_CAP:
+            raise NumericsError(
+                "coherence integral overflows double precision: "
+                f"beta*gap = {top:.6g} exceeds {_EXP_CAP}"
+            )
+    return _PairTable(l, l2, _populations(e, bath.beta), omega, _coupling(sys, bath.lam, l, l2))
 
 
 def _scalar_or_array(x):
@@ -279,7 +308,8 @@ def f_exact(
     error estimate, in the value's shape, and error_estimate is the largest.
     Refused with NumericsError where the largest pair's x passes _EXACT_X_MAX.
     """
-    omega, scale = _pair_terms(sys, bath, conv, sd, l, l2)
+    t = _pair_table(sys, bath, conv, sd, *_pair_indices(sys, l, l2))
+    omega, scale = t.omega, t.scale
     s = q or QuadratureSettings()
     beta = bath.beta
     top = float(np.max(scale))
@@ -317,6 +347,66 @@ def f_exact(
     )
 
 
+def _refuse_zero_coupling(lam: float, form: str) -> None:
+    if lam == 0:
+        raise UnsupportedOperationError(f"{form} is singular at lambda=0; use f_exact")
+
+
+def _high_t(sys: SystemSpec, bath: BathParams, sd: SpectralDensity, t: _PairTable, conv) -> np.ndarray:
+    """f_high_t's values on a pair table (lambda != 0)."""
+    lam, beta, omega = bath.lam, bath.beta, t.omega
+    q = sd.reorganization_energy()
+    aa = np.abs(sys.a_eigenvalues[t.l2] - sys.a_eigenvalues[t.l])
+    root = math.sqrt(beta / q)
+    c = t.scale * q
+    d1, d2 = dawson((root / (2.0 * lam * aa)) * np.array([c - omega, c + omega]))
+    return root / (lam * aa) * (d1 + np.exp(beta * omega) * d2)
+
+
+def _series(sys: SystemSpec, bath: BathParams, sd: SpectralDensity, t: _PairTable, conv) -> np.ndarray:
+    """f_series's values on a pair table (lambda != 0)."""
+    q = sd.reorganization_energy()
+    l, l2 = t.l, t.l2
+    h = sys.pseudo_energies
+    omega = h[l] - h[l2]  # the plain gap; t.omega is the renormalized one
+    e = np.exp(t.omega * bath.beta)
+    # Each second term's denominator overflows to inf at a coupling (c past
+    # 1.3e154, lambda past 1e77) where the term is below the first's rounding:
+    # it then adds 0, the 1/c limit.
+    if conv is RenormalizationConvention.RENORMALIZED:
+        c = t.scale * q
+        with np.errstate(over="ignore"):
+            return (1.0 + e) / c + omega * (1.0 - e) / c**2
+    a_l = sys.a_eigenvalues[l]
+    a_l2 = sys.a_eigenvalues[l2]
+    if np.any(a_l == 0.0) or np.any(a_l2 == 0.0):
+        raise ValidationError(
+            "the Natural-convention series divides by the coupling eigenvalues; "
+            f"a_l={a_l}, a_l'={a_l2} must all be nonzero"
+        )
+    d = a_l - a_l2
+    lam = np.float64(bath.lam)  # lambda^2 is finite here: the pair table has formed it
+    first = (1.0 / a_l - e / a_l2) / (2.0 * lam**2 * q * d)
+    with np.errstate(over="ignore"):
+        second = (omega / (4.0 * lam**4 * q**2 * d**2)) * (1.0 / a_l**2 - e / a_l2**2)
+    return first + second
+
+
+# Each closed form's kernel and the name its lambda = 0 refusal gives it.
+_CLOSED_FORMS = {
+    CorrectionMethod.HIGH_TEMPERATURE_DAWSON: (_high_t, "the Dawson form"),
+    CorrectionMethod.ULTRASTRONG_SERIES: (_series, "the inverse-coupling series"),
+}
+
+
+def _closed_form(method, sys, bath, sd, l, l2, conv):
+    """A closed form's f at index pairs: their validation, then the table."""
+    kernel, form = _CLOSED_FORMS[method]
+    _refuse_zero_coupling(bath.lam, form)
+    t = _pair_table(sys, bath, conv, sd, *_pair_indices(sys, l, l2))
+    return _scalar_or_array(kernel(sys, bath, sd, t, conv))
+
+
 def f_high_t(
     sys: SystemSpec,
     bath: BathParams,
@@ -331,20 +421,7 @@ def f_high_t(
     approaches when omega_c*beta is small. Elementwise over index arrays,
     with one dawson call for the two arguments of every pair.
     """
-    lam = bath.lam
-    if lam == 0:
-        raise UnsupportedOperationError(
-            "the Dawson form is singular at lambda=0; use f_exact"
-        )
-    omega, scale = _pair_terms(sys, bath, conv, sd, l, l2)
-    q = sd.reorganization_energy()
-    beta = bath.beta
-    aa = np.abs(sys.a_eigenvalues[l2] - sys.a_eigenvalues[l])
-    root = np.sqrt(beta / q)
-    pref = root / (lam * aa)
-    c = scale * q
-    d1, d2 = dawson((root / (2.0 * lam * aa)) * np.stack([c - omega, c + omega]))
-    return _scalar_or_array(pref * (d1 + np.exp(beta * omega) * d2))
+    return _closed_form(CorrectionMethod.HIGH_TEMPERATURE_DAWSON, sys, bath, sd, l, l2, conv)
 
 
 def f_series(
@@ -363,37 +440,7 @@ def f_series(
     renormalized gap while the second-order prefactor keeps the plain gap,
     matching the way the expansion is organized.
     """
-    lam = bath.lam
-    if lam == 0:
-        raise UnsupportedOperationError(
-            "the inverse-coupling series is singular at lambda=0; use f_exact"
-        )
-    omega_r, scale = _pair_terms(sys, bath, conv, sd, l, l2)
-    q = sd.reorganization_energy()
-    beta = bath.beta
-    h = sys.pseudo_energies
-    omega = h[l] - h[l2]
-    e = np.exp(omega_r * beta)
-    # Each second term's denominator overflows to inf at a coupling (c past
-    # 1.3e154, lambda past 1e77) where the term is below the first's rounding:
-    # it then adds 0, the 1/c limit.
-    if conv is RenormalizationConvention.RENORMALIZED:
-        c = scale * q
-        with np.errstate(over="ignore"):
-            return _scalar_or_array((1.0 + e) / c + omega * (1.0 - e) / c**2)
-    a_l = sys.a_eigenvalues[l]
-    a_l2 = sys.a_eigenvalues[l2]
-    if np.any(a_l == 0.0) or np.any(a_l2 == 0.0):
-        raise ValidationError(
-            "the Natural-convention series divides by the coupling eigenvalues; "
-            f"a_l={a_l}, a_l'={a_l2} must all be nonzero"
-        )
-    d = a_l - a_l2
-    lam = np.float64(lam)  # lambda^2 is finite here: _pair_terms has formed it
-    first = (1.0 / a_l - e / a_l2) / (2.0 * lam**2 * q * d)
-    with np.errstate(over="ignore"):
-        second = (omega / (4.0 * lam**4 * q**2 * d**2)) * (1.0 / a_l**2 - e / a_l2**2)
-    return _scalar_or_array(first + second)
+    return _closed_form(CorrectionMethod.ULTRASTRONG_SERIES, sys, bath, sd, l, l2, conv)
 
 
 def regime_diagnostics(
@@ -403,7 +450,7 @@ def regime_diagnostics(
     sd: SpectralDensity,
 ) -> dict:
     """The regime markers, with the ratios they compare to the module's thresholds."""
-    h_scale = float(np.max(np.abs(sys.pseudo_energies)))
+    h_scale = float(np.abs(sys.pseudo_energies).max())
     coupling_ratio = lam2q / h_scale if h_scale > 0 else np.inf
     omega_c_beta = sd.cutoff * beta
     return {
@@ -448,14 +495,16 @@ def steady_state(
         rho_{l,l'} = -1/2 (p_l h_{l,l'} f_{l,l'} + conj(h_{l',l}) p_{l'} f_{l',l}),
     which is Hermitian by construction regardless of quadrature error. The
     trace is carried by the populations alone.
+
+    Each call reads the system's ordered pairs from one index table per
+    dimension and builds its pair table (populations, gaps, couplings and
+    their refusals) once, which the closed forms read in place; the exact
+    route hands the pairs to f_exact, which builds its own.
     """
     s = q or QuadratureSettings()
     beta, lam = bath.beta, bath.lam
-    energies = _effective_energies(sys, bath, conv, sd)
-    p = _populations(energies, beta)
     dim = sys.dim
-
-    l, l2 = np.nonzero(~np.eye(dim, dtype=bool))
+    l, l2 = _off_diagonal(dim)
     f = np.zeros((dim, dim))
     f_err = np.zeros((dim, dim))
     evaluations = 0
@@ -464,17 +513,20 @@ def steady_state(
         f[l, l2] = r.value
         f_err[l, l2] = r.component_errors
         evaluations = r.evaluations
-    elif method is CorrectionMethod.HIGH_TEMPERATURE_DAWSON:
-        f[l, l2] = f_high_t(sys, bath, sd, l, l2, conv)
+        p = _populations(_effective_energies(sys, bath, conv, sd), beta)
     else:
-        f[l, l2] = f_series(sys, bath, sd, l, l2, conv)
+        kernel, form = _CLOSED_FORMS[method]
+        _refuse_zero_coupling(lam, form)
+        t = _pair_table(sys, bath, conv, sd, l, l2)
+        f[l, l2] = kernel(sys, bath, sd, t, conv)
+        p = t.populations
 
     # m[l, l'] = p_l h_{l,l'} f_{l,l'}; its conjugate transpose is the second
     # term. rho_a stays complex for a real h too: a real rho_a sends the basis
     # change below down another BLAS path, which moves the state's last bits.
     m = p[:, None] * sys.h_elements * f
     rho_a = (-0.5 * (m + m.conj().T)).astype(complex)
-    np.fill_diagonal(rho_a, p)
+    rho_a.flat[:: dim + 1] = p
     v = sys.a_eigenvectors
     rho = v @ rho_a @ v.conj().T
     state = DensityMatrix(rho, check_positive=False)

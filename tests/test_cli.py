@@ -655,6 +655,81 @@ def test_me_at_lambda2q_1e7_is_na_with_cap_note(capsys):
     assert past[-1].startswith("me: ") and "off at 16385 nodes" in past[-1]
 
 
+def test_me_keeps_its_finest_g_when_the_rule_hits_its_cap(monkeypatch, capsys):
+    # All three points share one cut and miss the node cap. The first reads G
+    # on every level up to 16385 nodes (the ladder, then 255 nodes and each
+    # doubling's new midpoints: 8 calls, 16420 nodes); the memo keeps that G
+    # when the rule raises, so the other two points evaluate none.
+    monkeypatch.setattr(comparator, "_last_g", None)
+    sizes = []
+    g_batch = comparator._g_batch
+
+    def counted(sd, beta, tau, settings):
+        sizes.append(len(tau))
+        return g_batch(sd, beta, tau, settings)
+
+    monkeypatch.setattr(comparator, "_g_batch", counted)
+    assert run_main(["sweep", "--sweep", "lambda2Q", "--from", "1.1e7", "--to", "1.2e7",
+                     "--points", "3", "--methods", "me"]) == 0
+    rows = [r.split(",") for r in capsys.readouterr().out.strip().split("\n")[1:]]
+    assert len(sizes) == 8 and sum(sizes) == 16420
+    for row in rows:
+        assert row[1:6] == ["NA"] * 5
+        assert row[-1].startswith("me: ") and "off at 16385 nodes" in row[-1]
+
+
+@pytest.mark.parametrize("swept", cli.SWEPT_NAMES)
+def test_a_sweep_builds_its_spin_system_once(monkeypatch, swept):
+    # The spin system (its eigensolve and commutator check) does not change
+    # from point to point, so run_sweep builds it once; a point evaluated on
+    # its own with the three arguments builds its own and gets the same cells.
+    built = []
+    build = cli.build_system
+
+    def counted(params):
+        built.append(params)
+        return build(params)
+
+    monkeypatch.setattr(cli, "build_system", counted)
+    spec = cli.SweepSpec(swept=swept, lo=0.3, hi=1.2, points=4, methods=("high-t", "series", "me"))
+    csv_text = cli.run_sweep(spec)
+    assert len(built) == 1
+    sd = None if swept == "omega_c" else cli._spectral_density(spec.spectral, spec.omega_c)
+    rows = csv_text.strip().split("\n")[1:]
+    for value, row in zip(cli._grid(spec), rows):
+        cells, flags, notes = cli._evaluate_point(spec, float(value), sd)
+        alone = [f"{value:.17g}", *(cli._fmt_cell(cells[m][c]) for m in spec.methods for c in cli._CELLS)]
+        assert row.split(",")[: len(alone)] == alone and notes == []
+    assert len(built) == 1 + len(rows)
+
+
+# The package's function calls in that sweep were 581 when this ceiling was
+# set; it leaves room for a few more, not for a per-point rebuild of what a
+# sweep or a route call shares.
+CALLS_CEILING = 600
+
+
+def test_a_sweep_point_calls_few_package_functions(monkeypatch):
+    # A guard on the fixed cost of a sweep point: calls to functions defined
+    # in the package (cProfile, filtered by file, so a numpy upgrade does not
+    # move it) over one fig1a-shape 5-point lambda^2 Q sweep with the G memo
+    # cleared. A first run fills the package's per-argument caches, so the
+    # count does not depend on what ran before.
+    import cProfile
+    import pstats
+
+    spec = cli.SweepSpec(swept="lambda2Q", lo=0.2, hi=10.0, points=5, delta=0.7, beta=1.0,
+                         omega_c=0.25, methods=("high-t", "series", "me"))
+    cli.run_sweep(spec)
+    monkeypatch.setattr(comparator, "_last_g", None)
+    profile = cProfile.Profile()
+    profile.runcall(cli.run_sweep, spec)
+    package = os.path.dirname(cli.__file__) + os.sep
+    calls = sum(row[1] for key, row in pstats.Stats(profile).stats.items()
+                if key[0].startswith(package))
+    assert calls <= CALLS_CEILING
+
+
 def test_me_non_finite_g_is_na_with_note(capsys):
     # At omega_c = 1e-300 the cut's ladder ends at tau = 4e300 and starts
     # 1.5^48 below it, where Re G overflows: NA and a note, before the rule

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from meanforce import comparator
+from meanforce import comparator, steady
 from meanforce.comparator import me_state, me_steady_state
 from meanforce.errors import NumericsError, ValidationError
 from meanforce.special import QuadratureSettings, integrate_finite
@@ -346,10 +346,10 @@ def _me_coherences_pair_loop(sys, bath, sd, s):
     # An adaptive reference for the all-pairs Gregory rule: each active pair
     # gets its own cut and windows, each sign of wbar its own
     # integrate_finite call per window, and G is evaluated at its nodes.
-    energies = comparator._effective_energies(
+    energies = steady._effective_energies(
         sys, bath, RenormalizationConvention.NATURAL, sd
     )
-    p = comparator._populations(energies, bath.beta)
+    p = steady._populations(energies, bath.beta)
     q_reorg = sd.reorganization_energy()
     pairs = [(l, l2) for l in range(sys.dim) for l2 in range(sys.dim) if l < l2]
     a = sys.a_eigenvalues

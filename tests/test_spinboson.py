@@ -33,9 +33,7 @@ def test_build_system_structure():
 def test_energy_eigenvector_convention():
     p = SpinBosonParams(epsilon=1.0, delta=0.7)
     h = build_system(p).h_s.entries
-    from meanforce.spinboson import _energy_eigenvectors
-
-    e, g = _energy_eigenvectors(p)
+    e, g = p.energy_eigenvectors
     assert e @ h @ e == pytest.approx(p.omega_s / 2.0, rel=1e-14)
     assert g @ h @ g == pytest.approx(-p.omega_s / 2.0, rel=1e-14)
     assert abs(e @ g) < 1e-15

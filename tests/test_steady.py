@@ -231,7 +231,8 @@ def test_f_exact_against_mpmath_at_large_coupling():
 def _f_unfolded(sys, bath, sd, l, l2, conv):
     """f_{l,l'} over the whole of [0, beta], K at every node: the form before
     the fold at beta/2, on the generic first panels, at tighter tolerances."""
-    omega, scale = steady._pair_terms(sys, bath, conv, sd, l, l2)
+    t = steady._pair_table(sys, bath, conv, sd, l, l2)
+    omega, scale = t.omega, t.scale
     shift = np.maximum(bath.beta * omega, 0.0)
     inner = QuadratureSettings(rel_tol=1e-13, abs_tol=1e-16)
 
@@ -447,6 +448,46 @@ def _seed101_multilevel():
     h = h + np.triu(h, 1).conj().T
     a = np.diag([-1.5459470017568948, -0.5154158383335188, 0.48947948359772914, 1.453810129846433])
     return SystemSpec(h, a), BathParams(beta=2.007290670144433, lam=math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("fn", [f_exact, f_high_t, f_series], ids=["exact", "high-t", "series"])
+def test_public_f_refuses_what_it_did(fn):
+    # The public forms validate their indices before they build a pair table,
+    # and the table refuses e^{beta gap} past _EXP_CAP and an overflowing
+    # lambda^2 (a_l - a_l')^2, each with its note.
+    sys = spin_system()
+    bath = BathParams(beta=1.0, lam=1.0)
+    sd = LorentzDrude(1.0, 0.25)
+    bad = [(0, 2), (-1, 0), (1, 1), (np.array([1, 0]), np.array([1, 1])), (1.0, 0),
+           (np.array([1.0]), np.array([0.0])), (np.array([], dtype=int), np.array([], dtype=int))]
+    for l, l2 in bad:
+        with pytest.raises(ValidationError):
+            fn(sys, bath, sd, l, l2)
+    with pytest.raises(NumericsError, match="beta\\*gap = 800 exceeds 700"):
+        fn(spin_system(eps=800.0, delta=10.0), bath, sd, 1, 0)
+    note = "coupling lambda\\^2 \\(a_l - a_l'\\)\\^2 overflows at lambda = 2e\\+154"
+    for conv in (RENORM, NATURAL):
+        with pytest.raises(NumericsError, match=note):
+            fn(sys, BathParams(beta=1.0, lam=2e154), sd, 1, 0, conv=conv)
+
+
+@pytest.mark.parametrize("conv", [RENORM, NATURAL], ids=["renormalized", "natural"])
+def test_steady_state_f_values_are_the_public_forms_bit_for_bit(conv):
+    # steady_state reads the closed forms' kernels on its own pair table and
+    # hands exact's pairs to f_exact: on the dim-4 benchmark system every
+    # off-diagonal f is the public form's, bit for bit, and the diagonal is 0.
+    sys, bath = _seed101_multilevel()
+    sd = LorentzDrude(1.0, 0.25)
+    l, l2 = np.nonzero(~np.eye(4, dtype=bool))
+    public = {
+        EXACT: f_exact(sys, bath, sd, l, l2, conv=conv).value,
+        HIGH_T: f_high_t(sys, bath, sd, l, l2, conv=conv),
+        SERIES: f_series(sys, bath, sd, l, l2, conv=conv),
+    }
+    for method, values in public.items():
+        f = steady_state(sys, bath, sd, method, conv).f_values
+        assert f[l, l2].tobytes() == values.tobytes(), method
+        assert not np.diag(f).any()
 
 
 def test_exact_shared_tolerance_keeps_small_entries():
